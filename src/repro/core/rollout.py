@@ -140,6 +140,12 @@ def cycle_windows(cycle: CycleRecord, step_s: float, include_tail: bool = True) 
     batched fleet path both consume its output, which is what makes
     their trajectories bit-for-bit comparable.
 
+    The full windows are averaged in one row-wise mean over the samples
+    reshaped to ``(n_full, steps)``; the trailing partial window is
+    averaged on its own.  Each row is reduced by the same pairwise sum
+    and divide as ``np.mean`` over that window's slice, so every average
+    is bit-identical to a per-window ``np.mean``.
+
     Parameters
     ----------
     cycle:
@@ -164,19 +170,22 @@ def cycle_windows(cycle: CycleRecord, step_s: float, include_tail: bool = True) 
     if n_full < 1:
         raise ValueError("cycle shorter than a single rollout step")
     rem = (len(d) - 1) % steps
-    bounds = [(w * steps, (w + 1) * steps) for w in range(n_full)]
+    end = n_full * steps  # sample index closing the last full window
+    tail = bool(include_tail and rem)
+    n_windows = n_full + tail
+    i_avg = np.empty(n_windows)
+    t_avg = np.empty(n_windows)
+    i_avg[:n_full] = d.current[1 : end + 1].reshape(n_full, steps).mean(axis=1)
+    t_avg[:n_full] = d.temp_c[1 : end + 1].reshape(n_full, steps).mean(axis=1)
+    horizon_s = np.full(n_windows, steps * cycle.sampling_period_s)
+    boundary = np.arange(n_windows + 1) * steps
     tail_s = 0.0
-    if include_tail and rem:
-        bounds.append((n_full * steps, len(d) - 1))
+    if tail:
+        i_avg[-1] = np.mean(d.current[end + 1 :])
+        t_avg[-1] = np.mean(d.temp_c[end + 1 :])
         tail_s = rem * cycle.sampling_period_s
-    i_avg = np.empty(len(bounds))
-    t_avg = np.empty(len(bounds))
-    horizon_s = np.empty(len(bounds))
-    boundary = [0] + [hi for _, hi in bounds]
-    for w, (lo, hi) in enumerate(bounds):
-        i_avg[w] = np.mean(d.current[lo + 1 : hi + 1])
-        t_avg[w] = np.mean(d.temp_c[lo + 1 : hi + 1])
-        horizon_s[w] = (hi - lo) * cycle.sampling_period_s
+        horizon_s[-1] = tail_s
+        boundary[-1] = len(d) - 1
     return WindowPlan(
         steps=steps,
         i_avg=i_avg,

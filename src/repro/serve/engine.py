@@ -80,6 +80,69 @@ class CellState:
     n_requests: int = 0
 
 
+def _pad_rows(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """Stack ragged 1-D rows into a NaN-padded ``(len(rows), width)`` matrix."""
+    out = np.full((len(rows), width), np.nan)
+    for u, row in enumerate(rows):
+        out[u, : len(row)] = row
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class _FleetPlan:
+    """Window plans of one fleet rollout, stacked once per unique trace.
+
+    Cells that follow the same recorded cycle share one row: ``trace[k]``
+    is assignment ``k``'s row.  Per-window matrices are NaN-padded past
+    each trace's last window, boundary matrices past its last boundary.
+    """
+
+    trace: np.ndarray  # (cells,) row of each assignment
+    n_windows: np.ndarray  # (traces,)
+    i_avg: np.ndarray  # (traces, max windows)
+    t_avg: np.ndarray
+    horizon_s: np.ndarray
+    time_s: np.ndarray  # (traces, max windows + 1)
+    soc_true: np.ndarray
+    first: np.ndarray  # (traces, 3) first sensor sample: V, I, T
+    capacity_ah: np.ndarray  # (traces,)
+    step_s: list[float]  # full-window step per trace
+    tail_s: list[float]
+
+    @classmethod
+    def build(cls, pairs: list[tuple[str, CycleRecord]], step_s: float) -> _FleetPlan:
+        """Plan every unique trace; raises before the caller changes any state.
+
+        Traces are told apart by object identity, which is safe here
+        because ``pairs`` keeps every cycle alive for the whole call.
+        """
+        rows: dict[int, int] = {}
+        cycles: list[CycleRecord] = []
+        trace = np.empty(len(pairs), dtype=np.intp)
+        for k, (_, cycle) in enumerate(pairs):
+            u = rows.setdefault(id(cycle), len(cycles))
+            if u == len(cycles):
+                cycles.append(cycle)
+            trace[k] = u
+        plans = [cycle_windows(c, step_s) for c in cycles]
+        max_w = max((p.n_windows for p in plans), default=0)
+        return cls(
+            trace=trace,
+            n_windows=np.array([p.n_windows for p in plans], dtype=np.intp),
+            i_avg=_pad_rows([p.i_avg for p in plans], max_w),
+            t_avg=_pad_rows([p.t_avg for p in plans], max_w),
+            horizon_s=_pad_rows([p.horizon_s for p in plans], max_w),
+            time_s=_pad_rows([p.time_s for p in plans], max_w + 1),
+            soc_true=_pad_rows([p.soc_true for p in plans], max_w + 1),
+            first=np.array(
+                [[c.data.voltage[0], c.data.current[0], c.data.temp_c[0]] for c in cycles]
+            ).reshape(len(cycles), 3),
+            capacity_ah=np.array([c.capacity_ah for c in cycles], dtype=np.float64),
+            step_s=[p.steps * c.sampling_period_s for p, c in zip(plans, cycles)],
+            tail_s=[p.tail_s for p in plans],
+        )
+
+
 class FleetEngine:
     """Batched multi-cell server over one or more two-branch models.
 
@@ -485,11 +548,24 @@ class FleetEngine:
         Returns
         -------
         dict
-            ``{cell_id: RolloutResult}`` in assignment order.
+            ``{cell_id: RolloutResult}`` in assignment order.  Each
+            result's arrays are its own: writing into one never changes
+            another cell's result or a later call's.
+
+        Raises
+        ------
+        ValueError
+            When any cycle cannot be planned at ``step_s`` (see
+            :func:`~repro.core.rollout.cycle_windows`).  Every plan is
+            built before the first cell is registered, state changes or
+            the journal is written, so a bad cycle leaves the engine and
+            its journal untouched.
         """
+        pairs = list(assignments)
+        plan = _FleetPlan.build(pairs, step_s)
         if self.journal is not None:
             self.journal.begin_rollout(step_s)
-        return self._rollout(list(assignments), step_s, prefix={}, step_hook=step_hook)
+        return self._rollout(pairs, plan, prefix={}, step_hook=step_hook)
 
     def resume_rollout_fleet(
         self,
@@ -521,27 +597,20 @@ class FleetEngine:
             raise ValueError(
                 f"journal holds a step_s={snap.step_s:g} rollout; cannot resume at {step_s:g}"
             )
-        return self._rollout(list(assignments), step_s, prefix=snap.windows, step_hook=step_hook)
+        pairs = list(assignments)
+        plan = _FleetPlan.build(pairs, step_s)
+        return self._rollout(pairs, plan, prefix=snap.windows, step_hook=step_hook)
 
     def _rollout(
         self,
         pairs: list[tuple[str, CycleRecord]],
-        step_s: float,
+        plan: _FleetPlan,
         prefix: dict[str, dict[int, float]],
         step_hook: Callable[[int], None] | None,
     ) -> dict[str, RolloutResult]:
         for cell_id, cycle in pairs:
             if cell_id not in self._cells:
                 self.register_cell(cell_id, chemistry=cycle.tags.get("chemistry"))
-        # cells sharing one recorded trace share one window plan
-        plan_cache: dict[int, object] = {}
-
-        def plan_for(cycle: CycleRecord):
-            key = id(cycle)
-            if key not in plan_cache:
-                plan_cache[key] = cycle_windows(cycle, step_s)
-            return plan_cache[key]
-
         results: dict[str, RolloutResult] = {}
         by_model: dict[str, list[int]] = {}
         for k, (cell_id, _) in enumerate(pairs):
@@ -554,41 +623,19 @@ class FleetEngine:
         for key, members in by_model.items():
             t_group = time.perf_counter() if trace_ctx is not None else 0.0
             infer = self._infer(key)
-            cycles = [pairs[k][1] for k in members]
             ids = [pairs[k][0] for k in members]
             n = len(members)
-            # unique recorded traces: cells following the same cycle share
-            # one window plan and one row of the stacked workload arrays,
-            # so plan assembly is per *trace*, then fancy-indexed out to
-            # the fleet — not rebuilt per cell, element by element
-            u_index: dict[int, int] = {}
-            u_cycles: list[CycleRecord] = []
-            u_of = np.empty(n, dtype=np.intp)
-            for r, cycle in enumerate(cycles):
-                u = u_index.setdefault(id(cycle), len(u_cycles))
-                if u == len(u_cycles):
-                    u_cycles.append(cycle)
-                u_of[r] = u
-            u_plans = [plan_for(c) for c in u_cycles]
-            u_nw = np.array([p.n_windows for p in u_plans])
-            max_w = int(u_nw.max())
-            # padded per-window workload matrices (NaN past each trace's end)
-            in_window = np.arange(max_w) < u_nw[:, None]
-            u_i = np.full((len(u_plans), max_w), np.nan)
-            u_t = np.full((len(u_plans), max_w), np.nan)
-            u_h = np.full((len(u_plans), max_w), np.nan)
-            u_i[in_window] = np.concatenate([p.i_avg for p in u_plans])
-            u_t[in_window] = np.concatenate([p.t_avg for p in u_plans])
-            u_h[in_window] = np.concatenate([p.horizon_s for p in u_plans])
-            # first sensor sample per trace, for Branch 1 seeding
-            u_first = np.array(
-                [[c.data.voltage[0], c.data.current[0], c.data.temp_c[0]] for c in u_cycles]
-            )
-            plans = [u_plans[u] for u in u_of]
-            n_w = u_nw[u_of]
-            i_mat = u_i[u_of]
-            t_mat = u_t[u_of]
-            h_mat = u_h[u_of]
+            # the plan is stacked per unique trace; one gather per matrix
+            # gives this group's per-cell rows.  The gathers are fresh
+            # arrays, so the results below can hand out row views of them
+            trace = plan.trace[members]
+            n_w = plan.n_windows[trace]
+            max_w = int(n_w.max())
+            i_mat = plan.i_avg[trace, :max_w]
+            t_mat = plan.t_avg[trace, :max_w]
+            h_mat = plan.horizon_s[trace, :max_w]
+            time_mat = plan.time_s[trace, : max_w + 1]
+            true_mat = plan.soc_true[trace, : max_w + 1]
             preds = np.empty((n, max_w + 1))
             # observability scratch: the per-window physics residual
             # |predicted ΔSoC − coulomb ΔSoC| (the Branch 2 correction
@@ -599,7 +646,7 @@ class FleetEngine:
             if monitored or self.journal is not None:
                 # the harvester needs per-row capacities too (Eq. 1
                 # recomputation from journaled workloads)
-                cap_row = np.array([c.capacity_ah for c in u_cycles])[u_of]
+                cap_row = plan.capacity_ah[trace]
             if monitored:
                 rb_prev = np.empty(n)
                 rb_res = np.empty(n)
@@ -621,24 +668,27 @@ class FleetEngine:
             # whose SoC is already known (its value seeds the recursion)
             start_w = np.zeros(n, dtype=int)
             soc = np.empty(n)
-            fresh = []
-            for r, cid in enumerate(ids):
-                done = prefix.get(cid, {})
-                k_done = -1
-                while k_done + 1 in done and k_done + 1 <= int(n_w[r]):
-                    k_done += 1
-                if k_done < 0:
-                    fresh.append(r)
-                    continue
-                for w in range(k_done + 1):
-                    preds[r, w] = done[w]
-                soc[r] = done[k_done]
-                start_w[r] = k_done
+            if prefix:
+                fresh = []
+                for r, cid in enumerate(ids):
+                    done = prefix.get(cid, {})
+                    k_done = -1
+                    while k_done + 1 in done and k_done + 1 <= int(n_w[r]):
+                        k_done += 1
+                    if k_done < 0:
+                        fresh.append(r)
+                        continue
+                    for w in range(k_done + 1):
+                        preds[r, w] = done[w]
+                    soc[r] = done[k_done]
+                    start_w[r] = k_done
+            else:
+                fresh = range(n)  # a fresh rollout: nothing journaled to replay
             if fresh:
                 # one Branch 1 forward seeds all not-yet-started cells;
                 # the sensor rows come from the stacked per-trace array
                 idx = np.asarray(fresh)
-                first = u_first[u_of[idx]]
+                first = plan.first[trace[idx]]
                 seed = infer.estimate_soc(first[:, 0], first[:, 1], first[:, 2])
                 soc[idx] = seed
                 preds[idx, 0] = seed
@@ -695,20 +745,23 @@ class FleetEngine:
                         )
                 if step_hook is not None:
                     step_hook(w + 1)
+            # results hold disjoint row views of this call's own matrices
+            # (preds, time_mat, true_mat), so no result shares an array
+            # with another cell or another call
             states = []
-            for r, k in enumerate(members):
-                cell_id, cycle = pairs[k]
-                p = plans[r]
-                results[cell_id] = RolloutResult(
-                    time_s=p.time_s.copy(),
-                    soc_pred=preds[r, : p.n_windows + 1].copy(),
-                    soc_true=p.soc_true.copy(),
-                    initial_soc=float(preds[r, 0]),
-                    step_s=p.steps * cycle.sampling_period_s,
-                    tail_s=p.tail_s,
+            initial = preds[:, 0].tolist()
+            final = preds[np.arange(n), n_w].tolist()
+            for r, (cid, u, w_end) in enumerate(zip(ids, trace.tolist(), n_w.tolist())):
+                results[cid] = RolloutResult(
+                    time_s=time_mat[r, : w_end + 1],
+                    soc_pred=preds[r, : w_end + 1],
+                    soc_true=true_mat[r, : w_end + 1],
+                    initial_soc=initial[r],
+                    step_s=plan.step_s[u],
+                    tail_s=plan.tail_s[u],
                 )
-                state = self._cells[cell_id]
-                state.soc = float(preds[r, p.n_windows])
+                state = self._cells[cid]
+                state.soc = final[r]
                 state.n_requests += 1
                 states.append(state)
             self._record_many(states)

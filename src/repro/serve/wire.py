@@ -356,8 +356,8 @@ def encode_rollout_request(
 
     Cycles are deduplicated by object identity — a fleet where many
     cells follow one recorded trace ships that trace **once**, and the
-    decoder rebuilds the sharing (so the engine's per-trace plan cache
-    works in the child exactly as in-process).  Only the per-*cycle*
+    decoder rebuilds the sharing (so the engine plans each trace once
+    in the child exactly as in-process).  Only the per-*cycle*
     scalars and tags ride in the JSON meta; the O(cells) pair list is
     two raw blocks (an id blob and a cycle-index array), and the
     recorded channels are raw float payloads.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.battery import coulomb
+from repro.battery import SimulationResult, coulomb
 from repro.core import (
     RolloutResult,
     TwoBranchSoCNet,
@@ -11,6 +11,7 @@ from repro.core import (
     model_rollout,
     rollout_cycle,
 )
+from repro.datasets import CycleRecord
 
 
 class TestRolloutCycle:
@@ -20,7 +21,6 @@ class TestRolloutCycle:
         (datasheet) capacity drifts — the designed Eq. 1 approximation
         gap the PINN exploits."""
         from repro.battery import CellSimulator, SensorNoise, get_cell_spec
-        from repro.datasets import CycleRecord
 
         spec = get_cell_spec("sandia-nmc")
         sim = CellSimulator(spec, noise=SensorNoise.none(), capacity_factor=0.9)
@@ -119,7 +119,6 @@ class TestPartialTail:
         """A 10-sample (9-interval) constant-current trace: step 4
         leaves a 1-sample tail."""
         from repro.battery import CellSimulator, SensorNoise, get_cell_spec
-        from repro.datasets import CycleRecord
 
         spec = get_cell_spec("sandia-nmc")
         sim = CellSimulator(spec, noise=SensorNoise.none())
@@ -141,7 +140,8 @@ class TestPartialTail:
         cycle = self._tail_cycle()
         plan = cycle_windows(cycle, step_s=240.0)
         d = cycle.data
-        assert plan.i_avg[-1] == pytest.approx(float(np.mean(d.current[9:10])))
+        assert plan.i_avg[-1] == float(np.mean(d.current[9:10]))
+        assert plan.t_avg[-1] == float(np.mean(d.temp_c[9:10]))
         assert plan.soc_true[-1] == d.soc[9]
         assert plan.time_s[-1] == d.time_s[9]
 
@@ -164,6 +164,86 @@ class TestPartialTail:
         result = rollout_cycle(lambda s, i, t, h: s, cycle, step_s=180.0, initial_soc=0.9)
         assert result.tail_s == 0.0  # 9 intervals = 3 windows of 3
         assert len(result) == 4
+
+
+def _random_cycle(n_samples: int, dtype=np.float64) -> CycleRecord:
+    """A 1 s-period trace of noisy I/T channels stored as ``dtype``."""
+    rng = np.random.default_rng(n_samples)
+    current = rng.normal(2.0, 0.7, n_samples).astype(dtype)
+    temp_c = rng.normal(25.0, 3.0, n_samples).astype(dtype)
+    voltage = rng.normal(3.7, 0.2, n_samples)
+    data = SimulationResult(
+        time_s=np.arange(n_samples, dtype=np.float64),
+        voltage=voltage,
+        current=current,
+        temp_c=temp_c,
+        soc=np.linspace(1.0, 0.1, n_samples),
+        voltage_true=voltage,
+        current_true=current,
+        temp_true=temp_c,
+    )
+    return CycleRecord("random", "test", 25.0, 1.0, 3.0, data)
+
+
+def _reference_windows(cycle, step_s: float, include_tail: bool):
+    """Per-window ``np.mean`` loop: the definition the plan must match exactly."""
+    d = cycle.data
+    steps = int(round(step_s / cycle.sampling_period_s))
+    n_full, rem = divmod(len(d) - 1, steps)
+    bounds = [(w * steps, (w + 1) * steps) for w in range(n_full)]
+    if include_tail and rem:
+        bounds.append((n_full * steps, len(d) - 1))
+    i_avg = np.empty(len(bounds))
+    t_avg = np.empty(len(bounds))
+    horizon_s = np.empty(len(bounds))
+    for w, (lo, hi) in enumerate(bounds):
+        i_avg[w] = np.mean(d.current[lo + 1 : hi + 1])
+        t_avg[w] = np.mean(d.temp_c[lo + 1 : hi + 1])
+        horizon_s[w] = (hi - lo) * cycle.sampling_period_s
+    boundary = [0] + [hi for _, hi in bounds]
+    return i_avg, t_avg, horizon_s, d.time_s[boundary], d.soc[boundary]
+
+
+class TestCycleWindowsExact:
+    """The row-wise plan equals a per-window ``np.mean`` bit for bit.
+
+    Steps above 128 samples exercise numpy's pairwise-summation blocks,
+    which a row-wise reduction must reproduce for the fleet path to stay
+    bit-for-bit with the scalar loop and the journal replay.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("include_tail", [True, False])
+    @pytest.mark.parametrize(
+        "n_samples, step_s",
+        [
+            (1001, 1.0),  # steps == 1
+            (1001, 10.0),  # 1000 intervals divide evenly
+            (1001, 250.0),  # even, pairwise blocks inside each row
+            (1001, 7.0),  # 6-sample tail
+            (1001, 300.0),  # 100-sample tail
+            (2000, 1000.0),  # one full window and a 999-sample tail
+        ],
+    )
+    def test_matches_per_window_mean(self, dtype, include_tail, n_samples, step_s):
+        cycle = _random_cycle(n_samples, dtype)
+        plan = cycle_windows(cycle, step_s, include_tail=include_tail)
+        expected = _reference_windows(cycle, step_s, include_tail)
+        got = (plan.i_avg, plan.t_avg, plan.horizon_s, plan.time_s, plan.soc_true)
+        for name, a, b in zip(("i_avg", "t_avg", "horizon_s", "time_s", "soc_true"), got, expected):
+            assert a.dtype == np.float64, name
+            assert np.array_equal(a, b), name
+        steps = int(step_s)
+        rem = (n_samples - 1) % steps
+        assert plan.tail_s == (float(rem) if include_tail else 0.0)
+
+    def test_step_below_one_sample_raises(self):
+        with pytest.raises(ValueError, match="at least one sampling period"):
+            cycle_windows(_random_cycle(100), step_s=0.4)
+
+    def test_cycle_shorter_than_one_step_raises(self):
+        with pytest.raises(ValueError, match="shorter than a single rollout step"):
+            cycle_windows(_random_cycle(100), step_s=100.0)
 
 
 class TestModelRollout:

@@ -38,6 +38,19 @@ def mixed_fleet():
     )
 
 
+@pytest.fixture(scope="module")
+def bench_fleet():
+    """The benchmark fleet's shape: 1800 s discharges of four cell specs,
+    27 or 28 windows at a 60 s step, some cells sharing one trace."""
+    return generate_fleet(
+        16,
+        seed=0,
+        cell_names=("sandia-nca", "sandia-nmc", "sandia-lfp", "lg-hg2"),
+        protocols=("discharge",),
+        max_time_s=1800.0,
+    )
+
+
 # ----------------------------------------------------------------------
 class TestFleetSim:
     def test_deterministic_by_seed(self):
@@ -142,6 +155,36 @@ class TestFleetEngine:
             np.testing.assert_array_equal(got.soc_true, ref.soc_true)
             assert got.tail_s == ref.tail_s
             assert got.initial_soc == pytest.approx(ref.initial_soc, abs=1e-12)
+
+    def test_rollout_results_own_their_arrays(self, model, bench_fleet):
+        """Writing into one cell's result changes no other cell on the
+        same trace, and no result of a later call."""
+        engine = FleetEngine(default_model=model)
+        pairs = bench_fleet.assignments()
+        first = engine.rollout_fleet(pairs, step_s=60.0)
+        assert {len(r) - 1 for r in first.values()} == {27, 28}
+        for cid, cycle in pairs:
+            ref = model_rollout(model, cycle, 60.0)
+            np.testing.assert_allclose(first[cid].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
+            np.testing.assert_array_equal(first[cid].time_s, ref.time_s)
+            np.testing.assert_array_equal(first[cid].soc_true, ref.soc_true)
+
+        by_trace: dict[int, list[str]] = {}
+        for cid, cycle in pairs:
+            by_trace.setdefault(id(cycle), []).append(cid)
+        a, b = next(cids for cids in by_trace.values() if len(cids) > 1)[:2]
+        fields = ("soc_pred", "time_s", "soc_true")
+        kept = {cid: {f: getattr(r, f).copy() for f in fields} for cid, r in first.items()}
+        second = engine.rollout_fleet(pairs, step_s=60.0)
+        for f in fields:
+            getattr(first[a], f)[:] = -1.0
+        for f in fields:
+            np.testing.assert_array_equal(getattr(first[b], f), kept[b][f])
+        third = engine.rollout_fleet(pairs, step_s=60.0)
+        for cid in first:
+            for f in fields:
+                np.testing.assert_array_equal(getattr(second[cid], f), kept[cid][f])
+                np.testing.assert_array_equal(getattr(third[cid], f), kept[cid][f])
 
     def test_rollout_updates_cell_state(self, model, small_fleet):
         engine = FleetEngine(default_model=model)

@@ -1,12 +1,13 @@
 """Tests for durable serving state (:mod:`repro.serve.persistence`)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.core import TwoBranchSoCNet
-from repro.serve import FleetEngine, ShardedFleet, StateJournal, generate_fleet
+from repro.serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal, generate_fleet
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +22,32 @@ def fleet():
     )
 
 
+@pytest.fixture(scope="module")
+def bench_fleet():
+    """The benchmark fleet's shape: 1800 s discharges of four cell specs,
+    27 or 28 windows at a 60 s step, some cells sharing one trace."""
+    return generate_fleet(
+        16,
+        seed=0,
+        cell_names=("sandia-nca", "sandia-nmc", "sandia-lfp", "lg-hg2"),
+        protocols=("discharge",),
+        max_time_s=1800.0,
+    )
+
+
 class Crash(RuntimeError):
     """Injected mid-rollout failure."""
+
+
+def _truncated(cycle, n_samples: int):
+    """``cycle`` cut to its first ``n_samples`` recorded samples."""
+    d = cycle.data
+    channels = {
+        f.name: getattr(d, f.name)[:n_samples]
+        for f in dataclasses.fields(d)
+        if isinstance(getattr(d, f.name), np.ndarray)
+    }
+    return dataclasses.replace(cycle, data=dataclasses.replace(d, **channels))
 
 
 # ----------------------------------------------------------------------
@@ -444,6 +469,35 @@ class TestCrashRestore:
             )
         reopened.close()
 
+    @pytest.mark.parametrize("crash_at", [5, 27])
+    def test_resume_is_exact_over_mixed_window_counts(self, model, bench_fleet, tmp_path, crash_at):
+        """27- and 28-window traces in one group: a crash at window 27
+        leaves the shorter traces finished and the longer ones one
+        window short, and resume still stitches every cell bit for bit."""
+        pairs = bench_fleet.assignments()
+        reference = FleetEngine(default_model=model).rollout_fleet(pairs, step_s=60.0)
+        assert {len(r) - 1 for r in reference.values()} == {27, 28}
+        path = tmp_path / "fleet.journal"
+        journal = StateJournal(path)
+        engine = FleetEngine(default_model=model, journal=journal)
+
+        def bomb(window):
+            if window >= crash_at:
+                raise Crash
+
+        with pytest.raises(Crash):
+            engine.rollout_fleet(pairs, step_s=60.0, step_hook=bomb)
+        journal.close()
+
+        reopened = StateJournal(path)
+        restored = FleetEngine.restore(reopened, default_model=model)
+        resumed = restored.resume_rollout_fleet(pairs, step_s=60.0)
+        for cid, _ in pairs:
+            np.testing.assert_array_equal(resumed[cid].soc_pred, reference[cid].soc_pred)
+            np.testing.assert_array_equal(resumed[cid].time_s, reference[cid].time_s)
+            np.testing.assert_array_equal(resumed[cid].soc_true, reference[cid].soc_true)
+        reopened.close()
+
     def test_resume_rejects_mismatched_step(self, model, fleet, tmp_path):
         path = tmp_path / "fleet.journal"
         journal = StateJournal(path)
@@ -460,3 +514,37 @@ class TestCrashRestore:
         sharded = ShardedFleet(2, default_model=model)
         with pytest.raises(ValueError, match="journal"):
             sharded.resume_rollout_fleet(fleet.assignments()[:1], step_s=120.0)
+
+
+# ----------------------------------------------------------------------
+class TestBadCycleLeavesNoTrace:
+    """A cycle that cannot be planned fails the whole rollout up front:
+    no model group commits state or journal windows before the error."""
+
+    def test_state_and_journal_unchanged(self, fleet, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        for k, name in enumerate(("a", "b")):
+            registry.publish(name, TwoBranchSoCNet(rng=np.random.default_rng(k)))
+        path = tmp_path / "fleet.journal"
+        journal = StateJournal(path)
+        engine = FleetEngine(registry=registry, journal=journal)
+        pairs = fleet.assignments()[:8]
+        # alternate models, so group "a" runs before the bad cell's group "b"
+        for k, (cid, cycle) in enumerate(pairs):
+            engine.register_cell(cid, chemistry=cycle.tags.get("chemistry"), model_name="ab"[k % 2])
+        engine.rollout_fleet(pairs, step_s=120.0)
+        before = {cid: (engine.cell(cid).soc, engine.cell(cid).n_requests) for cid, _ in pairs}
+        windows = journal.snapshot().windows
+        size = journal.size_bytes()
+        assert len(windows) == 8
+
+        bad = pairs[:-1] + [(pairs[-1][0], _truncated(pairs[-1][1], 2))]
+        bad.append(("newcomer", pairs[0][1]))
+        with pytest.raises(ValueError, match="shorter than a single rollout step"):
+            engine.rollout_fleet(bad, step_s=120.0)
+
+        assert {cid: (engine.cell(cid).soc, engine.cell(cid).n_requests) for cid, _ in pairs} == before
+        assert "newcomer" not in engine
+        assert journal.snapshot().windows == windows
+        assert journal.size_bytes() == size
+        journal.close()
