@@ -11,7 +11,7 @@ through the autoregressive paths:
 - **sharded** (``--shards N``) — the same fleet fanned across a
   :class:`repro.serve.ShardedFleet`;
 - **process** (``--workers N``) — the same fleet fanned across
-  :class:`repro.serve.ProcessShardWorker` subprocesses (real OS
+  ``pipe://`` :class:`repro.serve.ShardWorker` subprocesses (real OS
   processes behind the sharded-fleet interface);
 - **shm** (``--workers N``) — the same subprocess workers with bulk
   payloads riding ``shm://`` shared-memory slab rings instead of the

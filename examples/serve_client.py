@@ -64,9 +64,9 @@ def main() -> None:
             #    (here we cheat and spawn locally; across hosts you'd
             #    start `repro-soc worker --listen tcp://0.0.0.0:7456`
             #    on the new machine and register that address).
-            from repro.serve import RemoteShardWorker
+            from repro.serve import ShardWorker
 
-            spare = RemoteShardWorker(
+            spare = ShardWorker(
                 "tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare"
             )
             spare._drop_link()  # free the listener: the daemon dials it

@@ -3,7 +3,7 @@
 The serving stack (engine, gateway, shard workers) needs *live*
 accounting that costs almost nothing on the hot path and can be read
 out as one coherent snapshot — across threads, and across the process
-boundary of :class:`~repro.serve.workers.ProcessShardWorker` children.
+boundary of :class:`~repro.serve.workers.ShardWorker` peers.
 This module provides the three classic instrument kinds behind a
 :class:`MetricsRegistry` of labeled series:
 

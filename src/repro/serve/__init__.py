@@ -25,13 +25,15 @@ and versioned checkpoint rollout.
   admission control, load shedding, worker-crash retry, and
   registry-backed per-endpoint latency stats;
 - :mod:`repro.serve.workers` — shard workers behind one declarative
-  factory (:class:`WorkerSpec`): :class:`ProcessShardWorker` over
-  stdio pipes (the local fast path), :class:`RemoteShardWorker` over
-  sockets, and the standalone serving loops (``repro-soc worker``);
+  factory (:class:`WorkerSpec`): one client, :class:`ShardWorker`,
+  whose URL says how its peer is launched (``pipe://``/``shm://``
+  child, spawned or dialed ``tcp://``/``unix://`` worker, or an
+  inbound ``--connect`` peer), and the standalone serving loops
+  (``repro-soc worker``);
 - :mod:`repro.serve.transport` — :class:`Transport`: the framed
-  connection seam under every worker (``pipe://``, ``unix:///path``,
-  ``tcp://host:port``), with torn-stream and deadline peer-death
-  detection;
+  connection seam under every worker (``pipe://``, ``shm://``,
+  ``unix:///path``, ``tcp://host:port``), with torn-stream and
+  deadline peer-death detection;
 - :mod:`repro.serve.daemon` — :class:`SocDaemon`: the ``repro-soc
   serve`` process — gateway + control loop + scrape endpoint on one
   control URL that clients and workers dial into;
@@ -53,7 +55,7 @@ Inference defaults to the compiled kernel path
 (:mod:`repro.core.kernels`) — flat weight blocks, fused scalers,
 preallocated GEMM chains — with ``use_kernel=False`` as the Tensor-path
 escape hatch on :class:`FleetEngine`, :class:`ShardedFleet` and
-:class:`ProcessShardWorker`.
+:class:`ShardWorker`.
 
 See ``src/repro/serve/README.md`` for the compiled-kernel
 architecture, gateway architecture, sharding topology, worker wire
@@ -74,7 +76,7 @@ from .registry import ModelEntry, ModelRegistry
 from .scheduler import BatchStats, Completion, MicroBatcher, Request
 from .sharding import ShardedFleet, shard_for
 from .transport import PeerGone, Transport, TransportError, TransportTimeout
-from .workers import ProcessShardWorker, RemoteShardWorker, WorkerCrashError, WorkerSpec
+from .workers import ShardWorker, WorkerCrashError, WorkerSpec
 
 __all__ = [
     "CellState",
@@ -83,8 +85,7 @@ __all__ = [
     "shard_for",
     "SocGateway",
     "GatewayOverloaded",
-    "ProcessShardWorker",
-    "RemoteShardWorker",
+    "ShardWorker",
     "WorkerSpec",
     "WorkerCrashError",
     "Transport",

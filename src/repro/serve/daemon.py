@@ -17,7 +17,7 @@ the workers), and lets two kinds of peers dial in:
   every other client's;
 - **workers** (``repro-soc worker --connect``): a ``worker_hello``
   frame flips the connection's roles — the daemon wraps the transport
-  in a :class:`~repro.serve.workers.RemoteShardWorker` and the dialer
+  in a :class:`~repro.serve.workers.ShardWorker` and the dialer
   becomes a served shard.  Registration by name makes
   restart-by-reconnect work: a worker that crashes and dials back in
   is re-attached to its old shard (journal restore + ``init`` over the
@@ -44,7 +44,7 @@ import threading
 from ..monitor.autopilot import ControlLoop
 from .gateway import SocGateway
 from .transport import Transport, TransportError, TransportListener, TransportTimeout
-from .workers import RemoteShardWorker, WorkerSpec, _build_model
+from .workers import WorkerSpec, _build_model
 
 __all__ = ["SocDaemon", "run_daemon"]
 
@@ -356,31 +356,7 @@ class SocDaemon:
             adopt = getattr(self.engine, "adopt_worker", None)
             if adopt is None:
                 raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
-            worker = RemoteShardWorker.from_transport(
-                transport,
-                name=name,
-                default_model=spec.model,
-                registry_root=(
-                    spec.registry.root if hasattr(spec.registry, "root") else spec.registry
-                ),
-                journal_path=self._join_journal_path(name),
-                use_kernel=spec.use_kernel,
-                monitor=spec.monitor,
-                trace=spec.trace,
-                archive_root=spec.archive_root,
-                journal_segment_bytes=spec.journal_segment_bytes,
-                drift_from_registry=spec.drift_from_registry,
-            )
-            adopt(worker)
-
-    def _join_journal_path(self, name: str) -> str | None:
-        journal = None if self.worker_spec is None else self.worker_spec.journal
-        if journal is None:
-            return None
-        template = str(journal)
-        if "{shard}" in template:
-            return template.format(shard=name)
-        return f"{template}.{name}"
+            adopt(spec.adopt(transport, name))
 
     def _dispatch(self, op: str, args: tuple, kwargs: dict):
         """One client op; engine mutations go under the batcher lock."""

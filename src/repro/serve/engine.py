@@ -782,8 +782,8 @@ class FleetEngine:
 
         The uniform readout surface across worker kinds: in-process
         engines answer directly,
-        :class:`~repro.serve.workers.ProcessShardWorker` forwards the
-        call over the wire, and
+        :class:`~repro.serve.workers.ShardWorker` forwards the call
+        over the wire, and
         :meth:`ShardedFleet.metrics <repro.serve.sharding.ShardedFleet.metrics>`
         merges the whole topology.
         """

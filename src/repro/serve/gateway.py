@@ -118,7 +118,7 @@ class SocGateway:
         serving API — a single engine, a
         :class:`~repro.serve.sharding.ShardedFleet` of in-process
         shards, or one backed by
-        :class:`~repro.serve.workers.ProcessShardWorker` subprocesses.
+        :class:`~repro.serve.workers.ShardWorker` processes.
     max_batch, max_delay_s:
         Micro-batching knobs, passed to the internal
         :class:`MicroBatcher`.

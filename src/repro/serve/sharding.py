@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.model import TwoBranchSoCNet
-from ..core.rollout import RolloutResult
+from ..core.rollout import RolloutResult, cycle_windows
 from ..datasets.base import CycleRecord
 from ..monitor.tracing import stage
 from .engine import CellState, FleetEngine
@@ -82,6 +82,17 @@ def shard_for(cell_id: str, n_shards: int) -> int:
         if weight > best_weight:
             best, best_weight = shard, weight
     return best
+
+
+def _plan_cycles(pairs: list[tuple[str, CycleRecord]], step_s: float) -> None:
+    """Plan every unique cycle once; raises before any shard is called.
+
+    Shards plan their own slices again, but a later shard's bad cycle
+    must not surface after earlier shards committed state and journal
+    windows.
+    """
+    for cycle in {id(cycle): cycle for _, cycle in pairs}.values():
+        cycle_windows(cycle, step_s)
 
 
 class ShardedFleet:
@@ -336,9 +347,12 @@ class ShardedFleet:
         Each shard rolls its slice in lock-step batches (see
         :meth:`FleetEngine.rollout_fleet`); one journal rollout marker
         brackets the whole fleet, so restore/resume sees a single
-        rollout regardless of shard count.
+        rollout regardless of shard count.  Every cycle is planned
+        before the first shard call, so one that cannot be planned
+        raises ``ValueError`` with no shard state or journal changed.
         """
         pairs = list(assignments)
+        _plan_cycles(pairs, step_s)
         if self.journal is not None:
             with self.journal.rollout_scope(step_s):
                 return self._fan_rollout(pairs, step_s, step_hook, resume=False)
@@ -356,13 +370,14 @@ class ShardedFleet:
         only the remainder (see
         :meth:`FleetEngine.resume_rollout_fleet`); the shard count may
         differ from the run that crashed.  Durable spec-declared workers
-        (e.g. journaled :class:`~repro.serve.workers.ProcessShardWorker`)
-        resume from their own per-worker journals instead of a shared
-        one.
+        (journaled :class:`~repro.serve.workers.ShardWorker`) resume
+        from their own per-worker journals instead of a shared one.
         """
         if self.journal is None and not all(getattr(s, "durable", False) for s in self._shards):
             raise ValueError("resume requires a fleet with a journal attached")
-        return self._fan_rollout(list(assignments), step_s, step_hook, resume=True)
+        pairs = list(assignments)
+        _plan_cycles(pairs, step_s)
+        return self._fan_rollout(pairs, step_s, step_hook, resume=True)
 
     # -- worker lifecycle ----------------------------------------------
     def worker_health(self) -> list[bool]:
@@ -374,9 +389,9 @@ class ShardedFleet:
 
         The recovery half of gateway retry (and the
         :class:`~repro.monitor.autopilot.ControlLoop` health tick):
-        journaled :class:`~repro.serve.workers.ProcessShardWorker`
-        children restore their cells and in-flight rollout progress
-        from their journals, so requests retried after this call land
+        journaled :class:`~repro.serve.workers.ShardWorker` peers
+        restore their cells and in-flight rollout progress from their
+        journals, so requests retried after this call land
         on a fleet that looks exactly like the one that crashed.
         In-process engines cannot die, so this is a no-op for them.
         """
@@ -400,15 +415,14 @@ class ShardedFleet:
         """Actively probe every shard worker; returns liveness per shard.
 
         :meth:`worker_health` is the cached view (cheap, but a
-        silently-dead *remote* peer stays green until a call fails);
-        this one sends each probe-capable worker a deadline-bounded
-        ping (:meth:`RemoteShardWorker.check_alive
-        <repro.serve.workers.RemoteShardWorker.check_alive>`), marking
+        silently-dead peer stays green until a call fails); this one
+        sends every :class:`~repro.serve.workers.ShardWorker`, whatever
+        its launch mode, a deadline-bounded ping
+        (:meth:`~repro.serve.workers.ShardWorker.check_alive`), marking
         unresponsive workers dead so :meth:`restart_dead_workers` can
-        heal them.  Workers without a probe (in-process engines,
-        pipe-backed children whose death ``waitpid`` already sees)
-        report their cached liveness.  Callers serialize this against
-        traffic — probes share the request channel.
+        heal them.  In-process engines have no probe and report their
+        cached liveness.  Callers serialize this against traffic —
+        probes share the request channel.
         """
         health: list[bool] = []
         for shard in self._shards:
@@ -442,9 +456,10 @@ class ShardedFleet:
 
         The inbound-registration half of the serve daemon: a worker
         that dialed in (``repro-soc worker --connect``) arrives as a
-        live :class:`~repro.serve.workers.RemoteShardWorker`, not a
-        spec to resolve.  Cells the new shard now wins migrate in with
-        their state (the same move :meth:`rebalance` performs).
+        live :class:`~repro.serve.workers.ShardWorker`
+        (:meth:`WorkerSpec.adopt <repro.serve.workers.WorkerSpec.adopt>`),
+        not a spec to resolve.  Cells the new shard now wins migrate in
+        with their state (the same move :meth:`rebalance` performs).
         """
         self._shards.append(worker)
         n = len(self._shards)
@@ -460,8 +475,8 @@ class ShardedFleet:
         """Re-home a returning ``--connect`` worker onto its old shard.
 
         Matches a *dead* shard worker by ``name`` and hands it the
-        fresh transport (:meth:`RemoteShardWorker.attach
-        <repro.serve.workers.RemoteShardWorker.attach>`): the worker
+        fresh transport (:meth:`ShardWorker.attach
+        <repro.serve.workers.ShardWorker.attach>`): the worker
         re-inits, restores from its journal, and the shard heals in
         place — no rebalance, no lost cells.  Returns the shard index,
         or ``None`` when no dead worker carries that name (the caller

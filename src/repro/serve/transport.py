@@ -4,9 +4,8 @@ Until this module existed the shard-worker wire protocol
 (:mod:`repro.serve.wire`) only ever ran over one medium — the
 stdin/stdout pipes of a child the parent had just spawned — and the
 plumbing (stream handles, frame reads, broken-pipe handling, exit-code
-crash detection) was inlined in
-:class:`~repro.serve.workers.ProcessShardWorker`.  That works for one
-machine; a fleet spanning hosts needs the same frames over real
+crash detection) was inlined in the pipe worker client.  That works for
+one machine; a fleet spanning hosts needs the same frames over real
 sockets, and a transport the parent did not spawn cannot be declared
 dead by ``waitpid``.
 
@@ -17,7 +16,8 @@ frames and v2 zero-copy bulk frames, byte-identical to the pipe
 protocol) over any medium, addressed by URL:
 
 - ``pipe://``            — parent<->child stdio pipes (the local fast
-  path; spawn semantics stay with the worker classes);
+  path; how the child is spawned is
+  :class:`~repro.serve.workers.ShardWorker`'s business);
 - ``shm://``             — stdio pipes for framing plus a pair of
   preallocated :class:`ShmRing` shared-memory slab rings for bulk
   array payloads (the fastest local path; see below);
@@ -42,8 +42,8 @@ ring fall back to in-band v2 automatically (capacity bounds memory,
 never message size).  ``multiprocessing.shared_memory`` is avoided on
 purpose: its resource tracker unlinks attached segments on exit in the
 supported 3.10–3.12 range (bpo-38119); a plain file + ``mmap`` has
-none of that magic and unlinks exactly once, in the owner's
-``_release``.
+none of that magic and unlinks exactly once, when the owning worker
+client drops its link.
 
 Peer-death detection is the part that genuinely changes across media.
 A spawned child's death is visible out-of-band (``poll``/``waitpid``
@@ -84,8 +84,10 @@ from pathlib import Path
 from typing import Iterable
 
 from . import wire
+from .wire import FrameTooLarge, TransportError
 
 __all__ = [
+    "FrameTooLarge",
     "PeerGone",
     "PipeTransport",
     "ShmRing",
@@ -108,10 +110,6 @@ SCHEMES = ("pipe", "shm", "tcp", "unix")
 DEFAULT_SHM_SLOTS = 16
 DEFAULT_SHM_SLAB_BYTES = 256 * 1024
 _SHM_ALIGN = 64  # per-array alignment inside the ring (cache line)
-
-
-class TransportError(ConnectionError):
-    """Base class for transport-layer failures."""
 
 
 class PeerGone(TransportError):
@@ -369,9 +367,11 @@ class Transport:
         """Read one frame; ``None`` means the peer closed cleanly.
 
         Raises :class:`PeerGone` when the stream ends inside a frame
-        (the peer died mid-message) and :class:`TransportTimeout` when
-        ``timeout_s`` elapses first.  Either error leaves the stream
-        unframed — abandon the transport and reconnect.
+        (the peer died mid-message), :class:`TransportTimeout` when
+        ``timeout_s`` elapses first, and :class:`FrameTooLarge` when
+        the header announces more than
+        :data:`~repro.serve.wire.MAX_FRAME_BYTES`.  Each leaves the
+        stream unframed — abandon the transport and reconnect.
         """
         self._set_read_timeout(timeout_s)
         stream = self._read_stream()
@@ -381,6 +381,8 @@ class Transport:
                 return None  # clean EOF at a frame boundary
             length = wire.frame_length(header)
             body = wire.read_exact(stream, length)
+        except FrameTooLarge:
+            raise  # the body was never read: the stream is unframed
         except (socket.timeout, TimeoutError) as exc:
             raise TransportTimeout(
                 f"no frame from {self.peer} within {timeout_s:.3f}s"
@@ -436,9 +438,9 @@ class Transport:
 class PipeTransport(Transport):
     """The frame stream over a pair of OS pipes (or any binary streams).
 
-    The local fast path: exactly the plumbing
-    :class:`~repro.serve.workers.ProcessShardWorker` always used, now
-    behind the :class:`Transport` surface.  Receive deadlines are
+    The local fast path under ``pipe://`` and ``shm://``
+    :class:`~repro.serve.workers.ShardWorker` children, behind the
+    :class:`Transport` surface.  Receive deadlines are
     honored via ``select`` on the read end when it is a real pipe;
     in-memory streams (tests) skip the poll.
     """

@@ -1,7 +1,10 @@
 """Worker wire codec: length-prefixed frames, pickle (v1) and zero-copy (v2).
 
-The :class:`~repro.serve.workers.ProcessShardWorker` pipe protocol
-frames every message as a 4-byte big-endian length plus a body.  PR 3
+The :class:`~repro.serve.workers.ShardWorker` protocol frames every
+message as a 4-byte big-endian length plus a body, whatever the
+transport underneath.  A length above :data:`MAX_FRAME_BYTES` is
+rejected with :class:`FrameTooLarge` before any body byte is read, so
+one hostile header cannot make a listener allocate gigabytes.  PR 3
 shipped one body format — a pickle of ``(op, args, kwargs)`` — which is
 fine for control traffic but wasteful for the bulk inference messages:
 pickling a numpy array walks the object graph, copies the payload into
@@ -82,8 +85,11 @@ from ..core.rollout import RolloutResult
 from ..datasets.base import CycleRecord
 
 __all__ = [
+    "FrameTooLarge",
     "LENGTH_PREFIX_SIZE",
+    "MAX_FRAME_BYTES",
     "TRACE_META_KEY",
+    "TransportError",
     "V2Frame",
     "pack_trace_context",
     "read_frame",
@@ -111,6 +117,23 @@ _V2_HEAD = struct.Struct(">BBIH")
 
 # Optional meta key carrying trace context across the process boundary.
 TRACE_META_KEY = "tc"
+
+# Largest frame body either end accepts: 16x the largest frame the test
+# suites and benchmarks send (a 1k-cell fleet rollout request is ~4 MB,
+# the transport echo 2 MB), far below what a forged header could claim.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+
+class TransportError(ConnectionError):
+    """Base class for transport-layer failures."""
+
+
+class FrameTooLarge(TransportError):
+    """A frame header announced a body above :data:`MAX_FRAME_BYTES`.
+
+    Raised before the body is read: the stream is left unframed, so the
+    connection must be dropped.
+    """
 
 
 def pack_trace_context(ctx) -> list[int]:
@@ -157,8 +180,13 @@ def frame_header(body_length: int) -> bytes:
 
 
 def frame_length(header: bytes) -> int:
-    """Decode a length prefix read with :func:`read_exact`."""
+    """Decode a length prefix read with :func:`read_exact`.
+
+    Raises :class:`FrameTooLarge` above :data:`MAX_FRAME_BYTES`.
+    """
     (length,) = _LENGTH.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
     return length
 
 

@@ -1,30 +1,35 @@
-"""Shard workers behind the :class:`~repro.serve.transport.Transport` seam.
+"""Shard workers: a full :class:`~repro.serve.engine.FleetEngine` behind a transport.
 
 :class:`~repro.serve.sharding.ShardedFleet` assumes nothing in-process
 about its shard workers — placement is a pure hash, the journal
 protocol is append-only files, and every worker call goes through the
-engine serving API.  The worker classes here cash that in: a full
-:class:`~repro.serve.engine.FleetEngine` runs behind the same
-duck-typed interface over the length-prefixed frame protocol
-(:mod:`repro.serve.wire`), carried by any
-:class:`~repro.serve.transport.Transport`:
+engine serving API.  :class:`ShardWorker` cashes that in: one client
+runs the engine API over the length-prefixed frame protocol
+(:mod:`repro.serve.wire`) on any
+:class:`~repro.serve.transport.Transport`.  The only thing that varies
+is how the peer is launched, and the URL scheme decides it:
 
-- :class:`ProcessShardWorker` — the local fast path: a child process
-  over its stdin/stdout pipes (``pipe://``), crash detection backed by
-  ``waitpid`` exit codes.  With ``shm=True`` (``shm://``) the pipes
-  keep carrying frames but bulk array payloads move through a pair of
-  :class:`~repro.serve.transport.ShmRing` shared-memory rings — the
-  parent creates them at spawn, ships their paths in the ``init``
-  spec, and unlinks them at release;
-- :class:`RemoteShardWorker` — the same protocol over a Unix or TCP
-  socket (``unix:///path``, ``tcp://host:port``): a worker on another
-  host, or a locally ``spawn``-ed standalone process.  No ``waitpid``
-  here — peer death surfaces in-band (torn stream, reset) or via the
-  :meth:`~RemoteShardWorker.check_alive` ping heartbeat;
-- :class:`WorkerSpec` — the single declarative description both
-  resolve from (and the in-process engine too):
-  ``WorkerSpec(url=...).resolve(k)`` is the one worker factory
-  :class:`ShardedFleet <repro.serve.sharding.ShardedFleet>` uses.
+=====================  ===============================================
+URL                    peer
+=====================  ===============================================
+``pipe://``            a child running :func:`worker_main` on its
+                       stdin/stdout pipes
+``shm://``             the same child; bulk array payloads ride a pair
+                       of :class:`~repro.serve.transport.ShmRing`
+                       rings, created fresh at every spawn
+``tcp://host:port``,   ``spawn=True``: a child running
+``unix:///path``       :func:`run_worker` on that address (port 0
+                       picks one); otherwise a worker already
+                       listening there (``repro-soc worker --listen``)
+inbound                :meth:`ShardWorker.from_transport`: a worker
+                       that dialed us (``repro-soc worker --connect``)
+=====================  ===============================================
+
+:class:`WorkerSpec` is the declarative description every topology
+resolves from, the in-process engine included:
+``WorkerSpec(url=...).resolve(k)`` builds shard ``k`` and
+:meth:`WorkerSpec.adopt` wraps an inbound peer, through one
+spec-to-client mapping.
 
 Wire protocol (one reply per request, strictly in order; see
 :mod:`repro.serve.wire` for the codec)::
@@ -46,22 +51,25 @@ frames**: struct header plus raw array bytes, decoded with
 ``np.frombuffer`` instead of unpickling.  Anything v2 cannot express
 (non-JSON cycle tags) falls back to pickle for that message.  The
 serving side is :class:`WorkerEndpoint` — the dispatch loop
-``worker_main`` (pipes) and :func:`run_worker` (socket listener, the
-``repro-soc worker`` entry point) both run.
+:func:`worker_main` (pipes), :func:`run_worker` (socket listener, the
+``repro-soc worker`` entry point) and :func:`run_worker_connect` all
+run.
 
-Failure semantics:
+Lifecycle, one rule for every launch mode:
 
-- **crash detection** — a peer that dies mid-call surfaces as
-  :class:`WorkerCrashError` on the call that hit the dead link (with
-  the exit code when the worker was locally spawned); ``alive``
-  reports cached liveness between calls, and
-  :meth:`RemoteShardWorker.check_alive` actively probes a silent
-  remote peer with a deadline-bounded ping.
+- **crash detection** — a link that fails mid-call is dropped and the
+  call raises :class:`WorkerCrashError`.  If we spawned the peer, a
+  bounded wait reaps it and the error carries its exit code.
+  ``alive`` is the cached view between calls;
+  :meth:`ShardWorker.check_alive` probes the peer with a
+  deadline-bounded ping.
 - **recovery** — give the worker a journal and its engine journals
-  every mutation; ``restart()`` respawns (or redials) the worker,
-  which restores from that journal, so an interrupted fleet rollout
-  resumes bit-for-bit via ``resume_rollout_fleet`` — the same 1e-9
-  equivalence budget as the in-process shards, over any transport.
+  every mutation.  ``restart()`` respawns a child that is gone and
+  redials a socket peer that is still up; an inbound peer must dial
+  back in and is re-attached with :meth:`ShardWorker.attach`.  Either
+  way the engine restores from its journal, so an interrupted fleet
+  rollout resumes bit-for-bit via ``resume_rollout_fleet`` — the same
+  1e-9 equivalence budget as the in-process shards.
 - **graceful drain** — ``close()`` sends a ``shutdown`` op: the
   worker flushes and closes its journal, replies, and exits 0; a
   spawning parent escalates to ``kill`` only after a grace period.
@@ -73,6 +81,7 @@ simulated) after committing a given rollout window.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import subprocess
@@ -107,8 +116,7 @@ from .transport import (
 )
 
 __all__ = [
-    "ProcessShardWorker",
-    "RemoteShardWorker",
+    "ShardWorker",
     "WorkerCrashError",
     "WorkerEndpoint",
     "WorkerSpec",
@@ -193,28 +201,382 @@ def _engine_spec(
     }
 
 
-class _WorkerClient:
-    """Shared client half of the worker protocol over a :class:`Transport`.
+# How long a failed link waits for a child we spawned to exit before the
+# error is raised without its exit code.  A crashed worker is reapable at
+# once; a live one (e.g. after a call timeout) is left for restart().
+_REAP_TIMEOUT_S = 2.0
 
-    Subclasses own the connection lifecycle (spawn/dial/reap) through
-    two hooks: ``self._transport`` (the live transport, or ``None``
-    while down) and :meth:`_transport_failed`, which turns a dead link
-    into the :class:`WorkerCrashError` the caller sees.  Everything
-    else — the engine RPC surface, v2 zero-copy encoding, trace
-    propagation — lives here once, identical over pipes and sockets.
+# A child runs ``_BOOTSTRAP.format(entry)`` with the entry's arguments as
+# argv.  -c (not -m): runpy would re-execute this module on top of the
+# copy the package __init__ already imported.
+_BOOTSTRAP = "import sys; from repro.serve.workers import {0}; sys.exit({0}(*sys.argv[1:]))"
+
+
+class ShardWorker:
+    """One shard worker: a :class:`FleetEngine` served over a :class:`Transport`.
+
+    Implements the shard-worker interface :class:`ShardedFleet
+    <repro.serve.sharding.ShardedFleet>` assumes (``register_cell`` /
+    ``estimate`` / ``predict`` / ``rollout_fleet`` / state
+    adopt/evict / ``len`` / ``in``), each call one round-trip on the
+    wire protocol.  The ``url`` scheme picks how the peer is launched
+    (see the module docstring); everything else — the RPC surface, v2
+    zero-copy encoding, trace propagation, the lifecycle — is the same
+    for every launch mode.
+
+    Parameters
+    ----------
+    url:
+        ``pipe://`` or ``shm://`` (spawn a child over stdio),
+        ``tcp://host:port`` or ``unix:///path`` (spawn or dial a
+        socket worker).  Inbound peers are built with
+        :meth:`from_transport` instead.
+    default_model:
+        Model shipped to the worker at init (weights over the wire).
+    registry_root:
+        Optional :class:`~repro.serve.registry.ModelRegistry` directory
+        the worker opens for per-chemistry routing.
+    journal_path:
+        Optional per-worker :class:`~repro.serve.persistence.StateJournal`
+        file.  A restart restores the engine from it (crash recovery);
+        without one a restart comes back empty.
+    name:
+        Label used in error messages and health reports.
+    use_kernel:
+        Whether the worker engine serves through compiled inference
+        kernels (default) or the Tensor path (see
+        :class:`~repro.serve.engine.FleetEngine`).
+    monitor:
+        Build the worker engine with its own
+        :class:`~repro.monitor.metrics.MetricsRegistry` and
+        :class:`~repro.monitor.drift.DriftMonitor` (default
+        configurations).  The parent reads the registry over the wire
+        via :meth:`metrics_snapshot` (the ``metrics`` op), which
+        :meth:`ShardedFleet.metrics
+        <repro.serve.sharding.ShardedFleet.metrics>` merges across the
+        topology.
+    trace:
+        Enable distributed-tracing support in the worker: requests
+        whose v2 frame carries trace context (see
+        :data:`repro.serve.wire.TRACE_META_KEY`) get
+        ``worker.deserialize`` / ``worker.compute`` /
+        ``worker.serialize`` child spans recorded worker-side and
+        shipped back in the reply meta.
+    archive_root, journal_segment_bytes:
+        Cold-store directory and segment size for the worker journal
+        (see :mod:`repro.serve.archive`).
+    drift_from_registry:
+        Resolve per-chemistry drift detectors from registry metadata.
+    dtype:
+        Serving precision tier of the worker engine (``"float64"``
+        default / ``"float32"``); estimate/predict replies come back in
+        this dtype.
+    spawn:
+        Socket schemes only: launch :func:`run_worker` on ``url``
+        first instead of dialing a worker that is already listening.
+    connect_timeout_s, call_timeout_s:
+        Dial deadline (refused connections are retried until it) and
+        optional per-call reply deadline.
+    shm_slots, shm_slab_bytes:
+        ``shm://`` ring geometry; ``shm_slots`` x ``shm_slab_bytes``
+        bounds each direction's ring (oversized messages fall back to
+        in-band frames).
     """
 
-    name: str = "shard"
+    _proc: subprocess.Popen | None = None
     _transport: Transport | None = None
-    _call_timeout_s: float | None = None
+    _rings: tuple[ShmRing, ShmRing] | None = None
 
-    # -- connection hooks (subclass responsibility) --------------------
-    def _down_message(self, op: str) -> str:
-        return f"shard worker {self.name!r} is not running; call restart()"
+    def __init__(
+        self,
+        url: str | None,
+        default_model: TwoBranchSoCNet | None = None,
+        registry_root: str | Path | None = None,
+        journal_path: str | Path | None = None,
+        name: str = "shard",
+        use_kernel: bool = True,
+        monitor: bool = False,
+        trace: bool = False,
+        archive_root: str | Path | None = None,
+        journal_segment_bytes: int = 0,
+        drift_from_registry: bool = False,
+        dtype=None,
+        spawn: bool = False,
+        connect_timeout_s: float = 10.0,
+        call_timeout_s: float | None = None,
+        shm_slots: int = DEFAULT_SHM_SLOTS,
+        shm_slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
+        _transport: Transport | None = None,
+    ):
+        self.name = name
+        self._spec = _engine_spec(
+            default_model,
+            registry_root,
+            journal_path,
+            use_kernel,
+            monitor,
+            trace,
+            archive_root,
+            journal_segment_bytes,
+            drift_from_registry,
+            dtype,
+        )
+        parsed = None if url is None else parse_url(url)
+        self._scheme = None if parsed is None else parsed.scheme
+        # the address restart() comes back to; None for inbound peers
+        self._requested_url = None if parsed is None else str(parsed)
+        self.url: str | None = self._requested_url
+        self._spawn = bool(spawn)
+        self._connect_timeout_s = float(connect_timeout_s)
+        self._call_timeout_s = call_timeout_s
+        self._shm_slots = int(shm_slots)
+        self._shm_slab_bytes = int(shm_slab_bytes)
+        self._exit_code: int | None = None
+        self.restarts = 0
+        if _transport is not None:
+            self.attach(_transport)
+        else:
+            self._open()
+
+    @classmethod
+    def from_transport(cls, transport: Transport, name: str = "inbound", **spec_kwargs) -> ShardWorker:
+        """Adopt an already-connected transport (a worker that dialed us).
+
+        Used by the daemon for ``repro-soc worker --connect`` peers:
+        the worker initiated the connection, so there is no URL to
+        redial — after a disconnect the worker is expected to dial
+        again, and the daemon re-attaches the new transport with
+        :meth:`attach`.
+        """
+        return cls(None, name=name, _transport=transport, **spec_kwargs)
+
+    # -- lifecycle -----------------------------------------------------
+    @property
+    def alive(self) -> bool:
+        """Cached liveness: the link is up and a child we spawned still runs.
+
+        Cheap enough for ``/healthz``; a silently-dead peer we did not
+        spawn stays ``True`` until a call fails or :meth:`check_alive`
+        probes it.
+        """
+        if self._proc is not None and self._proc.poll() is not None:
+            return False
+        return self._transport is not None and not self._transport.closed
+
+    @property
+    def durable(self) -> bool:
+        """Whether this worker journals its state (restart restores it)."""
+        return self._spec["journal_path"] is not None
+
+    @property
+    def exit_code(self) -> int | None:
+        """How the last peer went away; ``None`` while the link is up.
+
+        The exit code of a child we spawned, 0 for a peer we did not
+        spawn that acknowledged :meth:`close`, else ``None`` — the exit
+        of a peer we did not spawn is not observable, which is why
+        :meth:`check_alive` exists.
+        """
+        return self._exit_code
+
+    def check_alive(self, timeout_s: float = 2.0) -> bool:
+        """Actively probe the peer: one ``ping`` with a receive deadline.
+
+        Returns ``False`` — and drops the link, reaping a child we
+        spawned — if the peer is down, the link is torn, or no
+        ``pong`` arrives within ``timeout_s``.  This is the heartbeat
+        the control plane runs between requests; the only way back from
+        ``False`` is :meth:`restart` (or :meth:`attach`).
+        """
+        transport = self._transport
+        if transport is None or transport.closed:
+            return False
+        try:
+            reply = transport.request(("ping", (), {}), timeout_s=timeout_s)
+        except TransportError as exc:
+            self._transport_failed("ping", exc)
+            return False
+        return reply == ("ok", "pong")
+
+    def restart(self) -> None:
+        """Bring a dead worker back; its journal restores the engine.
+
+        Respawns a child that is gone (a ``pipe://``/``shm://`` child
+        always is once its link dropped) and redials a socket peer that
+        is still up.  An inbound peer has no address to redial: it must
+        dial back in and be re-attached with :meth:`attach`.  With a
+        ``journal_path`` the new engine replays cells, model routing
+        and in-flight rollout progress before serving; an interrupted
+        ``rollout_fleet`` is then completed with
+        :meth:`resume_rollout_fleet`.
+        """
+        if self.alive:
+            raise RuntimeError(f"shard worker {self.name!r} is still running")
+        if self._requested_url is None:
+            raise WorkerCrashError(
+                f"shard worker {self.name!r} connected inbound; "
+                "it must dial back in (reattach by name)"
+            )
+        self.restarts += 1
+        self._drop_link()
+        self._reap(0, kill=self._scheme in ("pipe", "shm"))
+        self._open()
+
+    def attach(self, transport: Transport) -> None:
+        """Adopt a fresh transport for this worker and re-init its engine.
+
+        The reconnect half of the ``--connect`` flow: a worker that
+        dialed back in after a crash is re-attached here; its engine
+        restores from its journal during ``init``, after which
+        ``resume_rollout_fleet`` completes any interrupted windows.
+        """
+        self._drop_link()
+        self._transport = transport
+        self._exit_code = None
+        self._call("init", self._spec)
+
+    def close(self, grace_s: float = 5.0) -> int | None:
+        """Drain the worker and drop the link; returns :attr:`exit_code`.
+
+        Sends ``shutdown`` (the worker flushes and closes its journal,
+        replies, and exits), drops the transport, and reaps a child we
+        spawned — waiting up to ``grace_s`` before escalating to
+        ``kill``.  Safe to call on a dead or already-closed worker.
+        """
+        if self._transport is not None and not self._transport.closed:
+            try:
+                self._call("shutdown")
+                self._exit_code = 0
+            except WorkerCrashError:
+                pass  # it died before acking; reap below
+        self._drop_link()
+        self._reap(grace_s, kill=True)
+        return self._exit_code
+
+    def __enter__(self) -> ShardWorker:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self):  # best-effort: do not leak children or ring files
+        try:
+            if self._proc is not None and self._proc.poll() is None:
+                self._proc.kill()
+                self._proc.wait()
+            for ring in self._rings or ():
+                ring.close(unlink=True)
+        except Exception:
+            pass
+
+    # -- connection ----------------------------------------------------
+    def _open(self) -> None:
+        """Launch the peer when it is ours to launch, connect, send ``init``."""
+        self._exit_code = None
+        spec = self._spec
+        if self._scheme in ("pipe", "shm"):
+            self._proc = subprocess.Popen(
+                [sys.executable, "-c", _BOOTSTRAP.format("worker_main")],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                env=_child_env(),
+            )
+            self._transport = PipeTransport(
+                self._proc.stdin, self._proc.stdout, peer=f"{self._scheme}://{self.name}"
+            )
+            if self._scheme == "shm":
+                spec = {**spec, "shm": self._attach_rings()}
+        else:
+            if self._spawn and self._proc is None:
+                self._spawn_listener()
+            try:
+                self._transport = connect(self.url, timeout_s=self._connect_timeout_s)
+            except TransportError as exc:
+                raise WorkerCrashError(f"shard worker {self.name!r} unreachable: {exc}") from exc
+        self._call("init", spec)
+
+    def _attach_rings(self) -> dict:
+        """Fresh shm rings for a new child; returns their ``init`` spec.
+
+        A respawned child must never read a dead sibling's cursor
+        state.  ``req`` is parent-writes/child-reads, ``rep`` the
+        reverse; the child learns the paths (and its swapped roles)
+        from the spec.
+        """
+        tag = os.path.join(shm_ring_dir(), f"repro-soc-{os.getpid()}-{id(self):x}-{self.restarts}")
+        req, rep = (
+            ShmRing(f"{tag}-{end}", slots=self._shm_slots, slab_bytes=self._shm_slab_bytes, create=True)
+            for end in ("req", "rep")
+        )
+        self._rings = (req, rep)
+        self._transport.attach_shm(tx=req, rx=rep)
+        return {
+            "req": req.path,
+            "rep": rep.path,
+            "slots": self._shm_slots,
+            "slab_bytes": self._shm_slab_bytes,
+        }
+
+    def _spawn_listener(self) -> None:
+        """Launch a standalone socket worker and learn its bound URL."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _BOOTSTRAP.format("run_worker"), self._requested_url],
+            stdout=subprocess.PIPE,
+            env=_child_env(),
+        )
+        # the worker announces its resolved address (ephemeral ports!)
+        # on stdout before accepting; an empty read means it died
+        line = proc.stdout.readline().decode("utf-8", "replace").strip()
+        if not line.startswith(WORKER_ANNOUNCE):
+            proc.kill()
+            code = proc.wait()
+            proc.stdout.close()
+            raise WorkerCrashError(
+                f"spawned worker {self.name!r} failed to listen on "
+                f"{self._requested_url} (exit code {code}, said {line!r})"
+            )
+        self._proc = proc
+        self.url = line[len(WORKER_ANNOUNCE) :].strip()
+
+    def _drop_link(self) -> None:
+        transport, self._transport = self._transport, None
+        rings, self._rings = self._rings, None
+        if transport is not None:
+            transport.close()
+        for ring in rings or ():
+            ring.close(unlink=True)
+
+    def _reap(self, timeout_s: float, kill: bool = False) -> int | None:
+        """Wait up to ``timeout_s`` for the child we spawned; record its exit code.
+
+        ``kill`` escalates when the wait runs out.  Without it a child
+        still running stays attached and ``None`` comes back, so a
+        live socket peer can be redialed.
+        """
+        proc = self._proc
+        if proc is None:
+            return None
+        try:
+            code = proc.wait(timeout=timeout_s)
+        except subprocess.TimeoutExpired:
+            if not kill:
+                return None
+            proc.kill()
+            code = proc.wait()
+        self._proc = None
+        self._exit_code = code
+        for stream in (proc.stdin, proc.stdout):
+            if stream is not None:
+                with contextlib.suppress(OSError, ValueError):
+                    stream.close()
+        return code
 
     def _transport_failed(self, op: str, exc: Exception) -> WorkerCrashError:
-        """Mark the link dead and describe the failure (for raising)."""
-        raise NotImplementedError
+        """Drop the dead link, reap our child (bounded), describe the failure."""
+        self._drop_link()
+        code = self._reap(_REAP_TIMEOUT_S)
+        detail = str(exc) if code is None else f"exit code {code}"
+        return WorkerCrashError(f"shard worker {self.name!r} died during {op!r} ({detail})")
 
     # -- engine API (one RPC each) --------------------------------------
     def register_cell(
@@ -416,7 +778,9 @@ class _WorkerClient:
     def _roundtrip(self, send: Callable[[Transport], None], op: str):
         transport = self._transport
         if transport is None:
-            raise WorkerCrashError(self._down_message(op))
+            raise WorkerCrashError(
+                f"shard worker {self.name!r} is not running (exit code {self._exit_code}); call restart()"
+            )
         try:
             reply = transport.request_with(send, timeout_s=self._call_timeout_s)
         except TransportError as exc:
@@ -428,539 +792,6 @@ class _WorkerClient:
         _, exc_name, message = reply
         exc_type = {"KeyError": KeyError, "ValueError": ValueError}.get(exc_name, RuntimeError)
         raise exc_type(message)
-
-
-class ProcessShardWorker(_WorkerClient):
-    """One shard worker running a :class:`FleetEngine` in a subprocess.
-
-    The local fast path (``pipe://``): the worker is a child of this
-    process, the transport its stdio pipes, and crash detection is
-    exact — a dead child is reaped and its exit code reported.
-
-    Implements the shard-worker interface :class:`ShardedFleet
-    <repro.serve.sharding.ShardedFleet>` assumes (``register_cell`` /
-    ``estimate`` / ``predict`` / ``rollout_fleet`` / state
-    adopt/evict / ``len`` / ``in``), each call one round-trip on the
-    wire protocol.
-
-    Parameters
-    ----------
-    default_model:
-        Model shipped to the child at init (weights over the wire).
-    registry_root:
-        Optional :class:`~repro.serve.registry.ModelRegistry` directory
-        the child opens for per-chemistry routing.
-    journal_path:
-        Optional per-worker :class:`~repro.serve.persistence.StateJournal`
-        file.  A restart restores the engine from it (crash recovery);
-        without one a restart comes back empty.
-    name:
-        Label used in error messages and health reports.
-    use_kernel:
-        Whether the child engine serves through compiled inference
-        kernels (default) or the Tensor path (see
-        :class:`~repro.serve.engine.FleetEngine`).
-    monitor:
-        Build the child engine with its own
-        :class:`~repro.monitor.metrics.MetricsRegistry` and
-        :class:`~repro.monitor.drift.DriftMonitor` (default
-        configurations).  The parent reads the registry over the wire
-        via :meth:`metrics_snapshot` (the ``metrics`` op), which
-        :meth:`ShardedFleet.metrics
-        <repro.serve.sharding.ShardedFleet.metrics>` merges across the
-        topology; drift/physics-bounds alarms surface in the snapshot
-        as ``drift_events_total{kind=...}`` counters.
-    trace:
-        Enable distributed-tracing support in the child: requests whose
-        v2 frame carries trace context (see
-        :data:`repro.serve.wire.TRACE_META_KEY`) get
-        ``worker.deserialize`` / ``worker.compute`` /
-        ``worker.serialize`` child spans recorded in the subprocess and
-        shipped back in the reply meta.  Requests without context — the
-        common, unsampled case — pay only a dict lookup.
-    archive_root:
-        Optional cold-store directory: the child's journal ships
-        sealed segments there on rotation (see
-        :mod:`repro.serve.archive`).
-    dtype:
-        Serving precision tier for the child engine's compiled kernels
-        (``"float64"`` default / ``"float32"``); see
-        :class:`~repro.serve.engine.FleetEngine`.  Estimate/predict
-        replies come back in this dtype.
-    shm:
-        Exchange bulk array payloads through a pair of shared-memory
-        slab rings (the ``shm://`` scheme) instead of copying them
-        through the pipes.  The rings are created fresh at every
-        (re)spawn and unlinked when the worker is released;
-        ``shm_slots`` × ``shm_slab_bytes`` bounds each direction's
-        ring (oversized messages fall back to in-band frames).
-    """
-
-    def __init__(
-        self,
-        default_model: TwoBranchSoCNet | None = None,
-        registry_root: str | Path | None = None,
-        journal_path: str | Path | None = None,
-        name: str = "shard",
-        use_kernel: bool = True,
-        monitor: bool = False,
-        trace: bool = False,
-        archive_root: str | Path | None = None,
-        journal_segment_bytes: int = 0,
-        drift_from_registry: bool = False,
-        dtype=None,
-        shm: bool = False,
-        shm_slots: int = DEFAULT_SHM_SLOTS,
-        shm_slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
-    ):
-        self.name = name
-        self._spec = _engine_spec(
-            default_model,
-            registry_root,
-            journal_path,
-            use_kernel,
-            monitor,
-            trace,
-            archive_root,
-            journal_segment_bytes,
-            drift_from_registry,
-            dtype,
-        )
-        self._shm = bool(shm)
-        self._shm_slots = int(shm_slots)
-        self._shm_slab_bytes = int(shm_slab_bytes)
-        self._rings: tuple[ShmRing, ShmRing] | None = None
-        self._proc: subprocess.Popen | None = None
-        self._transport = None
-        self._exit_code: int | None = None
-        self.restarts = 0
-        self._spawn()
-
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        """Whether the child process is currently running."""
-        return self._proc is not None and self._proc.poll() is None
-
-    @property
-    def durable(self) -> bool:
-        """Whether this worker journals its state (restart restores it)."""
-        return self._spec["journal_path"] is not None
-
-    @property
-    def exit_code(self) -> int | None:
-        """Exit code of the last child to die (``None`` while alive)."""
-        return self._exit_code
-
-    def restart(self) -> None:
-        """Respawn a dead worker, restoring its engine from the journal.
-
-        With a ``journal_path`` the new child replays the journal
-        (cells, model routing, in-flight rollout progress) before
-        serving; an interrupted ``rollout_fleet`` is then completed
-        with :meth:`resume_rollout_fleet`.
-        """
-        if self.alive:
-            raise RuntimeError(f"shard worker {self.name!r} is still running")
-        self.restarts += 1
-        self._spawn()
-
-    def close(self, grace_s: float = 5.0) -> int | None:
-        """Gracefully drain and stop the child; returns its exit code.
-
-        Sends the ``shutdown`` op (the child flushes + closes its
-        journal and exits 0), waits up to ``grace_s``, then escalates
-        to ``kill``.  Safe to call on a dead or already-closed worker.
-        """
-        proc = self._proc
-        if proc is None:
-            return self._exit_code
-        if proc.poll() is None:
-            try:
-                self._call("shutdown")
-            except WorkerCrashError:
-                pass  # it died before acking; reap below
-        if self._proc is not None:
-            try:
-                self._exit_code = self._proc.wait(timeout=grace_s)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._exit_code = self._proc.wait()
-            self._release()
-        return self._exit_code
-
-    def __enter__(self) -> ProcessShardWorker:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # best-effort: do not leak children or ring files
-        try:
-            if self._proc is not None and self._proc.poll() is None:
-                self._proc.kill()
-                self._proc.wait()
-            if self._rings is not None:
-                for ring in self._rings:
-                    ring.close(unlink=True)
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    def _spawn(self) -> None:
-        if self._rings is not None:
-            # restart() after an external kill never went through
-            # _transport_failed/_release; drop the dead child's rings
-            for ring in self._rings:
-                ring.close(unlink=True)
-            self._rings = None
-        # -c (not -m): runpy would re-execute this module on top of the
-        # copy the package __init__ already imported
-        bootstrap = "import sys; from repro.serve.workers import worker_main; sys.exit(worker_main())"
-        self._proc = subprocess.Popen(
-            [sys.executable, "-c", bootstrap],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=_child_env(),
-        )
-        scheme = "shm" if self._shm else "pipe"
-        self._transport = PipeTransport(
-            self._proc.stdin, self._proc.stdout, peer=f"{scheme}://{self.name}"
-        )
-        self._exit_code = None
-        spec = self._spec
-        if self._shm:
-            # fresh rings per spawn: a respawned child must never read a
-            # dead sibling's cursor state.  req = parent writes/child
-            # reads, rep = the reverse; the child learns the paths (and
-            # its swapped roles) from the init spec.
-            ring_dir = shm_ring_dir()
-            tag = f"repro-soc-{os.getpid()}-{id(self):x}-{self.restarts}"
-            req = ShmRing(
-                os.path.join(ring_dir, f"{tag}-req"),
-                slots=self._shm_slots,
-                slab_bytes=self._shm_slab_bytes,
-                create=True,
-            )
-            rep = ShmRing(
-                os.path.join(ring_dir, f"{tag}-rep"),
-                slots=self._shm_slots,
-                slab_bytes=self._shm_slab_bytes,
-                create=True,
-            )
-            self._rings = (req, rep)
-            self._transport.attach_shm(tx=req, rx=rep)
-            spec = {
-                **spec,
-                "shm": {
-                    "req": req.path,
-                    "rep": rep.path,
-                    "slots": self._shm_slots,
-                    "slab_bytes": self._shm_slab_bytes,
-                },
-            }
-        self._call("init", spec)
-
-    def _release(self) -> None:
-        proc, self._proc = self._proc, None
-        transport, self._transport = self._transport, None
-        rings, self._rings = self._rings, None
-        if transport is not None:
-            transport.close()
-        if rings is not None:
-            for ring in rings:
-                ring.close(unlink=True)
-        if proc is not None:
-            for stream in (proc.stdin, proc.stdout):
-                if stream is not None:
-                    try:
-                        stream.close()
-                    except OSError:
-                        pass
-
-    def _down_message(self, op: str) -> str:
-        return (
-            f"shard worker {self.name!r} is not running "
-            f"(last exit code {self._exit_code}); call restart()"
-        )
-
-    def _transport_failed(self, op: str, exc: Exception) -> WorkerCrashError:
-        # the child is ours: reap it for the exact exit code
-        self._exit_code = self._proc.wait()
-        self._release()
-        return WorkerCrashError(
-            f"shard worker {self.name!r} died during {op!r} (exit code {self._exit_code})"
-        )
-
-
-class RemoteShardWorker(_WorkerClient):
-    """A shard worker reached over a socket (``unix://`` or ``tcp://``).
-
-    Same protocol, same engine, different failure model: the peer may
-    be a process this parent never spawned (another host entirely), so
-    there is no ``waitpid`` — death is detected in-band.  A dead link
-    (torn frame, reset, refused reconnect) surfaces as
-    :class:`WorkerCrashError` on the call that hit it; a *silent*
-    death (e.g. a remote machine partitioned away) is caught by
-    :meth:`check_alive`, a ping with a short receive deadline that the
-    control plane runs between requests.
-
-    Two spawn modes:
-
-    - ``spawn=False`` (default): dial an already-listening worker
-      (started with ``repro-soc worker --listen URL``).  ``restart()``
-      redials the same URL — the crashed worker is expected to be
-      brought back by its own supervisor, and the connect retry window
-      makes the race benign.
-    - ``spawn=True``: launch ``run_worker`` locally as a subprocess
-      listening on ``url`` (use port 0 for an ephemeral port), then
-      connect.  ``restart()`` respawns the process; ``close()`` reaps
-      it.  This is how ``serve-sim --worker-transport tcp`` exercises
-      the socket path on one machine.
-
-    The engine spec (model weights, registry root, journal path,
-    monitor/trace flags) ships over the connection in the ``init`` op,
-    exactly as for the pipe path — a reconnect re-sends it and the
-    worker restores from its journal first.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        default_model: TwoBranchSoCNet | None = None,
-        registry_root: str | Path | None = None,
-        journal_path: str | Path | None = None,
-        name: str = "remote",
-        use_kernel: bool = True,
-        monitor: bool = False,
-        trace: bool = False,
-        archive_root: str | Path | None = None,
-        journal_segment_bytes: int = 0,
-        drift_from_registry: bool = False,
-        dtype=None,
-        spawn: bool = False,
-        connect_timeout_s: float = 10.0,
-        call_timeout_s: float | None = None,
-        _transport: Transport | None = None,
-    ):
-        self.name = name
-        self._spec = _engine_spec(
-            default_model,
-            registry_root,
-            journal_path,
-            use_kernel,
-            monitor,
-            trace,
-            archive_root,
-            journal_segment_bytes,
-            drift_from_registry,
-            dtype=dtype,
-        )
-        self._requested_url = str(parse_url(url)) if url is not None else None
-        self.url: str | None = self._requested_url
-        self._spawn_proc: subprocess.Popen | None = None
-        self._should_spawn = bool(spawn)
-        self._connect_timeout_s = float(connect_timeout_s)
-        self._call_timeout_s = call_timeout_s
-        self._transport = None
-        self._exit_code: int | None = None
-        self.restarts = 0
-        if _transport is not None:
-            self.attach(_transport)
-        else:
-            if self._should_spawn:
-                self._spawn_listener()
-            self._connect()
-
-    @classmethod
-    def from_transport(cls, transport: Transport, name: str = "remote", **spec_kwargs):
-        """Adopt an already-connected transport (a worker that dialed us).
-
-        Used by the daemon for ``repro-soc worker --connect`` peers:
-        the worker initiated the connection, so there is no URL to
-        redial — after a disconnect the worker is expected to dial
-        again, and the daemon re-attaches the new transport with
-        :meth:`attach`.
-        """
-        return cls(url=None, name=name, _transport=transport, **spec_kwargs)
-
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        """Cached liveness: the link was up at the last completed call.
-
-        Cheap enough for ``/healthz``; a silently-dead remote peer
-        stays ``True`` until a call fails or :meth:`check_alive`
-        probes it.
-        """
-        if self._spawn_proc is not None and self._spawn_proc.poll() is not None:
-            return False
-        return self._transport is not None and not self._transport.closed
-
-    @property
-    def durable(self) -> bool:
-        """Whether this worker journals its state (restart restores it)."""
-        return self._spec["journal_path"] is not None
-
-    @property
-    def exit_code(self) -> int | None:
-        """Exit code of the last locally-spawned worker to die.
-
-        Always ``None`` for remote peers this parent did not spawn —
-        their exit codes are not observable, which is exactly why
-        :meth:`check_alive` exists.
-        """
-        return self._exit_code
-
-    def check_alive(self, timeout_s: float = 2.0) -> bool:
-        """Actively probe the peer: one ``ping`` with a receive deadline.
-
-        Returns ``False`` — and marks the worker dead — if the peer is
-        down, the link is torn, or no ``pong`` arrives within
-        ``timeout_s``.  This is the heartbeat the control plane runs
-        between requests; a timeout poisons the transport (the stream
-        may be mid-frame), so the only way back is ``restart()``.
-        """
-        transport = self._transport
-        if transport is None or transport.closed:
-            return False
-        try:
-            reply = transport.request(("ping", (), {}), timeout_s=timeout_s)
-        except TransportError:
-            self._drop_link()
-            return False
-        return reply == ("ok", "pong")
-
-    def restart(self) -> None:
-        """Redial (or respawn) a dead worker; its journal restores it."""
-        if self.alive:
-            raise RuntimeError(f"shard worker {self.name!r} is still running")
-        if self._requested_url is None:
-            raise WorkerCrashError(
-                f"shard worker {self.name!r} connected inbound; "
-                "it must dial back in (reattach by name)"
-            )
-        self.restarts += 1
-        self._drop_link()
-        if self._should_spawn and self._spawn_proc is not None and self._spawn_proc.poll() is None:
-            # the link is down but the child is not reapable yet: a hard
-            # crash resets the socket a beat before the process exits.
-            # Give it a moment to settle so we respawn instead of
-            # redialing a port nobody listens on.  A child that is
-            # genuinely alive (poisoned transport, healthy process) just
-            # rides out the wait and gets redialed below.
-            try:
-                self._spawn_proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                pass
-        if self._should_spawn and (self._spawn_proc is None or self._spawn_proc.poll() is not None):
-            self._reap_spawned()
-            self._spawn_listener()
-        self._connect()
-
-    def attach(self, transport: Transport) -> None:
-        """Adopt a fresh transport for this worker and re-init its engine.
-
-        The reconnect half of the ``--connect`` flow: a worker that
-        dialed back in after a crash is re-attached here; its engine
-        restores from its journal during ``init``, after which
-        ``resume_rollout_fleet`` completes any interrupted windows.
-        """
-        if self._transport is not None and not self._transport.closed:
-            self._transport.close()
-        self._transport = transport
-        self._call("init", self._spec)
-
-    def close(self, grace_s: float = 5.0) -> int | None:
-        """Drain the worker and drop the link; reap a spawned process.
-
-        Sends ``shutdown`` (the worker closes its journal and exits),
-        closes the transport, and — for ``spawn=True`` workers — waits
-        up to ``grace_s`` before escalating to ``kill``.  Returns the
-        exit code when the worker was locally spawned, else ``None``.
-        """
-        if self._transport is not None and not self._transport.closed:
-            try:
-                self._call("shutdown")
-            except WorkerCrashError:
-                pass  # it died before acking
-        self._drop_link()
-        if self._spawn_proc is not None:
-            try:
-                self._exit_code = self._spawn_proc.wait(timeout=grace_s)
-            except subprocess.TimeoutExpired:
-                self._spawn_proc.kill()
-                self._exit_code = self._spawn_proc.wait()
-            self._reap_spawned()
-        return self._exit_code
-
-    def __enter__(self) -> RemoteShardWorker:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # best-effort: do not leak spawned workers
-        try:
-            if self._spawn_proc is not None and self._spawn_proc.poll() is None:
-                self._spawn_proc.kill()
-                self._spawn_proc.wait()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    def _spawn_listener(self) -> None:
-        """Launch a standalone socket worker and learn its bound URL."""
-        bootstrap = (
-            "import sys; from repro.serve.workers import run_worker; sys.exit(run_worker(sys.argv[1]))"
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", bootstrap, self._requested_url],
-            stdout=subprocess.PIPE,
-            env=_child_env(),
-        )
-        # the worker announces its resolved address (ephemeral ports!)
-        # on stdout before accepting; an empty read means it died
-        line = proc.stdout.readline().decode("utf-8", "replace").strip()
-        if not line.startswith(WORKER_ANNOUNCE):
-            code = proc.poll()
-            proc.stdout.close()
-            raise WorkerCrashError(
-                f"spawned worker {self.name!r} failed to listen on "
-                f"{self._requested_url} (exit code {code}, said {line!r})"
-            )
-        self._spawn_proc = proc
-        self._exit_code = None
-        self.url = line[len(WORKER_ANNOUNCE) :].strip()
-
-    def _connect(self) -> None:
-        self._transport = connect(self.url, timeout_s=self._connect_timeout_s)
-        self._call("init", self._spec)
-
-    def _drop_link(self) -> None:
-        transport, self._transport = self._transport, None
-        if transport is not None:
-            transport.close()
-
-    def _reap_spawned(self) -> None:
-        proc, self._spawn_proc = self._spawn_proc, None
-        if proc is not None:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            if proc.stdout is not None:
-                proc.stdout.close()
-
-    def _down_message(self, op: str) -> str:
-        return f"shard worker {self.name!r} is not running (link down); call restart()"
-
-    def _transport_failed(self, op: str, exc: Exception) -> WorkerCrashError:
-        self._drop_link()
-        detail = str(exc)
-        if self._spawn_proc is not None and self._spawn_proc.poll() is not None:
-            self._exit_code = self._spawn_proc.poll()
-            detail = f"exit code {self._exit_code}"
-        return WorkerCrashError(f"shard worker {self.name!r} died during {op!r} ({detail})")
 
 
 def _child_env() -> dict:
@@ -981,21 +812,19 @@ class WorkerSpec:
 
     - ``url=None`` — an in-process :class:`FleetEngine` (the original
       thread-sharded mode);
-    - ``url="pipe://"`` — a :class:`ProcessShardWorker` subprocess
-      over stdio pipes (the local fast path);
-    - ``url="shm://"`` — the same subprocess topology, but bulk array
-      payloads travel through preallocated shared-memory slab rings
-      (``shm_slots`` x ``shm_slab_bytes`` each way); pipes carry only
-      the small framing/meta bytes;
-    - ``url="tcp://host:port"`` / ``"unix:///path"`` — a
-      :class:`RemoteShardWorker`; with ``spawn=True`` the worker
-      process is launched locally first (``tcp://127.0.0.1:0`` picks
-      ephemeral ports, so one spec template serves any shard count).
+    - any other ``url`` — a :class:`ShardWorker`, launched as its
+      scheme says (``pipe://``, ``shm://``, or ``tcp://``/``unix://``
+      spawned with ``spawn=True``, else dialed);
+      ``tcp://127.0.0.1:0`` picks ephemeral ports, so one spec template
+      serves any shard count.
+
+    :meth:`adopt` wraps an inbound peer through the same mapping, so a
+    worker that dialed in serves exactly what a resolved one would.
 
     ``name``, ``url`` and ``journal`` are templates: a ``{shard}``
-    placeholder is substituted with the shard index; a journal path
-    without one gets a ``.shard{k}`` suffix so workers never share a
-    journal file.  ``journal`` may also be a ready
+    placeholder is substituted with the shard index (an inbound
+    worker's name); a journal path without one gets a ``.shard{k}``
+    (``.{name}``) suffix so workers never share a journal file.  ``journal`` may also be a ready
     :class:`~repro.serve.persistence.StateJournal` *instance* — valid
     only for in-process shards, which share one fleet journal.
 
@@ -1046,18 +875,34 @@ class WorkerSpec:
         return parse_url(self.url if "{shard}" not in self.url else self.url.format(shard=0)).scheme
 
     def resolve(self, index: int):
-        """Build the worker for shard ``index`` (engine or RPC client)."""
-        name = self.name.format(shard=index)
-        scheme = self.scheme
-        if scheme is None:
+        """Build the worker for shard ``index`` (engine or :class:`ShardWorker`)."""
+        if self.url is None:
             return self._resolve_engine()
+        url = self.url.format(shard=index) if "{shard}" in self.url else self.url
+        return ShardWorker(
+            url,
+            spawn=self.spawn,
+            connect_timeout_s=self.connect_timeout_s,
+            **self._client_kwargs(index),
+        )
+
+    def adopt(self, transport: Transport, name: str) -> ShardWorker:
+        """Wrap an inbound peer (a worker that dialed us) as ``name``.
+
+        The worker gets this spec's engine description exactly as a
+        resolved shard would; its journal is the template with ``name``
+        in place of the shard index.
+        """
+        return ShardWorker.from_transport(transport, **self._client_kwargs(name))
+
+    def _client_kwargs(self, shard: int | str) -> dict:
+        """The :class:`ShardWorker` description of shard ``shard`` (index or name)."""
         registry_root = self.registry.root if isinstance(self.registry, ModelRegistry) else self.registry
-        journal_path = self._journal_path(index)
-        common = dict(
+        return dict(
             default_model=self.model,
             registry_root=registry_root,
-            journal_path=journal_path,
-            name=name,
+            journal_path=self._journal_path(shard),
+            name=self.name.format(shard=shard) if isinstance(shard, int) else shard,
             use_kernel=self.use_kernel,
             monitor=self.monitor,
             trace=self.trace,
@@ -1065,21 +910,9 @@ class WorkerSpec:
             journal_segment_bytes=self.journal_segment_bytes,
             drift_from_registry=self.drift_from_registry,
             dtype=self.dtype,
-        )
-        if scheme in ("pipe", "shm"):
-            return ProcessShardWorker(
-                **common,
-                shm=(scheme == "shm"),
-                shm_slots=self.shm_slots,
-                shm_slab_bytes=self.shm_slab_bytes,
-            )
-        url = self.url.format(shard=index) if "{shard}" in self.url else self.url
-        return RemoteShardWorker(
-            url,
-            spawn=self.spawn,
-            connect_timeout_s=self.connect_timeout_s,
             call_timeout_s=self.call_timeout_s,
-            **common,
+            shm_slots=self.shm_slots,
+            shm_slab_bytes=self.shm_slab_bytes,
         )
 
     def _resolve_engine(self) -> FleetEngine:
@@ -1112,7 +945,7 @@ class WorkerSpec:
             dtype=self.dtype or "float64",
         )
 
-    def _journal_path(self, index: int) -> str | None:
+    def _journal_path(self, shard: int | str) -> str | None:
         if self.journal is None:
             return None
         if isinstance(self.journal, StateJournal):
@@ -1122,8 +955,8 @@ class WorkerSpec:
             )
         template = str(self.journal)
         if "{shard}" in template:
-            return template.format(shard=index)
-        return f"{template}.shard{index}"
+            return template.format(shard=shard)
+        return f"{template}.shard{shard}" if isinstance(shard, int) else f"{template}.{shard}"
 
 
 # -- worker side -------------------------------------------------------
@@ -1436,7 +1269,7 @@ def run_worker_connect(
     for the fleet to dial in, the worker dials the daemon's control
     URL, introduces itself with a ``worker_hello`` frame carrying its
     ``name``, and then the roles flip — the daemon wraps this very
-    connection in a :class:`RemoteShardWorker` and starts sending
+    connection in a :class:`ShardWorker` and starts sending
     engine ops, which a :class:`WorkerEndpoint` serves.
 
     ``name`` is the worker's identity across reconnects: if this

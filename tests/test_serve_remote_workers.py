@@ -1,10 +1,10 @@
-"""Socket-backed shard workers: :class:`RemoteShardWorker` + :class:`WorkerSpec`.
+"""Socket-backed shard workers and the :class:`WorkerSpec` factory.
 
-The pipe-worker suite (``test_serve_workers.py``) covers the engine
-API and crash semantics over stdio; this file covers what changes when
-the same frames ride a real socket — spawned-listener lifecycle,
-in-band death detection, restart-by-redial, and the single
-:class:`WorkerSpec` factory the fleet resolves every topology through.
+The launch-mode lifecycle (API, errors, crash, probe, restart, close)
+is checked once per mode in ``test_serve_worker_lifecycle.py``; this
+file covers the socket-only edges — restart rules, the single
+:class:`WorkerSpec` factory the fleet resolves every topology through,
+and socket fleets (heartbeat heal, growth by URL).
 """
 
 import numpy as np
@@ -13,9 +13,8 @@ import pytest
 from repro.core import TwoBranchSoCNet
 from repro.serve import (
     FleetEngine,
-    ProcessShardWorker,
-    RemoteShardWorker,
     ShardedFleet,
+    ShardWorker,
     StateJournal,
     WorkerCrashError,
     WorkerSpec,
@@ -44,7 +43,7 @@ def small_fleet():
 class TestRemoteShardWorker:
     def test_serves_engine_api_over_tcp(self, model):
         local = FleetEngine(default_model=model)
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="sock"
         )
         try:
@@ -64,7 +63,7 @@ class TestRemoteShardWorker:
 
     def test_rollout_matches_in_process_engine(self, model, small_fleet):
         ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="roll"
         )
         try:
@@ -73,42 +72,6 @@ class TestRemoteShardWorker:
             worker.close()
         for cell_id, _ in small_fleet.assignments():
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
-
-    def test_kill_mid_rollout_over_socket_resumes_bit_for_bit(self, model, small_fleet, tmp_path):
-        """The socket version of the acceptance property: the worker
-        dies mid-rollout behind a TCP link, restarts (respawn +
-        redial), restores from its journal, and the stitched resume
-        equals an uninterrupted run exactly."""
-        assignments = small_fleet.assignments()
-        ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
-        worker = RemoteShardWorker(
-            "tcp://127.0.0.1:0",
-            default_model=model,
-            journal_path=tmp_path / "crash.journal",
-            spawn=True,
-            name="phoenix",
-        )
-        worker.crash_after_window(3)
-        with pytest.raises(WorkerCrashError):
-            worker.rollout_fleet(assignments, 120.0)
-        assert not worker.alive
-        worker.restart()
-        assert len(worker) == len(small_fleet)  # cells restored before serving
-        resumed = worker.resume_rollout_fleet(assignments, 120.0)
-        for cell_id, _ in assignments:
-            np.testing.assert_array_equal(resumed[cell_id].soc_pred, ref[cell_id].soc_pred)
-        worker.close()
-
-    def test_check_alive_detects_silently_dead_peer(self, model):
-        worker = RemoteShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="probe"
-        )
-        assert worker.check_alive(timeout_s=5.0)
-        worker._spawn_proc.kill()
-        worker._spawn_proc.wait(timeout=10)
-        assert worker.check_alive(timeout_s=2.0) is False
-        assert not worker.alive
-        worker.close()
 
     def test_restart_requires_a_dialable_url(self, model):
         """An inbound worker (dialed us; from_transport) has no address
@@ -122,13 +85,13 @@ class TestRemoteShardWorker:
         body = wire.pickle_body(("ok", None))
         rd = io.BytesIO(wire.frame_header(len(body)) + body)
         transport = PipeTransport(io.BytesIO(), rd, peer="inbound")
-        worker = RemoteShardWorker.from_transport(transport, name="inbound", default_model=model)
+        worker = ShardWorker.from_transport(transport, name="inbound", default_model=model)
         worker._drop_link()
         with pytest.raises(WorkerCrashError, match="dial back in"):
             worker.restart()
 
     def test_restart_while_alive_is_an_error(self, model):
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="up"
         )
         try:
@@ -143,10 +106,10 @@ class TestWorkerSpec:
     def test_resolves_every_topology(self, model):
         assert isinstance(WorkerSpec(model=model).resolve(0), FleetEngine)
         pipe_worker = WorkerSpec(url="pipe://", model=model).resolve(0)
-        assert isinstance(pipe_worker, ProcessShardWorker)
+        assert isinstance(pipe_worker, ShardWorker)
         pipe_worker.close()
         tcp_worker = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True).resolve(0)
-        assert isinstance(tcp_worker, RemoteShardWorker)
+        assert isinstance(tcp_worker, ShardWorker)
         tcp_worker.close()
 
     def test_shard_templating(self, model, tmp_path):
@@ -228,8 +191,8 @@ class TestShardedFleetSpec:
         with fleet:
             fleet.register_cell("a")
             assert fleet.heartbeat(timeout_s=5.0) == [True, True]
-            fleet._shards[0]._spawn_proc.kill()
-            fleet._shards[0]._spawn_proc.wait(timeout=10)
+            fleet._shards[0]._proc.kill()
+            fleet._shards[0]._proc.wait(timeout=10)
             assert fleet.heartbeat(timeout_s=2.0) == [False, True]
             assert fleet.restart_dead_workers() == [0]
             assert fleet.heartbeat(timeout_s=5.0) == [True, True]
@@ -238,7 +201,7 @@ class TestShardedFleetSpec:
     def test_add_worker_by_url_migrates_cells(self, model):
         """The daemon registration path: growing the fleet by a bare
         URL reuses the spec template and migrates ~1/n of the cells."""
-        spare = RemoteShardWorker(
+        spare = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare"
         )
         spare._drop_link()  # free the listener: the fleet dials it next

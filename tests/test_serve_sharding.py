@@ -1,10 +1,21 @@
 """Tests for sharded fleet serving (:mod:`repro.serve.sharding`)."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import TwoBranchSoCNet
-from repro.serve import FleetEngine, ModelRegistry, ShardedFleet, generate_fleet, shard_for
+from repro.serve import (
+    FleetEngine,
+    ModelRegistry,
+    ShardedFleet,
+    StateJournal,
+    WorkerSpec,
+    generate_fleet,
+    shard_for,
+)
 
 FAST_FLEET = dict(
     ambient_temps_c=(25.0,),
@@ -147,3 +158,50 @@ class TestShardedFleet:
         sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         for m in fleet.members:
             assert sharded.cell(m.cell_id).model_key == m.chemistry
+
+
+# ----------------------------------------------------------------------
+def _truncated(cycle, n_samples: int):
+    """``cycle`` cut to its first ``n_samples`` recorded samples."""
+    d = cycle.data
+    channels = {
+        f.name: getattr(d, f.name)[:n_samples]
+        for f in dataclasses.fields(d)
+        if isinstance(getattr(d, f.name), np.ndarray)
+    }
+    return dataclasses.replace(cycle, data=dataclasses.replace(d, **channels))
+
+
+class TestBadCycleTouchesNoShard:
+    """A cycle that cannot be planned fails the fleet rollout before the
+    first shard runs: earlier shards commit no state and no journal
+    windows."""
+
+    @pytest.mark.parametrize("topology", ["inproc", "pipe"])
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_state_and_journals_unchanged(self, model, fleet, tmp_path, topology, resume):
+        if topology == "inproc":
+            journal = StateJournal(tmp_path / "fleet.journal")
+            sharded = ShardedFleet(2, default_model=model, journal=journal)
+            journal_files = [tmp_path / "fleet.journal"]
+        else:
+            spec = WorkerSpec(url="pipe://", model=model, journal=str(tmp_path / "s{shard}.journal"))
+            sharded = ShardedFleet(2, spec=spec)
+            journal_files = [tmp_path / "s0.journal", tmp_path / "s1.journal"]
+        with sharded:
+            pairs = fleet.assignments()[:8]
+            assert {sharded.shard_of(cid) for cid, _ in pairs} == {0, 1}
+            sharded.rollout_fleet(pairs, step_s=120.0)
+            before = {cid: (sharded.cell(cid).soc, sharded.cell(cid).n_requests) for cid, _ in pairs}
+            journals = [Path(p).read_bytes() for p in journal_files]
+
+            # the bad cycle sits on the last shard, which runs last
+            k = max(k for k, (cid, _) in enumerate(pairs) if sharded.shard_of(cid) == 1)
+            bad = list(pairs)
+            bad[k] = (pairs[k][0], _truncated(pairs[k][1], 2))
+            run = sharded.resume_rollout_fleet if resume else sharded.rollout_fleet
+            with pytest.raises(ValueError, match="shorter than a single rollout step"):
+                run(bad, step_s=120.0)
+
+            assert {cid: (sharded.cell(cid).soc, sharded.cell(cid).n_requests) for cid, _ in pairs} == before
+            assert [Path(p).read_bytes() for p in journal_files] == journals

@@ -1,6 +1,8 @@
 """Tests for the URL-addressed transport layer (:mod:`repro.serve.transport`)."""
 
+import io
 import os
+import socket
 import threading
 import time
 
@@ -8,6 +10,7 @@ import pytest
 
 from repro.serve import wire
 from repro.serve.transport import (
+    FrameTooLarge,
     PeerGone,
     PipeTransport,
     ShmRing,
@@ -350,3 +353,35 @@ class TestTransportTypes:
         with pytest.raises((PeerGone, TransportError)):
             client.send_pickle("too late")
         assert isinstance(client, SocketTransport)
+
+
+# ----------------------------------------------------------------------
+class TestFrameCap:
+    """A forged length header is refused before any body is read."""
+
+    def test_socket_rejects_oversized_header_promptly(self):
+        ours, theirs = socket.socketpair()
+        transport = SocketTransport(ours)
+        theirs.sendall(b"\xff\xff\xff\xff")
+        t0 = time.monotonic()
+        # without the cap this would wait for a 4 GB body and time out
+        with pytest.raises(FrameTooLarge) as info:
+            transport.recv_frame(timeout_s=5.0)
+        assert time.monotonic() - t0 < 1.0
+        assert isinstance(info.value, TransportError)
+        transport.close()
+        theirs.close()
+
+    def test_worker_endpoint_drops_the_connection(self):
+        from repro.serve.workers import WorkerEndpoint
+
+        ours, theirs = socket.socketpair()
+        theirs.sendall(b"\xff\xff\xff\xff")
+        assert WorkerEndpoint(SocketTransport(ours)).serve() == "closed"
+        theirs.close()
+
+    def test_stream_reader_rejects_one_byte_over_the_cap(self):
+        assert wire.frame_length(wire.frame_header(wire.MAX_FRAME_BYTES)) == wire.MAX_FRAME_BYTES
+        stream = io.BytesIO(wire.frame_header(wire.MAX_FRAME_BYTES + 1))
+        with pytest.raises(FrameTooLarge):
+            wire.read_frame(stream)

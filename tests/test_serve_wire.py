@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import TwoBranchSoCNet, model_rollout
-from repro.serve import FleetEngine, ProcessShardWorker, generate_fleet
+from repro.serve import FleetEngine, ShardWorker, generate_fleet
 from repro.serve import wire
 
 FAST_FLEET = dict(
@@ -133,7 +133,7 @@ class TestDtypeFidelity:
         v = rng.uniform(2.8, 4.2, 48).astype(np.float32)
         i = rng.uniform(-5, 5, 48).astype(np.float32)
         t = rng.uniform(0, 45, 48).astype(np.float32)
-        with ProcessShardWorker(default_model=model, dtype="float32", name="f32") as worker:
+        with ShardWorker("pipe://", default_model=model, dtype="float32", name="f32") as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -228,7 +228,7 @@ class TestWorkerInterop:
         v = rng.uniform(2.8, 4.2, 64)
         i = rng.uniform(-5, 5, 64)
         t = rng.uniform(0, 45, 64)
-        with ProcessShardWorker(default_model=model, name="v2") as worker:
+        with ShardWorker("pipe://", default_model=model, name="v2") as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -242,7 +242,7 @@ class TestWorkerInterop:
     def test_v2_worker_rollout_is_bit_for_bit(self, model, small_fleet):
         local = FleetEngine(default_model=model)
         ref = local.rollout_fleet(small_fleet.assignments(), step_s=120.0)
-        with ProcessShardWorker(default_model=model, name="v2roll") as worker:
+        with ShardWorker("pipe://", default_model=model, name="v2roll") as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
         for cell_id in ref:
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
@@ -258,7 +258,7 @@ class TestWorkerInterop:
         with pytest.raises(TypeError):
             wire.encode_v2("rollout_fleet", meta, arrays)
         ref = model_rollout(model, poisoned, 120.0)
-        with ProcessShardWorker(default_model=model, name="fallback") as worker:
+        with ShardWorker("pipe://", default_model=model, name="fallback") as worker:
             got = worker.rollout_fleet([("a", poisoned)], step_s=120.0)
         np.testing.assert_allclose(got["a"].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
 
@@ -267,7 +267,7 @@ class TestWorkerInterop:
         array is writable — the same contract as an in-process engine."""
         local = FleetEngine(default_model=model)
         ids = [f"c{k}" for k in range(32)]
-        with ProcessShardWorker(default_model=model, name="scalar") as worker:
+        with ShardWorker("pipe://", default_model=model, name="scalar") as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -283,7 +283,7 @@ class TestWorkerInterop:
         ref = FleetEngine(default_model=model, use_kernel=False).rollout_fleet(
             small_fleet.assignments(), step_s=120.0
         )
-        with ProcessShardWorker(default_model=model, use_kernel=False, name="tensor") as worker:
+        with ShardWorker("pipe://", default_model=model, use_kernel=False, name="tensor") as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
         for cell_id in ref:
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
