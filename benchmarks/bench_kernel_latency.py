@@ -1,8 +1,8 @@
 """Compiled-kernel latency: Tensor path vs compiled chains, pickle vs frames.
 
-Three measurements of what the compiled inference path
-(:mod:`repro.core.kernels`) and the v2 zero-copy wire format
-(:mod:`repro.serve.wire`) buy over the PR 3 serving internals:
+Measurements of what the compiled inference path
+(:mod:`repro.core.kernels`) and the zero-copy wire frames
+(:mod:`repro.serve.wire`) buy over the naive alternatives:
 
 - **single-row latency** — p50 of one ``estimate_soc`` call, the
   Tensor path vs :class:`repro.core.CompiledTwoBranchKernel`.  The
@@ -14,8 +14,10 @@ Three measurements of what the compiled inference path
   ``FleetEngine(use_kernel=True)`` vs the ``use_kernel=False`` escape
   hatch (``rollout_kernel_speedup``).
 - **wire codec** — encode+decode round-trips of a bulk estimate
-  request and a fleet-rollout reply: pickle frames vs v2 zero-copy
-  frames (``frames_speedup``).
+  request and a fleet-rollout reply: a stdlib-pickle body in the same
+  length-prefixed framing (the general object codec, pickled inline
+  here as the reference) vs the wire's zero-copy frames
+  (``frames_speedup``).
 - **float32 tier** — the same batched estimate/predict through
   ``CompiledTwoBranchKernel(dtype=float32)``: ``float32_speedup`` plus
   the measured accuracy deltas vs the float64 kernel
@@ -44,6 +46,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import pickle
 import sys
 import time
 
@@ -251,17 +254,24 @@ def bench_rollout(model, cells: int, step_s: float, seed: int) -> dict:
     }
 
 
+def _pickle_roundtrip(payload):
+    """Reference codec: a stdlib pickle body in the wire's length-prefixed framing."""
+    buf = io.BytesIO()
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    buf.write(wire.frame_header(len(body)) + body)
+    buf.seek(0)
+    header = wire.read_exact(buf, wire.LENGTH_PREFIX_SIZE)
+    return pickle.loads(wire.read_exact(buf, wire.frame_length(header)))
+
+
 def bench_wire(rollout_results: dict, batch: int, reps: int) -> dict:
-    """Encode+decode round-trips: pickle frames vs v2 zero-copy frames."""
+    """Encode+decode round-trips: stdlib pickle bodies vs zero-copy frames."""
     rng = np.random.default_rng(1)
     ids = [f"cell-{k}" for k in range(batch)]
     cols = [rng.uniform(2.8, 4.2, batch), rng.uniform(-5, 5, batch), rng.uniform(0, 45, batch)]
 
     def pickle_estimate():
-        buf = io.BytesIO()
-        wire.write_pickle(buf, ("estimate", (ids, *cols), {"now_s": None}))
-        buf.seek(0)
-        return wire.read_frame(buf)
+        return _pickle_roundtrip(("estimate", (ids, *cols), {"now_s": None}))
 
     def v2_estimate():
         buf = io.BytesIO()
@@ -278,10 +288,7 @@ def bench_wire(rollout_results: dict, batch: int, reps: int) -> dict:
     meta, arrays = wire.encode_rollout_results(rollout_results)
 
     def pickle_rollout():
-        buf = io.BytesIO()
-        wire.write_pickle(buf, ("ok", rollout_results))
-        buf.seek(0)
-        return wire.read_frame(buf)
+        return _pickle_roundtrip(("ok", rollout_results))
 
     def v2_rollout():
         buf = io.BytesIO()

@@ -45,9 +45,11 @@ and versioned checkpoint rollout.
 - :mod:`repro.serve.archive` — :class:`DirectoryArchiveStore` and
   :func:`restore_from_archive`: cold storage for sealed journal
   segments (rotation ships, restore replays);
-- :mod:`repro.serve.wire` — the worker frame codec: pickled control
-  frames plus v2 zero-copy frames (struct header + raw array payloads
-  decoded via ``np.frombuffer``) for the bulk inference messages;
+- :mod:`repro.serve.wire` — the one frame codec of every worker and
+  client message: struct header, JSON meta (control ops' arguments and
+  results) and raw array payloads decoded via ``np.frombuffer`` (the
+  bulk inference messages), with a decoder that raises ``FrameError``
+  on any malformed body;
 - :mod:`repro.serve.fleet_sim` — synthetic heterogeneous fleets for
   benchmarks and the ``repro-soc serve-sim`` subcommand.
 
@@ -59,7 +61,7 @@ escape hatch on :class:`FleetEngine`, :class:`ShardedFleet` and
 
 See ``src/repro/serve/README.md`` for the compiled-kernel
 architecture, gateway architecture, sharding topology, worker wire
-protocol (v1/v2 frame layout), journal format, and canary lifecycle.
+protocol (frame layout), journal format, and canary lifecycle.
 """
 
 from .archive import ArchiveError, DirectoryArchiveStore, MissingSegmentError, restore_from_archive

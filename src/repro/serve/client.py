@@ -8,12 +8,15 @@ methods mirroring the gateway endpoints, get plain Python values
 back.  Examples and soak scripts depend on this module and nothing
 deeper.
 
-The wire is the same pickle-framed protocol the workers use
-(:mod:`repro.serve.transport`), one request/reply pair at a time per
-connection — a client is **not** thread-safe; open one per thread
-(connections are cheap, the daemon serves each on its own handler
-thread).  Remote errors come back as raised exceptions mapped from
-the daemon's error frames (``KeyError`` for unknown cells,
+The wire is the frame protocol the workers use (:mod:`repro.serve.wire`
+over :mod:`repro.serve.transport`): each op is one frame with its
+arguments in the JSON meta, and a rollout ships its cycles and
+trajectories as raw arrays, exactly as a shard worker's does.  One
+request/reply pair at a time per connection — a client is **not**
+thread-safe; open one per thread (connections are cheap, the daemon
+serves each on its own handler thread).  Remote errors come back as
+raised exceptions mapped from the daemon's ``err`` frames by
+:func:`~repro.serve.wire.check_reply` (``KeyError`` for unknown cells,
 ``RuntimeError`` otherwise — including gateway shedding).
 
 Usage::
@@ -29,8 +32,9 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
+from . import wire
 from .transport import PeerGone, Transport, TransportError, connect
 
 __all__ = ["SocClient", "DaemonUnavailable"]
@@ -101,7 +105,9 @@ class SocClient:
 
     def rollout(self, assignments: Iterable[tuple[str, object]], step_s: float) -> dict:
         """Fleet rollout over registered cells; ``{cell_id: RolloutResult}``."""
-        return self._call("rollout", list(assignments), float(step_s))
+        meta, arrays = wire.encode_rollout_request(list(assignments), float(step_s))
+        reply = self._roundtrip(lambda t: t.send_v2("rollout", meta, arrays), "rollout")
+        return wire.decode_rollout_results(reply.meta, reply.arrays)
 
     # -- fleet membership ----------------------------------------------
     def register_cell(self, cell_id: str, chemistry: str | None = None, model_name: str | None = None):
@@ -158,7 +164,7 @@ class SocClient:
         """Actively probe every shard worker through the daemon."""
         return list(self._call("heartbeat"))
 
-    def add_worker(self, url_or_spec) -> int:
+    def add_worker(self, url_or_spec: str) -> int:
         """Register a new shard worker by URL; returns its shard index."""
         return int(self._call("add_worker", url_or_spec))
 
@@ -178,8 +184,8 @@ class SocClient:
     ) -> int:
         """Publish a model through the daemon; returns the new version.
 
-        The model's config + weights travel the wire as a plain spec
-        (the same encoding spawned workers use), so the daemon rebuilds
+        The model's config + weights travel the wire as a spec (the
+        same encoding spawned workers get at ``init``), so the daemon rebuilds
         it without the client touching the registry directory.  A
         ``channel="canary"`` publish for the autopilot's model starts a
         *steered* canary — pinned traffic slice, autopilot verdicts —
@@ -235,18 +241,18 @@ class SocClient:
             raise DaemonUnavailable(f"no daemon at {self.url}: {exc}") from exc
 
     def _call(self, op: str, *args, **kwargs):
+        """One control-op round-trip; the reply's value."""
+        meta = wire.call_meta(args, kwargs)
+        return self._roundtrip(lambda t: t.send_v2(op, meta, ()), op).meta.get("value")
+
+    def _roundtrip(self, send: Callable[[Transport], None], op: str) -> wire.V2Frame:
         if self._transport is None or self._transport.closed:
             self._connect()
         try:
-            reply = self._transport.request((op, args, kwargs), timeout_s=self.call_timeout_s)
+            return wire.check_reply(self._transport.request_with(send, timeout_s=self.call_timeout_s))
         except PeerGone as exc:
             self.close()
             raise DaemonUnavailable(f"daemon at {self.url} went away during {op!r}: {exc}") from exc
         except TransportError as exc:
-            self.close()  # timeout poisons the stream; reconnect next call
+            self.close()  # timeout or garbage poisons the stream; reconnect next call
             raise DaemonUnavailable(f"daemon at {self.url} did not answer {op!r}: {exc}") from exc
-        if reply[0] == "ok":
-            return reply[1]
-        _, exc_name, message = reply
-        exc_type = {"KeyError": KeyError, "ValueError": ValueError}.get(exc_name, RuntimeError)
-        raise exc_type(message)

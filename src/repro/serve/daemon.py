@@ -10,11 +10,16 @@ process that owns those pieces *indefinitely*, listens on a control URL
 (``unix://`` or ``tcp://``, same :mod:`~repro.serve.transport` frames as
 the workers), and lets two kinds of peers dial in:
 
-- **clients** (:class:`~repro.serve.client.SocClient`): pickle-framed
-  request ops (``estimate``/``predict``/``rollout``/registration/
-  stats) bridged onto the gateway's asyncio loop — one connection, one
-  handler thread, requests resolved through the same micro-batcher as
-  every other client's;
+- **clients** (:class:`~repro.serve.client.SocClient`): request ops
+  (``estimate``/``predict``/``rollout``/registration/stats) in the
+  workers' frame format — JSON arguments, raw arrays for rollouts —
+  bridged onto the gateway's asyncio loop: one connection, one handler
+  thread, requests resolved through the same micro-batcher as every
+  other client's.  Every request gets one reply through
+  :meth:`Transport.reply <repro.serve.transport.Transport.reply>`: an
+  unknown op or a failing call is an ``err`` reply and the connection
+  stays usable; a body that does not decode drops that connection
+  only;
 - **workers** (``repro-soc worker --connect``): a ``worker_hello``
   frame flips the connection's roles — the daemon wraps the transport
   in a :class:`~repro.serve.workers.ShardWorker` and the dialer
@@ -42,6 +47,7 @@ import dataclasses
 import threading
 
 from ..monitor.autopilot import ControlLoop
+from . import wire
 from .gateway import SocGateway
 from .transport import Transport, TransportError, TransportListener, TransportTimeout
 from .workers import WorkerSpec, _build_model
@@ -310,32 +316,24 @@ class SocDaemon:
                     break
                 if frame is None:
                     break
-                op, args, kwargs = frame
-                if op == "worker_hello":
+                if frame.kind == "worker_hello":
                     # role flip: the dialer is a worker, not a client.
                     # Reply first (the worker waits for the ack before
                     # serving), then hand the transport to the fleet.
-                    name = args[0] if args else kwargs.get("name", "worker")
                     try:
-                        transport.send_pickle(("ok", "attach"))
-                        self._attach_worker(str(name), transport)
+                        args, kwargs = wire.call_args(frame)
+                        name = str(args[0] if args else kwargs.get("name", "worker"))
+                        transport.reply(lambda: "attach")
+                        self._attach_worker(name, transport)
                     except Exception:
                         break
                     handed_off = True
                     return  # the transport now belongs to the shard worker
                 try:
-                    result = self._dispatch(op, args, kwargs)
-                except Exception as exc:
-                    try:
-                        transport.send_pickle(("err", type(exc).__name__, str(exc)))
-                    except TransportError:
-                        break
-                else:
-                    try:
-                        transport.send_pickle(("ok", result))
-                    except TransportError:
-                        break
-                if op == "shutdown":
+                    transport.reply(lambda: self._dispatch(frame))
+                except TransportError:
+                    break
+                if frame.kind == "shutdown":
                     threading.Thread(target=self.stop, daemon=True).start()
                     break
         finally:
@@ -358,9 +356,17 @@ class SocDaemon:
                 raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
             adopt(spec.adopt(transport, name))
 
-    def _dispatch(self, op: str, args: tuple, kwargs: dict):
-        """One client op; engine mutations go under the batcher lock."""
+    def _dispatch(self, frame: wire.V2Frame):
+        """One client op's reply; engine mutations go under the batcher lock."""
+        op = frame.kind
+        if op not in _CLIENT_OPS:
+            raise RuntimeError(f"unknown daemon op {op!r}")
         gateway = self.gateway
+        if op == "rollout":
+            pairs, step_s = wire.decode_rollout_request(frame.meta, frame.arrays)
+            results = self._await(gateway.rollout(pairs, step_s))
+            return wire.V2Frame("ok", *wire.encode_rollout_results(results))
+        args, kwargs = wire.call_args(frame)
         if op == "hello":
             return {"service": "repro-soc", "url": self.url, "ops": list(_CLIENT_OPS)}
         if op == "ping":
@@ -375,8 +381,6 @@ class SocDaemon:
             if completion.error is not None:
                 raise RuntimeError(completion.error)
             return float(completion.value)
-        if op == "rollout":
-            return self._await(gateway.rollout(*args, **kwargs))
         if op == "stats":
             return gateway.stats_dict()
         if op == "metrics":
@@ -413,9 +417,8 @@ class SocDaemon:
                 return self._publish(*args, **kwargs)
             if op in ("promote", "rollback"):
                 return self._steer_channel(op, *args)
-            if op in ("register_cell", "deregister_cell", "reroute_cell", "cell"):
-                return getattr(self.engine, op)(*args, **kwargs)
-        raise RuntimeError(f"unknown daemon op {op!r}")
+            # register_cell / deregister_cell / reroute_cell / cell
+            return getattr(self.engine, op)(*args, **kwargs)
 
     # -- registry ops (batcher lock held) -------------------------------
     def _registry(self):

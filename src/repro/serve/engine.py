@@ -320,7 +320,16 @@ class FleetEngine:
         model_name:
             Pin the cell to a specific registry model, bypassing
             resolution.
+
+        Raises
+        ------
+        ValueError
+            When ``cell_id`` contains NUL, the separator of the wire
+            format's id lists — refused here so that every topology
+            accepts the same ids.
         """
+        if isinstance(cell_id, str) and "\x00" in cell_id:
+            raise ValueError(f"cell id {cell_id!r} contains NUL, which no fleet accepts")
         key = self._resolve_key(chemistry, model_name)
         new = cell_id not in self._cells
         state = CellState(cell_id=cell_id, chemistry=chemistry, model_key=key)

@@ -49,6 +49,7 @@ from ..core.model import TwoBranchSoCNet
 from ..core.rollout import RolloutResult, cycle_windows
 from ..datasets.base import CycleRecord
 from ..monitor.tracing import stage
+from . import wire
 from .engine import CellState, FleetEngine
 from .persistence import StateJournal
 from .registry import ModelRegistry
@@ -89,10 +90,13 @@ def _plan_cycles(pairs: list[tuple[str, CycleRecord]], step_s: float) -> None:
 
     Shards plan their own slices again, but a later shard's bad cycle
     must not surface after earlier shards committed state and journal
-    windows.
+    windows.  The same holds for cycle tags the wire codec cannot
+    carry: they are refused here for every topology, in-process shards
+    included, so a fleet accepts the same cycles whatever its workers.
     """
     for cycle in {id(cycle): cycle for _, cycle in pairs}.values():
         cycle_windows(cycle, step_s)
+        wire.check_encodable(cycle.tags, f"tags of cycle {cycle.name!r}")
 
 
 class ShardedFleet:
@@ -347,9 +351,10 @@ class ShardedFleet:
         Each shard rolls its slice in lock-step batches (see
         :meth:`FleetEngine.rollout_fleet`); one journal rollout marker
         brackets the whole fleet, so restore/resume sees a single
-        rollout regardless of shard count.  Every cycle is planned
-        before the first shard call, so one that cannot be planned
-        raises ``ValueError`` with no shard state or journal changed.
+        rollout regardless of shard count.  Every cycle is planned and
+        its tags checked before the first shard call, so one that cannot
+        be planned, or whose tags cannot cross the wire, raises
+        ``ValueError`` with no shard state or journal changed.
         """
         pairs = list(assignments)
         _plan_cycles(pairs, step_s)

@@ -10,10 +10,10 @@ sockets, and a transport the parent did not spawn cannot be declared
 dead by ``waitpid``.
 
 :class:`Transport` is the seam: a tiny connection-oriented surface —
-``send_chunks`` / ``send_pickle`` / ``recv_frame`` / ``close`` — that
-carries the existing length-prefixed frame stream (pickle v1 control
-frames and v2 zero-copy bulk frames, byte-identical to the pipe
-protocol) over any medium, addressed by URL:
+``send_v2`` / ``recv_frame`` / ``request`` / ``reply`` / ``close`` —
+that carries the length-prefixed frame stream of
+:mod:`repro.serve.wire` (one frame format for control and bulk
+messages, byte-identical on every medium), addressed by URL:
 
 - ``pipe://``            — parent<->child stdio pipes (the local fast
   path; how the child is spawned is
@@ -63,12 +63,15 @@ this module layers two in-band signals:
   probe the control plane uses to detect silently-dead peers between
   requests (see ``ShardedFleet.heartbeat``).
 
-Both socket flavors expose the same buffered-file read side that
-:func:`repro.serve.wire.read_frame` already consumes, so the codec —
-and its zero-copy properties — is reused unchanged.  The v2 frame's
-first chunk (header + JSON meta) and its raw array payloads are
-written with one ``sendall`` per chunk, never concatenated through an
-intermediate copy.
+A body that does not decode raises
+:class:`~repro.serve.wire.FrameError`, also a :class:`TransportError`:
+receivers drop that connection exactly as they drop a torn one.
+
+Both socket flavors expose the same buffered-file read side as a pipe,
+so the codec — and its zero-copy properties — is shared unchanged.  A
+frame's first chunk (header + JSON meta) and its raw array payloads
+are written with one ``sendall`` per chunk, never concatenated through
+an intermediate copy.
 """
 
 from __future__ import annotations
@@ -81,12 +84,13 @@ import selectors
 import socket
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import wire
-from .wire import FrameTooLarge, TransportError
+from .wire import FrameError, FrameTooLarge, TransportError
 
 __all__ = [
+    "FrameError",
     "FrameTooLarge",
     "PeerGone",
     "PipeTransport",
@@ -333,11 +337,6 @@ class Transport:
         except (BrokenPipeError, ConnectionError, OSError) as exc:
             raise PeerGone(f"peer {self.peer} gone while sending: {exc}") from exc
 
-    def send_pickle(self, payload) -> None:
-        """Write one v1 (pickled) frame."""
-        body = wire.pickle_body(payload)
-        self.send_chunks([wire.frame_header(len(body)), body])
-
     def attach_shm(self, tx: ShmRing | None = None, rx: ShmRing | None = None) -> None:
         """Route bulk v2 payloads through shared-memory rings.
 
@@ -350,28 +349,32 @@ class Transport:
         self._shm_rx = rx
 
     def send_v2(self, kind: str, meta: dict, arrays) -> None:
-        """Write one v2 frame, via the attached shm ring when it fits.
+        """Write one frame, its payloads via the attached shm ring when they fit.
 
         Encoding happens before any bytes hit the stream on both paths,
-        so a ``TypeError`` from non-v2-expressible content still leaves
-        the stream clean for the caller's pickle fallback.
+        so a ``TypeError`` from a value the codec cannot carry leaves
+        the stream clean and the transport usable.
         """
+        self.send_chunks(self._encode(kind, meta, arrays))
+
+    def _encode(self, kind: str, meta: dict, arrays) -> list:
         if self._shm_tx is not None and not self._shm_tx.closed:
             chunks = wire.encode_v2_shm(kind, meta, arrays, self._shm_tx)
             if chunks is not None:
-                self.send_chunks(chunks)
-                return
-        self.send_chunks(wire.encode_v2(kind, meta, arrays))
+                return chunks
+        return wire.encode_v2(kind, meta, arrays)
 
-    def recv_frame(self, timeout_s: float | None = None):
+    def recv_frame(self, timeout_s: float | None = None) -> wire.V2Frame | None:
         """Read one frame; ``None`` means the peer closed cleanly.
 
         Raises :class:`PeerGone` when the stream ends inside a frame
         (the peer died mid-message), :class:`TransportTimeout` when
-        ``timeout_s`` elapses first, and :class:`FrameTooLarge` when
-        the header announces more than
-        :data:`~repro.serve.wire.MAX_FRAME_BYTES`.  Each leaves the
-        stream unframed — abandon the transport and reconnect.
+        ``timeout_s`` elapses first, :class:`FrameTooLarge` when the
+        header announces more than
+        :data:`~repro.serve.wire.MAX_FRAME_BYTES`, and
+        :class:`~repro.serve.wire.FrameError` when the body does not
+        decode.  Each means the peer cannot be trusted to stay framed —
+        abandon the transport and reconnect.
         """
         self._set_read_timeout(timeout_s)
         stream = self._read_stream()
@@ -396,25 +399,45 @@ class Transport:
             raise PeerGone(f"peer {self.peer} vanished mid-frame (partial frame discarded)")
         return wire.decode_body(body, shm=self._shm_rx)
 
-    def request(self, payload, timeout_s: float | None = None):
-        """One pickled round-trip; the building block for heartbeats.
+    def request(self, kind: str, meta: dict, timeout_s: float | None = None) -> wire.V2Frame:
+        """One control round-trip: send a zero-array frame, return the reply frame.
 
-        A ``None`` reply (peer closed instead of answering) is
-        promoted to :class:`PeerGone` — a request must be answered.
+        The building block for heartbeats and handshakes.  A ``None``
+        reply (peer closed instead of answering) is promoted to
+        :class:`PeerGone` — a request must be answered.
         """
-        return self.request_with(lambda t: t.send_pickle(payload), timeout_s=timeout_s)
+        return self.request_with(lambda t: t.send_v2(kind, meta, ()), timeout_s=timeout_s)
 
-    def request_with(self, send, timeout_s: float | None = None):
+    def request_with(self, send: Callable[[Transport], None], timeout_s: float | None = None) -> wire.V2Frame:
         """A round-trip whose request ``send(transport)`` writes itself.
 
-        Same reply semantics as :meth:`request`; used by callers that
-        pre-encode their frames (the v2 zero-copy path).
+        Same reply semantics as :meth:`request`; used by callers whose
+        request carries arrays (the bulk ops) or is built once per call.
         """
         send(self)
         reply = self.recv_frame(timeout_s=timeout_s)
         if reply is None:
             raise PeerGone(f"peer {self.peer} closed instead of replying")
         return reply
+
+    def reply(self, handler: Callable[[], object]) -> None:
+        """Answer one request with ``handler()``: the one server-side reply path.
+
+        A :class:`~repro.serve.wire.V2Frame` result is sent as it is (bulk
+        replies); any other value as ``ok`` with ``{"value": result}``.
+        An exception from the handler — or from encoding its result —
+        becomes an ``err`` frame naming its type, so the peer's errors
+        travel the wire and the connection stays framed.  Only a failure
+        of this link raises (:class:`TransportError`).
+        """
+        try:
+            result = handler()
+            if not isinstance(result, wire.V2Frame):
+                result = wire.V2Frame("ok", {"value": result}, [])
+            chunks = self._encode(result.kind, result.meta, result.arrays)
+        except Exception as exc:  # errors travel the wire, not the serving process
+            chunks = self._encode("err", wire.error_meta(exc), [])
+        self.send_chunks(chunks)
 
     def wait_readable(self, timeout_s: float | None = None) -> bool:
         """Block until the next frame's first byte is available.

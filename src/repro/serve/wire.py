@@ -1,22 +1,15 @@
-"""Worker wire codec: length-prefixed frames, pickle (v1) and zero-copy (v2).
+"""Worker wire codec: one length-prefixed frame format for every message.
 
-The :class:`~repro.serve.workers.ShardWorker` protocol frames every
-message as a 4-byte big-endian length plus a body, whatever the
-transport underneath.  A length above :data:`MAX_FRAME_BYTES` is
-rejected with :class:`FrameTooLarge` before any body byte is read, so
-one hostile header cannot make a listener allocate gigabytes.  PR 3
-shipped one body format — a pickle of ``(op, args, kwargs)`` — which is
-fine for control traffic but wasteful for the bulk inference messages:
-pickling a numpy array walks the object graph, copies the payload into
-the pickle stream, and on receive copies it *again* out of the stream
-into a fresh array.
+Every message between a :class:`~repro.serve.workers.ShardWorker` and
+its worker, and between a :class:`~repro.serve.client.SocClient` and
+the daemon, is one frame: a 4-byte big-endian length plus a body,
+whatever the transport underneath.  A length above
+:data:`MAX_FRAME_BYTES` is rejected with :class:`FrameTooLarge` before
+any body byte is read, so one hostile header cannot make a listener
+allocate gigabytes.  The body is a struct header, a JSON block and raw
+array bytes::
 
-The **v2 frame format** added here keeps the outer framing and replaces
-the body for bulk messages (``estimate`` / ``predict`` /
-``rollout_fleet`` / ``resume_rollout_fleet`` and their replies) with a
-struct header plus raw array bytes::
-
-    body    := magic=0xB2 (1B) | version (1B) | meta_len (>I) | n_arrays (>H)
+    body    := magic=0xB2 (1B) | version=3 (1B) | meta_len (>I) | n_arrays (>I)
                | meta (UTF-8 JSON, meta_len bytes)
                | array payloads (raw C-order bytes, back to back)
 
@@ -24,25 +17,42 @@ struct header plus raw array bytes::
                 "meta":   <kind-specific JSON object>,
                 "arrays": [{"dtype": "<f8", "shape": [n, ...]}, ...]}
 
-The sender writes the header, the JSON block and then each array's
-buffer straight from the array memory (no intermediate pickle stream);
-the receiver decodes each payload with :func:`numpy.frombuffer` over
-the received body — a *view*, not a copy, so a 1,000-cell estimate
-batch or a fleet's rollout trajectories cross the pipe with zero
-per-element Python work and zero decode-side copies.  Decoded arrays
-are read-only (they alias the frame buffer); engine code treats inputs
-as immutable, results are copied out at the worker API boundary (so
-callers get writable arrays, as from an in-process engine), and
-float64 payloads round-trip **bit-for-bit** — the property the worker
-equivalence suite pins.
+Bulk messages (``estimate`` / ``predict`` / ``rollout_fleet`` /
+``resume_rollout_fleet`` and their replies) carry their numbers as
+arrays: the sender writes each array's buffer straight from the array
+memory, and the receiver decodes each payload with
+:func:`numpy.frombuffer` over the received body — a *view*, not a
+copy, so a 1,000-cell estimate batch or a fleet's rollout trajectories
+cross the pipe with zero per-element Python work and zero decode-side
+copies.  Decoded arrays are read-only (they alias the frame buffer);
+engine code treats inputs as immutable, results are copied out at the
+worker API boundary (so callers get writable arrays, as from an
+in-process engine), and float64 payloads round-trip **bit-for-bit** —
+the property the worker equivalence suite pins.
 
-Both formats coexist on one pipe: a pickle body starts with the
-protocol-2+ opcode ``0x80``, a v2 body with the magic ``0xB2``, so
-:func:`read_frame` dispatches on the first byte.  Control ops (init,
-shutdown, registration, state migration) stay on pickle — they are
-rare and structural — and anything v2 cannot express (e.g. cycle tags
-that are not JSON) falls back to pickle per message, never per
-session.
+Control messages (``init``, ``ping``, registration, state migration,
+metrics, every :class:`~repro.serve.client.SocClient` op, ...) are the
+same frame with no arrays.  A request's meta is ``{"args": [...],
+"kwargs": {...}}`` (:func:`call_meta`); the reply is ``kind="ok"``
+with ``{"value": ...}`` or ``kind="err"`` with ``{"type", "message"}``
+(:func:`error_meta`), which :func:`check_reply` turns back into the
+exception on the calling side.  Values JSON cannot carry travel as
+tagged objects over a closed set of types — :class:`CellState`,
+:class:`DriftEvent` and numeric ndarrays (a model's ``state_dict``);
+numeric numpy scalars become plain JSON numbers.  Anything else fails
+to encode with ``TypeError`` before a byte is written, and an unknown
+tag fails to decode.
+
+**Decoding is total.**  :func:`decode_body` returns a :class:`V2Frame`
+or raises :class:`FrameError` — a short header, a foreign magic or
+version, bad UTF-8 or JSON, a malformed array spec (non-numeric dtype,
+a negative or non-integer dimension), a payload that does not exactly
+fill the body, or an out-of-range shm ref.  :class:`FrameError` is a
+:class:`TransportError`, so every receive path drops the connection
+on it exactly as on a torn stream; nothing from the peer is executed.
+The version byte moved to 3 with the 4-byte ``n_arrays`` field, so a
+peer built for the 2-byte field refuses these frames instead of
+misparsing them.
 
 **Shared-memory refs (shm transport).**  Over the ``shm://`` local
 transport (:class:`repro.serve.transport.ShmRing`) bulk payloads stop
@@ -55,9 +65,7 @@ the ring — the same read-only-view contract as in-band payloads.  A
 message whose payloads do not fit the ring returns ``None`` from
 :func:`encode_v2_shm` and falls back to an in-band :func:`encode_v2`
 frame, so ring capacity bounds memory, never message size.  Ref frames
-are only valid between the two endpoints sharing the ring; everything
-else about the format (dispatch byte, meta, fallback rules) is
-unchanged.
+are only valid between the two endpoints sharing the ring.
 
 **Trace context.**  The kind-specific ``meta`` block is free-form
 JSON, so distributed-tracing context rides as one optional meta key
@@ -66,15 +74,17 @@ triple from :func:`pack_trace_context`.  Replies from a
 trace-enabled worker may carry the sibling key ``"spans"`` — span
 dicts recorded in the child, re-joined to the parent's trace via
 :meth:`repro.monitor.tracing.SpanTracer.absorb`.  Decoders ignore
-both keys; pickle-fallback messages carry no trace context (those
-paths stay untraced).
+both keys; control ops carry no trace context.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import json
-import pickle
+import math
+import re
 import struct
 from typing import Iterable, Sequence
 
@@ -83,8 +93,11 @@ import numpy as np
 from ..battery.simulator import SimulationResult
 from ..core.rollout import RolloutResult
 from ..datasets.base import CycleRecord
+from ..monitor.drift import DriftEvent
+from .engine import CellState
 
 __all__ = [
+    "FrameError",
     "FrameTooLarge",
     "LENGTH_PREFIX_SIZE",
     "MAX_FRAME_BYTES",
@@ -96,12 +109,15 @@ __all__ = [
     "read_exact",
     "frame_header",
     "frame_length",
-    "pickle_body",
     "decode_body",
-    "write_pickle",
     "write_v2",
     "encode_v2",
     "encode_v2_shm",
+    "check_encodable",
+    "call_meta",
+    "call_args",
+    "error_meta",
+    "check_reply",
     "encode_str_list",
     "decode_str_list",
     "encode_rollout_request",
@@ -111,9 +127,9 @@ __all__ = [
 ]
 
 V2_MAGIC = 0xB2
-V2_VERSION = 2
+V2_VERSION = 3
 _LENGTH = struct.Struct(">I")
-_V2_HEAD = struct.Struct(">BBIH")
+_V2_HEAD = struct.Struct(">BBII")
 
 # Optional meta key carrying trace context across the process boundary.
 TRACE_META_KEY = "tc"
@@ -122,6 +138,17 @@ TRACE_META_KEY = "tc"
 # suites and benchmarks send (a 1k-cell fleet rollout request is ~4 MB,
 # the transport echo 2 MB), far below what a forged header could claim.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+# Array dtypes a frame may declare: bool, signed/unsigned int and float,
+# as numpy spells them in ``dtype.str``.  Matching the spelling first
+# keeps numpy's dtype parser away from arbitrary peer strings.
+_NUMERIC_KINDS = "biuf"
+_DTYPE_SPELLING = re.compile(r"[<>|=]?[biuf][0-9]{1,2}")
+
+# JSON key marking a tagged (non-JSON) value, and the exceptions an
+# ``err`` reply re-raises by name (anything else arrives as RuntimeError).
+_TAG = "__wire__"
+_REPLY_ERRORS = {"KeyError": KeyError, "ValueError": ValueError}
 
 
 class TransportError(ConnectionError):
@@ -136,19 +163,27 @@ class FrameTooLarge(TransportError):
     """
 
 
+class FrameError(TransportError, ValueError):
+    """A frame body that does not decode.
+
+    A :class:`TransportError` — the peer is not speaking this protocol,
+    so the connection is dropped — and a ``ValueError``, like any other
+    malformed input.
+    """
+
+
 def pack_trace_context(ctx) -> list[int]:
     """``[trace_id, span_id, flags]`` for the :data:`TRACE_META_KEY` meta slot.
 
-    Duck-typed on :class:`~repro.monitor.tracing.TraceContext` so this
-    module keeps zero monitor imports; bit 0 of ``flags`` is the
-    head-sampled bit.
+    Duck-typed on :class:`~repro.monitor.tracing.TraceContext`; bit 0
+    of ``flags`` is the head-sampled bit.
     """
     return [int(ctx.trace_id), int(ctx.span_id), 1 if ctx.sampled else 0]
 
 
 @dataclasses.dataclass
 class V2Frame:
-    """One decoded v2 message: a kind tag, JSON-safe meta, raw arrays."""
+    """One decoded message: a kind tag, JSON-safe meta, raw arrays."""
 
     kind: str
     meta: dict
@@ -171,9 +206,6 @@ def read_exact(stream, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-_read_exact = read_exact  # internal alias, kept for call-site brevity
-
-
 def frame_header(body_length: int) -> bytes:
     """The 4-byte length prefix for a ``body_length``-byte frame body."""
     return _LENGTH.pack(body_length)
@@ -190,147 +222,249 @@ def frame_length(header: bytes) -> int:
     return length
 
 
-def pickle_body(payload) -> bytes:
-    """A v1 frame body: the payload pickled at the highest protocol."""
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_body(body: bytes, shm=None):
-    """Decode one frame body: a :class:`V2Frame` or an unpickled payload.
-
-    The first byte dispatches — ``0xB2`` is the v2 magic, ``0x80`` the
-    pickle protocol-2+ opcode — exactly as the stream-level
-    :func:`read_frame` always did; transports that read bodies
-    themselves (for torn-stream detection) decode through this.
-
-    ``shm`` is the receive-side shared-memory ring (any object exposing
-    the mapped bytes as ``.buf``); array specs carrying ``"shm"`` refs
-    are resolved against it.  Without a ring attached such frames raise
-    ``ValueError`` — they are meaningless off their transport.
-    """
-    if body[:1] == bytes([V2_MAGIC]):
-        return _decode_v2(body, shm=shm)
-    return pickle.loads(body)
-
-
-def read_frame(stream):
-    """Read one frame; a pickle payload, a :class:`V2Frame`, or ``None`` on EOF."""
-    header = _read_exact(stream, _LENGTH.size)
+def read_frame(stream) -> V2Frame | None:
+    """Read one frame from a binary stream; ``None`` on EOF."""
+    header = read_exact(stream, _LENGTH.size)
     if header is None:
         return None
-    body = _read_exact(stream, frame_length(header))
+    body = read_exact(stream, frame_length(header))
     if body is None:
         return None
     return decode_body(body)
 
 
-def write_pickle(stream, payload) -> None:
-    """Write one v1 frame (a pickled payload)."""
-    body = pickle_body(payload)
-    stream.write(_LENGTH.pack(len(body)) + body)
-    stream.flush()
+# -- encoding ----------------------------------------------------------
+def _encode_value(obj):
+    """``json`` ``default`` hook: the closed set of tagged types."""
+    if isinstance(obj, CellState):
+        return {_TAG: "CellState", **dataclasses.asdict(obj)}
+    if isinstance(obj, DriftEvent):
+        return {_TAG: "DriftEvent", **dataclasses.asdict(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)) and obj.dtype.kind in _NUMERIC_KINDS:
+        if isinstance(obj, np.generic):
+            return obj.item()
+        array = np.ascontiguousarray(obj)
+        return {
+            _TAG: "ndarray",
+            "dtype": array.dtype.str,
+            "shape": list(array.shape),
+            "data": base64.b64encode(array.tobytes()).decode("ascii"),
+        }
+    raise TypeError(f"{type(obj).__name__} values cannot cross the wire")
 
 
-def encode_v2(kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> list:
-    """Serialize a v2 message into write-ready buffers.
-
-    Fully serializes (including the JSON meta block) **before**
-    returning, so a ``TypeError`` from non-JSON meta surfaces while the
-    stream is still clean and the caller can fall back to pickle.
-    Returns ``[header+meta bytes, array buffer, ...]``; array buffers
-    are memoryviews of the (C-contiguous) array memory — no copy.
-    """
-    if len(arrays) > 0xFFFF:
-        # n_arrays is a 2-byte field; a rollout request carrying more
-        # unique cycles than that degrades to a pickle frame instead
-        raise TypeError(f"{len(arrays)} arrays exceed the v2 frame limit of 65535")
-    blocks: list = []
-    specs = []
+def _payloads(arrays: Sequence[np.ndarray]) -> tuple[list[dict], list[memoryview]]:
+    """Array specs, plus byte views of the non-empty arrays' memory (no copy)."""
+    specs, blocks = [], []
     for array in arrays:
         array = np.ascontiguousarray(array)
-        if array.dtype.hasobject:
-            raise TypeError("v2 frames carry raw numeric arrays, not object dtypes")
+        if array.dtype.kind not in _NUMERIC_KINDS:
+            raise TypeError(f"frames carry numeric arrays, not dtype {array.dtype}")
         specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
         if array.size:  # empty views cannot be byte-cast; they carry no payload
             blocks.append(memoryview(array).cast("B"))
-    meta_b = json.dumps({"kind": kind, "meta": meta, "arrays": specs}, separators=(",", ":")).encode("utf-8")
-    head = _V2_HEAD.pack(V2_MAGIC, V2_VERSION, len(meta_b), len(arrays))
-    length = _V2_HEAD.size + len(meta_b) + sum(len(b) for b in blocks)
-    return [_LENGTH.pack(length) + head + meta_b, *blocks]
+    return specs, blocks
+
+
+def _head(kind: str, meta: dict, specs: list[dict], payload_bytes: int) -> bytes:
+    """Length prefix + struct header + JSON meta of one frame."""
+    info = {"kind": kind, "meta": meta, "arrays": specs}
+    meta_b = json.dumps(info, separators=(",", ":"), default=_encode_value).encode("utf-8")
+    head = _V2_HEAD.pack(V2_MAGIC, V2_VERSION, len(meta_b), len(specs))
+    return _LENGTH.pack(_V2_HEAD.size + len(meta_b) + payload_bytes) + head + meta_b
+
+
+def encode_v2(kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> list:
+    """Serialize a message into write-ready buffers.
+
+    Fully serializes (including the JSON meta block) **before**
+    returning, so a ``TypeError`` from a value the codec cannot carry
+    surfaces while the stream is still clean.  Returns ``[length
+    prefix + header + meta bytes, array buffer, ...]``; array buffers
+    are memoryviews of the (C-contiguous) array memory — no copy.
+    """
+    specs, blocks = _payloads(arrays)
+    return [_head(kind, meta, specs, sum(b.nbytes for b in blocks)), *blocks]
 
 
 def write_v2(stream, kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> None:
-    """Write one v2 frame, streaming array payloads from their buffers."""
+    """Write one frame, streaming array payloads from their buffers."""
     for chunk in encode_v2(kind, meta, arrays):
         stream.write(chunk)
     stream.flush()
 
 
 def encode_v2_shm(kind: str, meta: dict, arrays: Sequence[np.ndarray], ring) -> list | None:
-    """Serialize a v2 message with payloads placed in a shared-memory ring.
+    """Serialize a message with payloads placed in a shared-memory ring.
 
     Array bytes are copied into ``ring`` (via its ``place`` method) and
-    each spec gains an ``"shm": [offset, nbytes]`` ref; the returned
-    buffers carry only the header + meta, so the bulk payload never
-    touches the stream.  Returns ``None`` when the payloads do not fit
-    the ring — the caller sends a plain in-band :func:`encode_v2` frame
-    instead.  Like :func:`encode_v2`, the JSON meta is fully serialized
-    before anything is written to the *stream*, so pickle fallback on
-    ``TypeError`` still sees a clean stream (slab bytes already placed
-    are simply overwritten by a later message).
+    each non-empty array's spec gains an ``"shm": [offset, nbytes]``
+    ref; the returned buffers carry only the header + meta, so the bulk
+    payload never touches the stream.  Returns ``None`` when the
+    payloads do not fit the ring — the caller sends a plain in-band
+    :func:`encode_v2` frame instead.  Like :func:`encode_v2`, nothing
+    reaches the *stream* before the JSON meta is fully serialized (slab
+    bytes already placed for a message that then fails to encode are
+    simply overwritten later).
     """
-    if len(arrays) > 0xFFFF:
-        raise TypeError(f"{len(arrays)} arrays exceed the v2 frame limit of 65535")
-    blocks: list = []
-    normalized: list[tuple[np.ndarray, bool]] = []
-    for array in arrays:
-        array = np.ascontiguousarray(array)
-        if array.dtype.hasobject:
-            raise TypeError("v2 frames carry raw numeric arrays, not object dtypes")
-        payload = bool(array.size)  # empty arrays carry no payload, shm or not
-        normalized.append((array, payload))
-        if payload:
-            blocks.append(memoryview(array).cast("B"))
+    specs, blocks = _payloads(arrays)
     offsets = ring.place(blocks)
     if offsets is None:
         return None
-    refs = iter(offsets)
-    specs = []
-    for array, payload in normalized:
-        spec = {"dtype": array.dtype.str, "shape": list(array.shape)}
-        if payload:
-            spec["shm"] = [next(refs), array.nbytes]
-        specs.append(spec)
-    meta_b = json.dumps({"kind": kind, "meta": meta, "arrays": specs}, separators=(",", ":")).encode("utf-8")
-    head = _V2_HEAD.pack(V2_MAGIC, V2_VERSION, len(meta_b), len(arrays))
-    return [_LENGTH.pack(_V2_HEAD.size + len(meta_b)) + head + meta_b]
+    placed = iter(zip(offsets, blocks))
+    for spec in specs:
+        if math.prod(spec["shape"]):
+            offset, block = next(placed)
+            spec["shm"] = [offset, block.nbytes]
+    return [_head(kind, meta, specs, 0)]
 
 
-def _decode_v2(body: bytes, shm=None) -> V2Frame:
+# -- decoding ----------------------------------------------------------
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _dtype(spelling) -> np.dtype:
+    if isinstance(spelling, str) and _DTYPE_SPELLING.fullmatch(spelling):
+        try:
+            return np.dtype(spelling)
+        except TypeError:  # a width numpy lacks, e.g. "<f3"
+            pass
+    raise FrameError(f"array dtype {spelling!r:.40} is not a numeric dtype")
+
+
+def _shape(shape) -> tuple[int, ...]:
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise FrameError(f"array shape {shape!r} is not a list of non-negative ints")
+    return tuple(shape)
+
+
+def _reshape(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        return flat.reshape(shape)
+    except (ValueError, OverflowError) as exc:  # more dims, or a larger dim, than numpy allows
+        raise FrameError(f"array shape {shape!r:.80} is not representable: {exc}") from exc
+
+
+def _decode_value(obj: dict):
+    """``json`` ``object_hook``: rebuild tagged values, pass plain dicts."""
+    tag = obj.pop(_TAG, None)
+    if tag is None:
+        return obj
+    try:
+        if tag == "CellState":
+            return CellState(**obj)
+        if tag == "DriftEvent":
+            return DriftEvent(**{**obj, "trace_ids": tuple(obj.get("trace_ids", ()))})
+        if tag == "ndarray":
+            dtype, shape = _dtype(obj["dtype"]), _shape(obj["shape"])
+            raw = base64.b64decode(obj["data"], validate=True)
+            if len(raw) != math.prod(shape) * dtype.itemsize:
+                raise FrameError(f"ndarray of shape {shape} carries {len(raw)} bytes")
+            return _reshape(np.frombuffer(bytearray(raw), dtype=dtype), shape)
+    except (TypeError, KeyError, binascii.Error) as exc:
+        raise FrameError(f"malformed {tag!r} value: {exc}") from exc
+    raise FrameError(f"unknown value tag {tag!r}")
+
+
+def decode_body(body: bytes, shm=None) -> V2Frame:
+    """Decode one frame body into a :class:`V2Frame`.
+
+    ``shm`` is the receive-side shared-memory ring (any object exposing
+    the mapped bytes as ``.buf``); array specs carrying ``"shm"`` refs
+    are resolved against it.  Raises :class:`FrameError` on anything
+    that is not a well-formed frame of this version — including shm
+    refs with no ring attached, which are meaningless off their
+    transport.
+    """
+    if len(body) < _V2_HEAD.size:
+        raise FrameError(f"frame body of {len(body)} bytes is shorter than its header")
     magic, version, meta_len, n_arrays = _V2_HEAD.unpack_from(body, 0)
-    if version > V2_VERSION:
-        raise ValueError(f"frame format v{version} is newer than this build (v{V2_VERSION})")
-    offset = _V2_HEAD.size
-    info = json.loads(body[offset : offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    if len(info["arrays"]) != n_arrays:
-        raise ValueError(f"frame header promises {n_arrays} arrays, meta lists {len(info['arrays'])}")
+    if magic != V2_MAGIC:
+        raise FrameError(f"frame magic 0x{magic:02x} is not 0x{V2_MAGIC:02x}")
+    if version != V2_VERSION:
+        raise FrameError(f"frame format v{version} is not this build's v{V2_VERSION}")
+    offset = _V2_HEAD.size + meta_len
+    if offset > len(body):
+        raise FrameError(f"frame meta of {meta_len} bytes overruns the {len(body)}-byte body")
+    try:
+        info = json.loads(body[_V2_HEAD.size : offset].decode("utf-8"), object_hook=_decode_value)
+    except FrameError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise FrameError(f"frame meta is not UTF-8 JSON: {exc}") from exc
+    if type(info) is not dict or not isinstance(info.get("kind"), str) or type(info.get("meta")) is not dict:
+        raise FrameError("frame meta needs a string 'kind' and an object 'meta'")
+    specs = info.get("arrays")
+    if not isinstance(specs, list) or len(specs) != n_arrays:
+        raise FrameError(f"frame header promises {n_arrays} arrays, meta lists {specs!r:.80}")
     arrays = []
-    for spec in info["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for spec in specs:
+        if type(spec) is not dict:
+            raise FrameError(f"array spec {spec!r:.80} is not an object")
+        dtype, shape = _dtype(spec.get("dtype")), _shape(spec.get("shape"))
+        nbytes = math.prod(shape) * dtype.itemsize
         ref = spec.get("shm")
-        if ref is not None:
-            if shm is None:
-                raise ValueError("frame carries shm refs but no ring is attached to this transport")
-            array = np.frombuffer(shm.buf, dtype=dtype, count=count, offset=int(ref[0])).reshape(shape)
-            array.flags.writeable = False  # same read-only-view contract as in-band payloads
+        if ref is None:
+            source, start = body, offset
+            offset += nbytes
         else:
-            array = np.frombuffer(body, dtype=dtype, count=count, offset=offset).reshape(shape)
-            offset += count * dtype.itemsize
-        arrays.append(array)
+            if shm is None:
+                raise FrameError("frame carries shm refs but no ring is attached to this transport")
+            if not (isinstance(ref, list) and len(ref) == 2 and all(_is_count(v) for v in ref)):
+                raise FrameError(f"shm ref {ref!r:.80} is not [offset, nbytes]")
+            if ref[1] != nbytes or ref[0] + nbytes > len(shm.buf):
+                raise FrameError(f"shm ref {ref} is out of range for a {len(shm.buf)}-byte ring")
+            source, start = shm.buf, ref[0]
+        if offset > len(body):
+            raise FrameError(f"array payloads overrun the {len(body)}-byte body")
+        array = np.frombuffer(source, dtype=dtype, count=nbytes // dtype.itemsize, offset=start)
+        array.flags.writeable = False  # shm views too: the same read-only-view contract
+        arrays.append(_reshape(array, shape))
+    if offset != len(body):
+        raise FrameError(f"{len(body) - offset} trailing bytes after the last array payload")
     return V2Frame(kind=info["kind"], meta=info["meta"], arrays=arrays)
+
+
+def check_encodable(value, what: str) -> None:
+    """Raise ``ValueError`` unless the codec can carry ``value`` in a frame meta."""
+    try:
+        json.dumps(value, default=_encode_value)
+    except (TypeError, ValueError) as exc:  # ValueError: a circular reference
+        raise ValueError(f"{what} cannot cross the wire: {exc}") from exc
+
+
+# -- control messages --------------------------------------------------
+def call_meta(args: Sequence = (), kwargs: dict | None = None) -> dict:
+    """The meta of a control request: its positional and keyword arguments."""
+    return {"args": list(args), "kwargs": {} if kwargs is None else kwargs}
+
+
+def call_args(frame: V2Frame) -> tuple[list, dict]:
+    """``(args, kwargs)`` of a control request (``ValueError`` if malformed)."""
+    args, kwargs = frame.meta.get("args", []), frame.meta.get("kwargs", {})
+    if type(args) is not list or type(kwargs) is not dict:
+        raise ValueError(f"{frame.kind!r} request needs a list 'args' and an object 'kwargs'")
+    return args, kwargs
+
+
+def error_meta(exc: BaseException) -> dict:
+    """The meta of an ``err`` reply describing ``exc``."""
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def check_reply(frame: V2Frame) -> V2Frame:
+    """Return an ``ok`` reply; raise the exception an ``err`` reply names.
+
+    ``KeyError`` and ``ValueError`` are re-raised as themselves, every
+    other remote error as ``RuntimeError``.  A reply of any other kind
+    means the peer is not speaking this protocol: :class:`FrameError`.
+    """
+    if frame.kind == "ok":
+        return frame
+    if frame.kind == "err":
+        raise _REPLY_ERRORS.get(frame.meta.get("type"), RuntimeError)(frame.meta.get("message", ""))
+    raise FrameError(f"reply kind {frame.kind!r} is neither 'ok' nor 'err'")
 
 
 # -- bulk-message payload codecs ---------------------------------------
@@ -346,8 +480,8 @@ def encode_str_list(items: Sequence[str]) -> np.ndarray:
     Raises
     ------
     TypeError
-        When an item contains the NUL separator — the caller falls
-        back to a pickle frame for that message.
+        When an item contains the NUL separator.  No registered cell
+        id does: :class:`~repro.serve.engine.FleetEngine` refuses them.
     """
     joined = "\x00".join(items)
     if joined.count("\x00") != max(len(items) - 1, 0):

@@ -36,24 +36,23 @@ Wire protocol (one reply per request, strictly in order; see
 
     frame   := header body
     header  := 4-byte big-endian unsigned length of body
-    body    := pickle of the payload          (v1: control ops)
-             | 0xB2 struct header + raw arrays (v2: bulk ops)
-    request := (op, args, kwargs)             (v1)
-             | V2Frame(kind, meta, arrays)    (v2)
-    reply   := ("ok", value) | ("err", exc_type_name, message)
-             | V2Frame("ok", meta, arrays)
+    body    := 0xB2 struct header + JSON meta + raw arrays
+    request := V2Frame(op, {"args": [...], "kwargs": {...}}, [])  control ops
+             | V2Frame(op, meta, arrays)                         bulk ops
+    reply   := V2Frame("ok", {"value": ...}, [])                 control ops
+             | V2Frame("ok", meta, arrays)                       bulk ops
+             | V2Frame("err", {"type": ..., "message": ...}, [])
 
-Control traffic (init, registration, state migration, shutdown) stays
-pickled — both ends are the same codebase on a private link — while
+Control ops (init, registration, state migration, metrics, drift
+events, shutdown) carry their arguments and results in the JSON meta;
 the bulk inference messages (``estimate``/``predict``/
-``rollout_fleet``/``resume_rollout_fleet``) use **v2 zero-copy
-frames**: struct header plus raw array bytes, decoded with
-``np.frombuffer`` instead of unpickling.  Anything v2 cannot express
-(non-JSON cycle tags) falls back to pickle for that message.  The
-serving side is :class:`WorkerEndpoint` — the dispatch loop
-:func:`worker_main` (pipes), :func:`run_worker` (socket listener, the
-``repro-soc worker`` entry point) and :func:`run_worker_connect` all
-run.
+``rollout_fleet``/``resume_rollout_fleet``) carry theirs as raw array
+payloads decoded with ``np.frombuffer``.  No message decodes to
+anything but numbers, strings and the codec's closed set of tagged
+types, whatever the peer sends.  The serving side is
+:class:`WorkerEndpoint` — the one dispatch loop :func:`worker_main`
+(pipes), :func:`run_worker` (socket listener, the ``repro-soc worker``
+entry point) and :func:`run_worker_connect` all run.
 
 Lifecycle, one rule for every launch mode:
 
@@ -136,7 +135,7 @@ def _wire_col(col) -> np.ndarray:
     Scalars ship as a single element — the remote engine broadcasts
     them across the batch exactly as the in-process engine would — so
     a fleet-wide constant never crosses the wire N times.  ``float32``
-    arrays keep their dtype (the v2 codec is dtype-faithful, and a
+    arrays keep their dtype (the frame codec is dtype-faithful, and a
     silent float64 upcast would re-copy the bandwidth the tiered
     serving mode saves); everything else is normalized to float64.
     """
@@ -181,7 +180,7 @@ def _engine_spec(
     drift_from_registry: bool = False,
     dtype=None,
 ) -> dict:
-    """The picklable ``init`` payload a worker builds its engine from."""
+    """The ``init`` payload a worker builds its engine from."""
     if default_model is None and registry_root is None:
         raise ValueError("need a default model, a registry root, or both")
     if drift_from_registry and registry_root is None:
@@ -220,8 +219,8 @@ class ShardWorker:
     ``estimate`` / ``predict`` / ``rollout_fleet`` / state
     adopt/evict / ``len`` / ``in``), each call one round-trip on the
     wire protocol.  The ``url`` scheme picks how the peer is launched
-    (see the module docstring); everything else — the RPC surface, v2
-    zero-copy encoding, trace propagation, the lifecycle — is the same
+    (see the module docstring); everything else — the RPC surface, zero-copy
+    encoding, trace propagation, the lifecycle — is the same
     for every launch mode.
 
     Parameters
@@ -257,7 +256,7 @@ class ShardWorker:
         topology.
     trace:
         Enable distributed-tracing support in the worker: requests
-        whose v2 frame carries trace context (see
+        whose frame carries trace context (see
         :data:`repro.serve.wire.TRACE_META_KEY`) get
         ``worker.deserialize`` / ``worker.compute`` /
         ``worker.serialize`` child spans recorded worker-side and
@@ -392,11 +391,11 @@ class ShardWorker:
         if transport is None or transport.closed:
             return False
         try:
-            reply = transport.request(("ping", (), {}), timeout_s=timeout_s)
+            reply = transport.request("ping", wire.call_meta(), timeout_s=timeout_s)
         except TransportError as exc:
             self._transport_failed("ping", exc)
             return False
-        return reply == ("ok", "pong")
+        return reply.kind == "ok" and reply.meta.get("value") == "pong"
 
     def restart(self) -> None:
         """Bring a dead worker back; its journal restores the engine.
@@ -617,9 +616,9 @@ class ShardWorker:
     ) -> np.ndarray:
         """Batched Branch 1 on the worker (see ``FleetEngine.estimate``).
 
-        Ships the batch as a v2 zero-copy frame: one struct header, the
-        cell-id blob, and three raw float payloads — no pickling.  Over
-        an shm transport the payloads ride the shared-memory ring
+        Ships the batch as one zero-copy frame: a struct header, the
+        cell-id blob, and three raw float payloads.  Over an shm
+        transport the payloads ride the shared-memory ring
         (:meth:`Transport.send_v2 <repro.serve.transport.Transport.send_v2>`).
         """
         ids = list(cell_ids)
@@ -627,15 +626,12 @@ class ShardWorker:
         meta = {"n": n, "now_s": now_s}
         # the wire.request span covers encode + round-trip + decode; its
         # context rides in the frame meta so the worker's worker.* spans
-        # parent under it (the pickle fallback stays untraced)
+        # parent under it
         with trace_stage("wire.request", op="estimate") as h:
             if h is not None:
                 meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
-            try:
-                payload = [wire.encode_str_list(ids), *(_wire_col(col) for col in (voltage, current, temp_c))]
-                reply = self._roundtrip(lambda t: t.send_v2("estimate", meta, payload), "estimate")
-            except TypeError:
-                return self._call("estimate", ids, voltage, current, temp_c, now_s=now_s)
+            payload = [wire.encode_str_list(ids), *(_wire_col(col) for col in (voltage, current, temp_c))]
+            reply = self._roundtrip(lambda t: t.send_v2("estimate", meta, payload), "estimate")
             if h is not None:
                 h.ctx.tracer.absorb(reply.meta.get("spans") or ())
             # copy out of the frame body: callers get writable arrays, as
@@ -659,23 +655,11 @@ class ShardWorker:
         with trace_stage("wire.request", op="predict") as h:
             if h is not None:
                 meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
-            try:
-                arrays = [_wire_col(col) for col in (current_avg, temp_avg_c, horizon_s)]
-                if soc_now is not None:
-                    arrays.append(_wire_col(soc_now))
-                payload = [wire.encode_str_list(ids), *arrays]
-                reply = self._roundtrip(lambda t: t.send_v2("predict", meta, payload), "predict")
-            except TypeError:
-                return self._call(
-                    "predict",
-                    ids,
-                    current_avg,
-                    temp_avg_c,
-                    horizon_s,
-                    soc_now=soc_now,
-                    commit=commit,
-                    now_s=now_s,
-                )
+            arrays = [_wire_col(col) for col in (current_avg, temp_avg_c, horizon_s)]
+            if soc_now is not None:
+                arrays.append(_wire_col(soc_now))
+            payload = [wire.encode_str_list(ids), *arrays]
+            reply = self._roundtrip(lambda t: t.send_v2("predict", meta, payload), "predict")
             if h is not None:
                 h.ctx.tracer.absorb(reply.meta.get("spans") or ())
             return reply.arrays[0].copy()
@@ -688,11 +672,12 @@ class ShardWorker:
     ) -> dict[str, RolloutResult]:
         """Fleet rollout on the worker; numerically the in-process result.
 
-        Assignments ship as a v2 frame — deduplicated cycle channel
-        arrays plus a JSON pair list — and the reply streams every
-        trajectory back as three stacked arrays.  Cycles whose tags are
-        not JSON-safe fall back to the pickle frame for that call.
-        ``step_hook`` cannot cross the process boundary — use
+        Assignments ship as one frame — deduplicated cycle channel
+        arrays plus a raw pair list — and the reply streams every
+        trajectory back as three stacked arrays.  Cycle tags ride in the
+        JSON meta, so a tag the codec cannot carry raises ``TypeError``
+        before anything is sent.  ``step_hook`` cannot cross the process
+        boundary — use
         :meth:`crash_after_window` for fault injection instead.
         """
         return self._rollout_call("rollout_fleet", assignments, step_s, step_hook)
@@ -711,19 +696,13 @@ class ShardWorker:
             raise ValueError("step_hook cannot cross the process boundary")
         pairs = list(assignments)
         with trace_stage("wire.request", op=op) as h:
-            try:
-                meta, arrays = wire.encode_rollout_request(pairs, float(step_s))
-                if h is not None:
-                    meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
-                reply = self._roundtrip(lambda t: t.send_v2(op, meta, arrays), op)
-            except TypeError:
-                # something in the cycles is not v2-expressible; pickle it
-                return self._call(op, pairs, float(step_s))
-            if isinstance(reply, wire.V2Frame):
-                if h is not None:
-                    h.ctx.tracer.absorb(reply.meta.get("spans") or ())
-                return wire.decode_rollout_results(reply.meta, reply.arrays)
-            return reply
+            meta, arrays = wire.encode_rollout_request(pairs, float(step_s))
+            if h is not None:
+                meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
+            reply = self._roundtrip(lambda t: t.send_v2(op, meta, arrays), op)
+            if h is not None:
+                h.ctx.tracer.absorb(reply.meta.get("spans") or ())
+            return wire.decode_rollout_results(reply.meta, reply.arrays)
 
     def metrics_snapshot(self) -> dict | None:
         """The worker engine's metrics snapshot (``None`` unless ``monitor``).
@@ -738,9 +717,9 @@ class ShardWorker:
         """The worker monitor's drift-event ring (empty unless ``monitor``).
 
         One ``drift_events`` round-trip;
-        :class:`~repro.monitor.drift.DriftEvent` records are frozen
-        dataclasses, so they travel the pickle channel intact and feed
-        the harvester / autopilot on the parent side.
+        :class:`~repro.monitor.drift.DriftEvent` is one of the codec's
+        tagged types, so the records arrive intact and feed the
+        harvester / autopilot on the parent side.
         """
         return self._call("drift_events")
 
@@ -772,26 +751,20 @@ class ShardWorker:
 
     # ------------------------------------------------------------------
     def _call(self, op: str, *args, **kwargs):
-        """One pickle-framed round-trip (control ops and fallbacks)."""
-        return self._roundtrip(lambda t: t.send_pickle((op, args, kwargs)), op)
+        """One control-op round-trip; the reply's value."""
+        meta = wire.call_meta(args, kwargs)
+        return self._roundtrip(lambda t: t.send_v2(op, meta, ()), op).meta.get("value")
 
-    def _roundtrip(self, send: Callable[[Transport], None], op: str):
+    def _roundtrip(self, send: Callable[[Transport], None], op: str) -> wire.V2Frame:
         transport = self._transport
         if transport is None:
             raise WorkerCrashError(
                 f"shard worker {self.name!r} is not running (exit code {self._exit_code}); call restart()"
             )
         try:
-            reply = transport.request_with(send, timeout_s=self._call_timeout_s)
+            return wire.check_reply(transport.request_with(send, timeout_s=self._call_timeout_s))
         except TransportError as exc:
             raise self._transport_failed(op, exc) from exc
-        if isinstance(reply, wire.V2Frame):
-            return reply
-        if reply[0] == "ok":
-            return reply[1]
-        _, exc_name, message = reply
-        exc_type = {"KeyError": KeyError, "ValueError": ValueError}.get(exc_name, RuntimeError)
-        raise exc_type(message)
 
 
 def _child_env() -> dict:
@@ -1014,6 +987,15 @@ def _crash_hook(after_window: int) -> Callable[[int], None]:
     return hook
 
 
+# Ops a worker serves.  Bulk ops carry array payloads and may carry trace
+# context; every other op is a control op with JSON args, and the
+# _ENGINE_CALLS among them pass straight through to the engine.
+_BULK_OPS = ("estimate", "predict", "rollout_fleet", "resume_rollout_fleet")
+_ENGINE_CALLS = ("register_cell", "deregister_cell", "reroute_cell", "cell", "drift_events")
+_CONTROL_OPS = ("init", "shutdown", "ping", "metrics", "crash_after", "cells", "len", "contains")
+_WORKER_OPS = frozenset(_BULK_OPS + _ENGINE_CALLS + _CONTROL_OPS + ("adopt_state", "evict_state"))
+
+
 class WorkerEndpoint:
     """The worker-side serving loop: read frames, dispatch, reply.
 
@@ -1024,7 +1006,11 @@ class WorkerEndpoint:
     :func:`run_worker` (socket listener) are thin wrappers over this
     class, so the dispatch semantics — including journal close on
     drain and the crash-injection hook — are identical on every
-    transport.
+    transport.  Every request gets exactly one reply through
+    :meth:`Transport.reply <repro.serve.transport.Transport.reply>`:
+    an unknown op or a failing engine call is an ``err`` reply on a
+    connection that stays usable, while a body that does not decode
+    drops the connection.
     """
 
     def __init__(self, transport: Transport):
@@ -1032,6 +1018,7 @@ class WorkerEndpoint:
         self.engine: FleetEngine | None = None
         self._crash_after: int | None = None
         self._tracer = None
+        self._draining = False
 
     def serve(self) -> str:
         """Serve until the peer closes (``"closed"``) or drains (``"shutdown"``)."""
@@ -1039,102 +1026,87 @@ class WorkerEndpoint:
             try:
                 frame = self.transport.recv_frame()
             except TransportError:
-                frame = None  # peer vanished mid-frame: same as a close
+                frame = None  # peer vanished mid-frame or sent garbage: same as a close
             if frame is None:
                 self._close_journal()
                 return "closed"
             try:
-                if isinstance(frame, wire.V2Frame):
-                    self._serve_v2(frame)
-                    continue
-                if self._serve_v1(frame):
-                    return "shutdown"
+                self.transport.reply(lambda: self._dispatch(frame))
             except TransportError:
                 # the peer died while we were replying; nothing to tell it
                 self._close_journal()
                 return "closed"
+            if self._draining:
+                return "shutdown"
 
     def _close_journal(self) -> None:
         if self.engine is not None and self.engine.journal is not None:
             self.engine.journal.close()
 
-    def _serve_v1(self, frame) -> bool:
-        """Dispatch one pickled control op; ``True`` means shutdown."""
-        op, args, kwargs = frame
+    def _dispatch(self, frame: wire.V2Frame):
+        """One request's reply: a value (control ops) or a reply frame (bulk ops)."""
+        op = frame.kind
+        if op not in _WORKER_OPS:
+            raise RuntimeError(f"unknown op {op!r}")
+        if op in _BULK_OPS:
+            return self._serve_bulk(frame)
+        args, kwargs = wire.call_args(frame)
         engine = self.engine
-        try:
-            if op == "init":
-                self.engine = _build_engine(args[0])
-                shm_spec = args[0].get("shm")
-                if shm_spec is not None:
-                    # roles swap on this side: the parent's request ring is
-                    # our receive ring, its reply ring is our transmit ring
-                    rx = ShmRing(shm_spec["req"], slots=shm_spec["slots"], slab_bytes=shm_spec["slab_bytes"])
-                    tx = ShmRing(shm_spec["rep"], slots=shm_spec["slots"], slab_bytes=shm_spec["slab_bytes"])
-                    self.transport.attach_shm(tx=tx, rx=rx)
-                if args[0].get("trace"):
-                    from ..monitor.tracing import SpanTracer
+        if op == "init":
+            self._init(*args)
+            return "ready"
+        if op == "shutdown":
+            self._close_journal()
+            self._draining = True
+            return "bye"
+        if op == "ping":
+            return "pong"
+        if op == "metrics":
+            return None if engine is None else engine.metrics_snapshot()
+        if op == "crash_after":
+            self._crash_after = int(args[0])
+            return self._crash_after
+        if engine is None:
+            raise RuntimeError(f"worker received {op!r} before 'init'")
+        if op == "cells":
+            return list(engine.cells())
+        if op == "len":
+            return len(engine)
+        if op == "contains":
+            return args[0] in engine
+        if op == "adopt_state":
+            # unlike in-process shards (whose shared journal already
+            # holds the record), this worker's own journal must learn
+            # about cells migrating in — or a restart would lose them
+            engine._adopt_state(args[0])
+            if engine.journal is not None:
+                engine.journal.append_cell(args[0])
+            return None
+        if op == "evict_state":
+            state = engine._evict_state(args[0])
+            if engine.journal is not None:
+                engine.journal.drop_cell(args[0])
+            return state
+        return getattr(engine, op)(*args, **kwargs)  # one of _ENGINE_CALLS
 
-                    # recorder only: no head sampling, no metrics — the
-                    # parent commits traces and owns the rollup
-                    self._tracer = SpanTracer(sample_rate=0.0, service="worker")
-                result = "ready"
-            elif op == "shutdown":
-                self._close_journal()
-                self.transport.send_pickle(("ok", "bye"))
-                return True
-            elif op == "ping":
-                result = "pong"
-            elif op == "metrics":
-                result = None if engine is None else engine.metrics_snapshot()
-            elif op == "crash_after":
-                self._crash_after = int(args[0])
-                result = self._crash_after
-            elif engine is None:
-                raise RuntimeError(f"worker received {op!r} before 'init'")
-            elif op in ("rollout_fleet", "resume_rollout_fleet"):
-                hook = None if self._crash_after is None else _crash_hook(self._crash_after)
-                result = getattr(engine, op)(args[0], args[1], step_hook=hook)
-            elif op == "cells":
-                result = [dataclasses.replace(state) for state in engine.cells()]
-            elif op == "len":
-                result = len(engine)
-            elif op == "contains":
-                result = args[0] in engine
-            elif op == "adopt_state":
-                # unlike in-process shards (whose shared journal already
-                # holds the record), this worker's own journal must learn
-                # about cells migrating in — or a restart would lose them
-                engine._adopt_state(args[0])
-                if engine.journal is not None:
-                    engine.journal.append_cell(args[0])
-                result = None
-            elif op == "evict_state":
-                result = engine._evict_state(args[0])
-                if engine.journal is not None:
-                    engine.journal.drop_cell(args[0])
-            elif op in (
-                "register_cell",
-                "deregister_cell",
-                "reroute_cell",
-                "cell",
-                "estimate",
-                "predict",
-                "drift_events",
-            ):
-                result = getattr(engine, op)(*args, **kwargs)
-            else:
-                raise RuntimeError(f"unknown op {op!r}")
-        except TransportError:
-            raise
-        except Exception as exc:  # engine errors travel the wire, not the process
-            self.transport.send_pickle(("err", type(exc).__name__, str(exc)))
-        else:
-            self.transport.send_pickle(("ok", result))
-        return False
+    def _init(self, spec: dict) -> None:
+        self.engine = _build_engine(spec)
+        shm_spec = spec.get("shm")
+        if shm_spec is not None:
+            # roles swap on this side: the parent's request ring is
+            # our receive ring, its reply ring is our transmit ring
+            rx = ShmRing(shm_spec["req"], slots=shm_spec["slots"], slab_bytes=shm_spec["slab_bytes"])
+            tx = ShmRing(shm_spec["rep"], slots=shm_spec["slots"], slab_bytes=shm_spec["slab_bytes"])
+            self.transport.attach_shm(tx=tx, rx=rx)
+        if spec.get("trace"):
+            from ..monitor.tracing import SpanTracer
 
-    def _serve_v2(self, frame: wire.V2Frame) -> None:
-        """Dispatch one bulk (v2-framed) request and write its reply.
+            # recorder only: no head sampling, no metrics — the
+            # parent commits traces and owns the rollup
+            self._tracer = SpanTracer(sample_rate=0.0, service="worker")
+
+    def _serve_bulk(self, frame: wire.V2Frame) -> wire.V2Frame:
+        """Serve one bulk request; its ``ok`` reply frame.
 
         When the frame meta carries trace context and this worker was
         built with ``trace=True``, the worker records
@@ -1177,7 +1149,7 @@ class WorkerEndpoint:
                         now_s=meta["now_s"],
                     )
                 reply_meta, reply_arrays = {}, [out]
-            elif kind in ("rollout_fleet", "resume_rollout_fleet"):
+            else:
                 pairs, step_s = wire.decode_rollout_request(meta, arrays)
                 if ctx is not None:
                     tracer.record(ctx, "worker.deserialize", t0, time.monotonic(), op=kind)
@@ -1188,21 +1160,17 @@ class WorkerEndpoint:
                 reply_meta, reply_arrays = wire.encode_rollout_results(results)
                 if ctx is not None:
                     tracer.record(ctx, "worker.serialize", t_ser, time.monotonic(), op=kind)
-            else:
-                raise RuntimeError(f"unknown v2 op {kind!r}")
-            if ctx is not None:
-                if kind in ("estimate", "predict"):
-                    # zero-copy replies have no assembly step; the span marks
-                    # the (empty) serialize stage so trees stay uniform
-                    tracer.record(ctx, "worker.serialize", time.monotonic(), time.monotonic(), op=kind)
-                reply_meta["spans"] = tracer.drain(ctx.trace_id)
-            self.transport.send_v2("ok", reply_meta, reply_arrays)
-        except TransportError:
-            raise
-        except Exception as exc:  # engine errors travel the wire, not the process
+        except Exception:
             if ctx is not None:
                 tracer.drain(ctx.trace_id)  # discard: never leak a live buffer on errors
-            self.transport.send_pickle(("err", type(exc).__name__, str(exc)))
+            raise
+        if ctx is not None:
+            if kind in ("estimate", "predict"):
+                # zero-copy replies have no assembly step; the span marks
+                # the (empty) serialize stage so trees stay uniform
+                tracer.record(ctx, "worker.serialize", time.monotonic(), time.monotonic(), op=kind)
+            reply_meta["spans"] = tracer.drain(ctx.trace_id)
+        return wire.V2Frame("ok", reply_meta, reply_arrays)
 
 
 def worker_main(stdin=None, stdout=None) -> int:
@@ -1292,15 +1260,15 @@ def run_worker_connect(
             time.sleep(min(connect_timeout_s, 1.0))
             continue
         try:
-            reply = transport.request(("worker_hello", (name,), {}), timeout_s=connect_timeout_s)
+            reply = transport.request("worker_hello", wire.call_meta((name,)), timeout_s=connect_timeout_s)
         except TransportError:
             transport.close()
             if not reconnect:
                 return 1
             continue
-        if reply != ("ok", "attach"):
+        if reply.kind != "ok" or reply.meta.get("value") != "attach":
             transport.close()
-            notify(f"daemon at {daemon_url} refused worker {name!r}: {reply!r}")
+            notify(f"daemon at {daemon_url} refused worker {name!r}: {reply.kind} {reply.meta!r}")
             return 1
         notify(f"worker {name!r} attached to {daemon_url}")
         try:

@@ -29,6 +29,7 @@ from repro.serve import (
     SocClient,
     WorkerSpec,
 )
+from repro.serve import wire
 from repro.serve.daemon import SocDaemon
 from repro.serve.transport import connect
 
@@ -201,6 +202,30 @@ class TestDaemonClients:
             time.sleep(0.8)  # > 3 poll intervals of 0.25s
             assert client.estimate("a", 3.7, 1.0, 25.0) == first
 
+    def test_unknown_op_is_a_typed_error_on_a_usable_connection(self, daemon):
+        transport = connect(daemon.url, timeout_s=5.0)
+        try:
+            reply = transport.request("format_disk", wire.call_meta(("/",)), timeout_s=5.0)
+            assert reply.kind == "err" and reply.meta["type"] == "RuntimeError"
+            assert "unknown daemon op 'format_disk'" in reply.meta["message"]
+            assert transport.request("ping", wire.call_meta(), timeout_s=5.0).meta == {"value": "pong"}
+        finally:
+            transport.close()
+
+    def test_malformed_body_drops_only_that_connection(self, daemon):
+        with SocClient(daemon.url) as bystander:
+            bystander.register_cell("a")
+            bad = connect(daemon.url, timeout_s=5.0)
+            try:
+                body = b"\xb2\x03" + b"\xff" * 12  # a meta length far past the body
+                bad.send_chunks([wire.frame_header(len(body)), body])
+                assert bad.recv_frame(timeout_s=5.0) is None  # hung up, no reply
+            finally:
+                bad.close()
+            assert "a" in bystander  # the open connection is untouched
+        with SocClient(daemon.url) as fresh:  # and the daemon still accepts new ones
+            assert fresh.ping() and "a" in fresh
+
     def test_client_reconnects_after_transport_loss(self, daemon):
         with SocClient(daemon.url) as client:
             client.register_cell("a")
@@ -234,8 +259,8 @@ class TestDaemonClients:
         acked (protocol) and then dropped, never half-adopted."""
         transport = connect(daemon.url, timeout_s=5.0)
         try:
-            transport.send_pickle(("worker_hello", ("stray",), {}))
-            assert transport.recv_frame(timeout_s=5.0) == ("ok", "attach")
+            transport.send_v2("worker_hello", wire.call_meta(("stray",)), [])
+            assert transport.recv_frame(timeout_s=5.0) == wire.V2Frame("ok", {"value": "attach"}, [])
             # the attach fails daemon-side (no worker_spec): it hangs up
             assert transport.recv_frame(timeout_s=5.0) is None
         finally:

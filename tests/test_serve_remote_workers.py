@@ -82,8 +82,7 @@ class TestRemoteShardWorker:
         from repro.serve import wire
 
         # a canned transport that answers the init handshake
-        body = wire.pickle_body(("ok", None))
-        rd = io.BytesIO(wire.frame_header(len(body)) + body)
+        rd = io.BytesIO(b"".join(wire.encode_v2("ok", {"value": "ready"}, [])))
         transport = PipeTransport(io.BytesIO(), rd, peer="inbound")
         worker = ShardWorker.from_transport(transport, name="inbound", default_model=model)
         worker._drop_link()

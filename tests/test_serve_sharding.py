@@ -205,3 +205,25 @@ class TestBadCycleTouchesNoShard:
 
             assert {cid: (sharded.cell(cid).soc, sharded.cell(cid).n_requests) for cid, _ in pairs} == before
             assert [Path(p).read_bytes() for p in journal_files] == journals
+
+    def test_unencodable_tags_touch_no_shard(self, model, fleet, tmp_path):
+        """Tags the wire codec cannot carry fail the whole rollout up front
+        on a 2-worker pipe fleet: no shard's cells or journal change."""
+        spec = WorkerSpec(url="pipe://", model=model, journal=str(tmp_path / "s{shard}.journal"))
+        journal_files = [tmp_path / "s0.journal", tmp_path / "s1.journal"]
+        with ShardedFleet(2, spec=spec) as sharded:
+            pairs = fleet.assignments()[:8]
+            assert {sharded.shard_of(cid) for cid, _ in pairs} == {0, 1}
+            sharded.rollout_fleet(pairs, step_s=120.0)
+            before = [dataclasses.astuple(sharded.cell(cid)) for cid, _ in pairs]
+            journals = [p.read_bytes() for p in journal_files]
+
+            k = max(k for k, (cid, _) in enumerate(pairs) if sharded.shard_of(cid) == 1)
+            cycle = pairs[k][1]
+            bad = list(pairs)
+            bad[k] = (pairs[k][0], dataclasses.replace(cycle, tags={**cycle.tags, "blob": {1, 2}}))
+            with pytest.raises(ValueError, match="cannot cross the wire"):
+                sharded.rollout_fleet(bad, step_s=120.0)
+
+            assert [dataclasses.astuple(sharded.cell(cid)) for cid, _ in pairs] == before
+            assert [p.read_bytes() for p in journal_files] == journals

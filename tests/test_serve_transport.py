@@ -91,12 +91,13 @@ class TestFraming:
         a.close()
         b.close()
 
-    def test_pickle_round_trip(self, pair):
+    def test_control_frame_round_trip(self, pair):
         a, b = pair
-        a.send_pickle(("estimate", ("cell1", 3.7), {"temp_c": 25.0}))
-        assert b.recv_frame() == ("estimate", ("cell1", 3.7), {"temp_c": 25.0})
-        b.send_pickle(("ok", [1.0, 2.0]))
-        assert a.recv_frame() == ("ok", [1.0, 2.0])
+        a.send_v2("estimate", wire.call_meta(("cell1", 3.7), {"temp_c": 25.0}), [])
+        request = b.recv_frame()
+        assert (request.kind, wire.call_args(request)) == ("estimate", (["cell1", 3.7], {"temp_c": 25.0}))
+        b.reply(lambda: [1.0, 2.0])
+        assert a.recv_frame() == wire.V2Frame("ok", {"value": [1.0, 2.0]}, [])
 
     def test_clean_close_reads_as_none(self, pair):
         a, b = pair
@@ -107,7 +108,7 @@ class TestFraming:
         """EOF *inside* a frame is a death, not a close: the header
         promised bytes the peer never delivered."""
         a, b = pair
-        body = wire.pickle_body(("op", (), {}))
+        body = b"".join(wire.encode_v2("op", wire.call_meta(), []))[wire.LENGTH_PREFIX_SIZE :]
         a.send_chunks([wire.frame_header(len(body)), body[: len(body) // 2]])
         a.close()
         with pytest.raises(PeerGone, match="mid-frame|gone"):
@@ -130,7 +131,7 @@ class TestFraming:
         thread = threading.Thread(target=server)
         thread.start()
         with pytest.raises(PeerGone, match="closed instead of replying"):
-            a.request(("ping", (), {}), timeout_s=5.0)
+            a.request("ping", wire.call_meta(), timeout_s=5.0)
         thread.join()
 
     def test_wait_readable_idle_does_not_poison(self, pair):
@@ -138,19 +139,19 @@ class TestFraming:
         and the very next frame still parses."""
         a, b = pair
         assert b.wait_readable(timeout_s=0.05) is False
-        a.send_pickle(("hello", (), {}))
+        a.send_v2("hello", {}, [])
         assert b.wait_readable(timeout_s=5.0) is True
-        assert b.recv_frame() == ("hello", (), {})
+        assert b.recv_frame().kind == "hello"
 
     def test_wait_readable_sees_buffered_readahead(self, pair):
         """Two frames sent back-to-back may both sit in the reader's
         userspace buffer; wait_readable must not block on the empty fd."""
         a, b = pair
-        a.send_pickle(("one", (), {}))
-        a.send_pickle(("two", (), {}))
-        assert b.recv_frame() == ("one", (), {})
+        a.send_v2("one", {}, [])
+        a.send_v2("two", {}, [])
+        assert b.recv_frame().kind == "one"
         assert b.wait_readable(timeout_s=0.05) is True
-        assert b.recv_frame() == ("two", (), {})
+        assert b.recv_frame().kind == "two"
 
     def test_v2_frames_travel_unchanged(self, pair):
         import numpy as np
@@ -270,8 +271,8 @@ class TestSocketLifecycle:
         server = listener.accept(timeout_s=5.0)
         thread.join(timeout=5.0)
         client = results["transport"]
-        client.send_pickle("hi")
-        assert server.recv_frame() == "hi"
+        client.send_v2("hi", {}, [])
+        assert server.recv_frame().kind == "hi"
         for closable in (client, server, listener):
             closable.close()
 
@@ -290,8 +291,8 @@ class TestSocketLifecycle:
         listener = TransportListener(f"unix://{path}")
         client = connect(f"unix://{path}", timeout_s=5.0)
         server = listener.accept(timeout_s=5.0)
-        client.send_pickle("after-steal")
-        assert server.recv_frame() == "after-steal"
+        client.send_v2("after-steal", {}, [])
+        assert server.recv_frame().kind == "after-steal"
         for closable in (client, server, listener):
             closable.close()
         assert not path.exists()  # close() removes the socket file
@@ -318,9 +319,9 @@ class TestPipeDeadlines:
         served even when the fd itself polls empty."""
         a, b = _pipe_pair()
         try:
-            a.send_pickle(("x", (), {}))
+            a.send_v2("x", {}, [])
             time.sleep(0.05)  # let the bytes land in the pipe
-            assert b.recv_frame(timeout_s=0.2) == ("x", (), {})
+            assert b.recv_frame(timeout_s=0.2).kind == "x"
         finally:
             a.close()
             b.close()
@@ -328,11 +329,10 @@ class TestPipeDeadlines:
     def test_in_memory_streams_skip_polling(self):
         import io
 
-        body = wire.pickle_body("payload")
-        rd = io.BytesIO(wire.frame_header(len(body)) + body)
+        rd = io.BytesIO(b"".join(wire.encode_v2("payload", {}, [])))
         transport = PipeTransport(io.BytesIO(), rd, peer="mem")
         assert transport.wait_readable(timeout_s=0.01) is True
-        assert transport.recv_frame(timeout_s=0.01) == "payload"
+        assert transport.recv_frame(timeout_s=0.01).kind == "payload"
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +351,7 @@ class TestTransportTypes:
         server.close()
         client.close()
         with pytest.raises((PeerGone, TransportError)):
-            client.send_pickle("too late")
+            client.send_v2("too late", {}, [])
         assert isinstance(client, SocketTransport)
 
 

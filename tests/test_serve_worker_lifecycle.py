@@ -114,8 +114,8 @@ class Launcher:
     def _accept_inbound(self):
         self.peer = _python(CONNECT, str(self.listener.url))
         transport = self.listener.accept(timeout_s=30.0)
-        assert transport.recv_frame(timeout_s=30.0)[0] == "worker_hello"
-        transport.send_pickle(("ok", "attach"))
+        assert transport.recv_frame(timeout_s=30.0).kind == "worker_hello"
+        transport.reply(lambda: "attach")
         return transport
 
 
