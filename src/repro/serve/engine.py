@@ -22,8 +22,9 @@ and batches every operation across all cells that share a model:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,18 +89,27 @@ def _pad_rows(rows: list[np.ndarray], width: int) -> np.ndarray:
     return out
 
 
+def _block_rows(mat: np.ndarray, blocks: list[tuple[int, int, int]]) -> Iterator[np.ndarray]:
+    """Row views of ``mat``, rows ``a:b`` of each ``(a, b, width)`` block cut to ``width``."""
+    return itertools.chain.from_iterable(mat[a:b, :width] for a, b, width in blocks)
+
+
 @dataclasses.dataclass(frozen=True)
 class _FleetPlan:
     """Window plans of one fleet rollout, stacked once per unique trace.
 
-    Cells that follow the same recorded cycle share one row: ``trace[k]``
-    is assignment ``k``'s row.  Per-window matrices are NaN-padded past
-    each trace's last window, boundary matrices past its last boundary.
+    Cells that follow the same recorded cycle share one trace:
+    ``trace[k]`` is assignment ``k``'s.  The per-window workloads are
+    window-major, ``(windows, traces)``, so a model group's column
+    gather is a C-contiguous ``(windows, cells)`` matrix in which each
+    window is one contiguous row.  The boundary series stay trace-major,
+    ``(traces, boundaries)``, because results are row views of their
+    row gathers.  Every matrix is NaN-padded past each trace's end.
     """
 
-    trace: np.ndarray  # (cells,) row of each assignment
+    trace: np.ndarray  # (cells,) trace of each assignment
     n_windows: np.ndarray  # (traces,)
-    i_avg: np.ndarray  # (traces, max windows)
+    i_avg: np.ndarray  # (max windows, traces)
     t_avg: np.ndarray
     horizon_s: np.ndarray
     time_s: np.ndarray  # (traces, max windows + 1)
@@ -129,9 +139,9 @@ class _FleetPlan:
         return cls(
             trace=trace,
             n_windows=np.array([p.n_windows for p in plans], dtype=np.intp),
-            i_avg=_pad_rows([p.i_avg for p in plans], max_w),
-            t_avg=_pad_rows([p.t_avg for p in plans], max_w),
-            horizon_s=_pad_rows([p.horizon_s for p in plans], max_w),
+            i_avg=_pad_rows([p.i_avg for p in plans], max_w).T.copy(),
+            t_avg=_pad_rows([p.t_avg for p in plans], max_w).T.copy(),
+            horizon_s=_pad_rows([p.horizon_s for p in plans], max_w).T.copy(),
             time_s=_pad_rows([p.time_s for p in plans], max_w + 1),
             soc_true=_pad_rows([p.soc_true for p in plans], max_w + 1),
             first=np.array(
@@ -530,8 +540,11 @@ class FleetEngine:
 
         Every cell follows its own recorded cycle, but all cells that
         share a serving model advance together: step ``w`` is one
-        Branch 2 forward over the still-active cells.  Cells whose
-        cycles end early simply drop out of the batch.  Workloads come
+        Branch 2 forward over the still-active cells.  A group's rows
+        are ordered longest cycle first against window-major workload
+        matrices, so the active cells are always a prefix and each step
+        reads and writes contiguous slices; cells whose cycles end early
+        drop off the end of the batch.  Workloads come
         from :func:`repro.core.rollout.cycle_windows` — the same
         numbers the scalar loop uses — so each returned trajectory is
         numerically identical to ``model_rollout(model, cycle, step_s)``
@@ -617,162 +630,170 @@ class FleetEngine:
         prefix: dict[str, dict[int, float]],
         step_hook: Callable[[int], None] | None,
     ) -> dict[str, RolloutResult]:
-        for cell_id, cycle in pairs:
-            if cell_id not in self._cells:
-                self.register_cell(cell_id, chemistry=cycle.tags.get("chemistry"))
-        results: dict[str, RolloutResult] = {}
-        by_model: dict[str, list[int]] = {}
-        for k, (cell_id, _) in enumerate(pairs):
-            by_model.setdefault(self._cells[cell_id].model_key, []).append(k)
+        # one pass over the assignments registers unknown cells and
+        # collects each model group's assignment indices, ids and states
+        by_model: dict[str, tuple[list[int], list[str], list[CellState]]] = {}
+        for k, (cell_id, cycle) in enumerate(pairs):
+            state = self._cells.get(cell_id)
+            if state is None:
+                state = self.register_cell(cell_id, chemistry=cycle.tags.get("chemistry"))
+            members, ids, states = by_model.setdefault(state.model_key, ([], [], []))
+            members.append(k)
+            ids.append(cell_id)
+            states.append(state)
 
+        results: dict[str, RolloutResult] = {}
+        monitored = self.metrics is not None or self.drift is not None
         # trace attribution without re-indenting the group body: record
         # one explicit engine.rollout span per model group (the kernel's
         # own spans still parent under the ambient context)
         trace_ctx = current_context()
-        for key, members in by_model.items():
+        for key, (members, ids, states) in by_model.items():
             t_group = time.perf_counter() if trace_ctx is not None else 0.0
             infer = self._infer(key)
-            ids = [pairs[k][0] for k in members]
-            n = len(members)
-            # the plan is stacked per unique trace; one gather per matrix
-            # gives this group's per-cell rows.  The gathers are fresh
-            # arrays, so the results below can hand out row views of them
+            n = len(ids)
+            # longest-first rows: after one stable sort on the window
+            # count, the cells still running at window w are the prefix
+            # [:active[w]], so each window is one contiguous slice
             trace = plan.trace[members]
             n_w = plan.n_windows[trace]
-            max_w = int(n_w.max())
-            i_mat = plan.i_avg[trace, :max_w]
-            t_mat = plan.t_avg[trace, :max_w]
-            h_mat = plan.horizon_s[trace, :max_w]
-            time_mat = plan.time_s[trace, : max_w + 1]
-            true_mat = plan.soc_true[trace, : max_w + 1]
-            preds = np.empty((n, max_w + 1))
-            # observability scratch: the per-window physics residual
-            # |predicted ΔSoC − coulomb ΔSoC| (the Branch 2 correction
-            # magnitude over Eq. 1) is computed entirely in these
-            # buffers, allocated once per model group — the window loop
-            # below adds no allocations over the unmonitored path
-            monitored = self.metrics is not None or self.drift is not None
+            order = np.argsort(-n_w, kind="stable")
+            trace, n_w, order = trace[order], n_w[order], order.tolist()
+            ids = [ids[r] for r in order]
+            states = [states[r] for r in order]
+            max_w = int(n_w[0])
+            active = np.searchsorted(-n_w, -np.arange(max_w)).tolist()
+            # window-major gathers: fresh C-contiguous (windows, cells)
+            i_mat = plan.i_avg[:max_w].take(trace, axis=1)
+            t_mat = plan.t_avg[:max_w].take(trace, axis=1)
+            h_mat = plan.horizon_s[:max_w].take(trace, axis=1)
+            pred = np.empty((max_w + 1, n))
             if monitored or self.journal is not None:
                 # the harvester needs per-row capacities too (Eq. 1
                 # recomputation from journaled workloads)
                 cap_row = plan.capacity_ah[trace]
             if monitored:
-                rb_prev = np.empty(n)
-                rb_res = np.empty(n)
-                rb_tmp = np.empty(n)
-                rb_i = np.empty(n)
-                rb_h = np.empty(n)
-                rb_cap = np.empty(n)
-                resid_hist = None
-                windows_counter = None
+                # the per-window physics residual |predicted ΔSoC −
+                # coulomb ΔSoC| (the Branch 2 correction magnitude over
+                # Eq. 1): the coulomb term of every window at once, then
+                # two scratch rows reused by every window
+                coulomb = np.multiply(i_mat, h_mat)
+                coulomb /= cap_row
+                coulomb /= -3600.0
+                delta = np.empty(n)
+                resid = np.empty(n)
                 if self.metrics is not None:
                     self._op_counter("rollout", key).inc(n)
                     resid_hist = self._residual_hist(key)
                     windows_counter = self.metrics.counter("engine_rollout_windows_total", model=key)
-                gidx = rb_g = None
                 if self.drift is not None:
                     gidx = self.drift.track(ids)
-                    rb_g = np.empty(n, dtype=np.intp)
             # replay journaled windows: start_w[r] is the last window
             # whose SoC is already known (its value seeds the recursion)
-            start_w = np.zeros(n, dtype=int)
-            soc = np.empty(n)
+            start_w = np.zeros(n, dtype=np.intp)
+            fresh = range(n)  # a fresh rollout: nothing journaled to replay
             if prefix:
                 fresh = []
-                for r, cid in enumerate(ids):
+                for r, (cid, w_end) in enumerate(zip(ids, n_w.tolist())):
                     done = prefix.get(cid, {})
                     k_done = -1
-                    while k_done + 1 in done and k_done + 1 <= int(n_w[r]):
+                    while k_done + 1 in done and k_done + 1 <= w_end:
                         k_done += 1
                     if k_done < 0:
                         fresh.append(r)
                         continue
-                    for w in range(k_done + 1):
-                        preds[r, w] = done[w]
-                    soc[r] = done[k_done]
+                    pred[: k_done + 1, r] = [done[w] for w in range(k_done + 1)]
                     start_w[r] = k_done
-            else:
-                fresh = range(n)  # a fresh rollout: nothing journaled to replay
             if fresh:
                 # one Branch 1 forward seeds all not-yet-started cells;
                 # the sensor rows come from the stacked per-trace array
                 idx = np.asarray(fresh)
-                first = plan.first[trace[idx]]
-                seed = infer.estimate_soc(first[:, 0], first[:, 1], first[:, 2])
-                soc[idx] = seed
-                preds[idx, 0] = seed
+                v, i, t = plan.first[trace[idx]].T
+                seed = infer.estimate_soc(v, i, t)
+                pred[0, idx] = seed
                 if self.drift is not None:
                     self.drift.observe_soc(ids, seed, positions=idx, window=0)
                 if self.journal is not None:
-                    self.journal.append_windows((ids[r], 0, float(soc[r])) for r in fresh)
+                    self.journal.append_windows(
+                        (ids[r], 0, soc) for r, soc in zip(fresh, pred[0, idx].tolist())
+                    )
+            # windows below `replaying` may still have rows whose next
+            # value is journaled; those windows select their rows by mask
+            replaying = int(start_w.max())
             for w in range(max_w):
-                idx = np.flatnonzero((n_w > w) & (start_w <= w))
-                if len(idx):
-                    m = len(idx)
+                m = active[w]
+                if w < replaying:
+                    rows = positions = np.flatnonzero(start_w[:m] <= w)
+                    count = len(rows)
+                else:
+                    rows, count, positions = slice(0, m), m, None
+                if count:
+                    prev = pred[w, rows]
+                    out = infer.predict_soc(prev, i_mat[w, rows], t_mat[w, rows], h_mat[w, rows])
+                    pred[w + 1, rows] = out
                     if monitored:
-                        np.take(soc, idx, out=rb_prev[:m])
-                    out = infer.predict_soc(soc[idx], i_mat[idx, w], t_mat[idx, w], h_mat[idx, w])
-                    soc[idx] = out
-                    preds[idx, w + 1] = out
-                    if monitored:
-                        # residual = |(out − prev) − (−I·N / (3600·C))|,
-                        # assembled in the preallocated scratch buffers
-                        np.take(i_mat[:, w], idx, out=rb_i[:m])
-                        np.take(h_mat[:, w], idx, out=rb_h[:m])
-                        np.take(cap_row, idx, out=rb_cap[:m])
-                        np.subtract(out, rb_prev[:m], out=rb_res[:m])  # predicted ΔSoC
+                        np.subtract(out, prev, out=delta[:count])  # predicted ΔSoC
                         if self.drift is not None:
                             self.drift.observe_soc(
-                                ids, out, delta=rb_res[:m], horizon_s=rb_h[:m],
-                                positions=idx, window=w + 1,
+                                ids, out, delta=delta[:count], horizon_s=h_mat[w, rows],
+                                positions=positions, window=w + 1,
                             )
-                        np.multiply(rb_i[:m], rb_h[:m], out=rb_tmp[:m])
-                        np.divide(rb_tmp[:m], rb_cap[:m], out=rb_tmp[:m])
-                        rb_tmp[:m] /= -3600.0  # coulomb-counting ΔSoC (Eq. 1)
-                        np.subtract(rb_res[:m], rb_tmp[:m], out=rb_res[:m])
-                        np.abs(rb_res[:m], out=rb_res[:m])
-                        if resid_hist is not None:
-                            resid_hist.observe_batch(rb_res[:m])
-                            windows_counter.inc(m)
+                        np.subtract(delta[:count], coulomb[w, rows], out=resid[:count])
+                        np.abs(resid[:count], out=resid[:count])
+                        if self.metrics is not None:
+                            resid_hist.observe_batch(resid[:count])
+                            windows_counter.inc(count)
                         if self.drift is not None:
-                            np.take(gidx, idx, out=rb_g[:m])
-                            self.drift.observe_residuals(rb_g[:m], rb_res[:m], window=w + 1)
+                            self.drift.observe_residuals(gidx[rows], resid[:count], window=w + 1)
                     if self.journal is not None:
                         # extended records: the workload that produced the
                         # window rides along for the offline learner
                         self.journal.append_windows(
-                            (
-                                ids[r],
-                                w + 1,
-                                float(soc[r]),
-                                float(i_mat[r, w]),
-                                float(t_mat[r, w]),
-                                float(h_mat[r, w]),
-                                float(cap_row[r]),
+                            zip(
+                                ids[:m] if positions is None else [ids[r] for r in positions.tolist()],
+                                itertools.repeat(w + 1),
+                                pred[w + 1, rows].tolist(),
+                                i_mat[w, rows].tolist(),
+                                t_mat[w, rows].tolist(),
+                                h_mat[w, rows].tolist(),
+                                cap_row[rows].tolist(),
                             )
-                            for r in idx
                         )
                 if step_hook is not None:
                     step_hook(w + 1)
             # results hold disjoint row views of this call's own matrices
-            # (preds, time_mat, true_mat), so no result shares an array
-            # with another cell or another call
-            states = []
-            initial = preds[:, 0].tolist()
-            final = preds[np.arange(n), n_w].tolist()
-            for r, (cid, u, w_end) in enumerate(zip(ids, trace.tolist(), n_w.tolist())):
+            # (the transposed predictions and the boundary gathers), so no
+            # result shares an array with another cell or another call.
+            # Rows with one window count are one block of the sorted
+            # order, so one 2-D slice per block cuts every row to length
+            # (three 1-D slices per cell cost ~0.9 ms of a 1024-cell call)
+            cuts = [0, *(np.flatnonzero(np.diff(n_w)) + 1).tolist(), n]
+            blocks = [(a, b, int(n_w[a]) + 1) for a, b in zip(cuts, cuts[1:])]
+            pred_rows = pred.T.copy()
+            time_mat = plan.time_s[trace, : max_w + 1]
+            true_mat = plan.soc_true[trace, : max_w + 1]
+            initial = pred[0].tolist()
+            final = pred[n_w, np.arange(n)].tolist()
+            for cid, state, time_s, soc_pred, soc_true, soc0, soc, u in zip(
+                ids,
+                states,
+                _block_rows(time_mat, blocks),
+                _block_rows(pred_rows, blocks),
+                _block_rows(true_mat, blocks),
+                initial,
+                final,
+                trace.tolist(),
+            ):
                 results[cid] = RolloutResult(
-                    time_s=time_mat[r, : w_end + 1],
-                    soc_pred=preds[r, : w_end + 1],
-                    soc_true=true_mat[r, : w_end + 1],
-                    initial_soc=initial[r],
+                    time_s=time_s,
+                    soc_pred=soc_pred,
+                    soc_true=soc_true,
+                    initial_soc=soc0,
                     step_s=plan.step_s[u],
                     tail_s=plan.tail_s[u],
                 )
-                state = self._cells[cid]
-                state.soc = final[r]
+                state.soc = soc
                 state.n_requests += 1
-                states.append(state)
             self._record_many(states)
             if trace_ctx is not None:
                 trace_ctx.tracer.record(
@@ -781,7 +802,7 @@ class FleetEngine:
                     t_group,
                     time.perf_counter(),
                     model=key,
-                    cells=len(members),
+                    cells=n,
                 )
         return {cell_id: results[cell_id] for cell_id, _ in pairs}
 

@@ -270,6 +270,65 @@ class TestEngineIntegration:
             np.testing.assert_array_equal(got[cell_id].soc_pred, want[cell_id].soc_pred)
 
 
+    def test_rollout_attribution_ignores_assignment_order(self, model, tmp_path):
+        """The same fleet rolled out in assignment order and reversed:
+        per-model window counters, every cell's detector state and every
+        cell's events agree, so rows map back to the right cells."""
+        from repro.core import TwoBranchSoCNet
+        from repro.core.rollout import cycle_windows
+        from repro.serve import FleetEngine, ModelRegistry, generate_fleet
+
+        fleet = generate_fleet(
+            24, seed=5, ambient_temps_c=(10.0, 25.0), c_rates=(1.0, 2.0), max_time_s=1800.0
+        )
+        pairs = fleet.assignments()
+        registry = ModelRegistry(tmp_path)
+        for k in range(2):
+            registry.publish(f"m{k}", TwoBranchSoCNet(rng=np.random.default_rng(20 + k)))
+
+        def serve(order):
+            metrics = MetricsRegistry()
+            monitor = DriftMonitor(
+                page_hinkley=PageHinkleyConfig(delta=0.0, threshold=0.002, min_samples=3),
+                cusum=CusumConfig(slack=0.0, threshold=0.002, min_samples=3),
+                bounds=PhysicsBounds(soc_min=0.3, soc_max=0.9, max_rate_per_s=2e-4),
+                max_events=100_000,
+                metrics=metrics,
+            )
+            engine = FleetEngine(registry=registry, metrics=metrics, drift=monitor)
+            for k, (cid, cycle) in enumerate(pairs):
+                engine.register_cell(cid, chemistry=cycle.tags["chemistry"], model_name=f"m{k % 2}")
+            engine.rollout_fleet(order, step_s=120.0)
+            return monitor, metrics.snapshot()
+
+        def events_by_cell(monitor):
+            out = {}
+            for e in monitor.events():
+                out.setdefault(e.cell_id, []).append((e.kind, e.cell_id, e.window))
+            return out
+
+        def detector_state(monitor, cell_id):
+            slot = monitor._index[cell_id]
+            return [getattr(bank, f)[slot] for bank in (monitor._ph, monitor._cusum) for f in bank._FIELDS]
+
+        cell_steps = {"m0": 0, "m1": 0}
+        for k, (_, cycle) in enumerate(pairs):
+            cell_steps[f"m{k % 2}"] += cycle_windows(cycle, 120.0).n_windows
+        forward, forward_snap = serve(pairs)
+        backward, backward_snap = serve(pairs[::-1])
+        for snap in (forward_snap, backward_snap):
+            for key, steps in cell_steps.items():
+                assert snap["counters"][f'engine_rollout_windows_total{{model="{key}"}}'] == steps
+        assert set(forward.event_counts()) == {"soc_bounds", "soc_rate", "page_hinkley", "cusum"}
+        assert events_by_cell(forward) == events_by_cell(backward)
+        for cid, _ in pairs:
+            # row positions differ between the two orders, which moves
+            # BLAS rounding by ~1e-16 and nothing more
+            np.testing.assert_allclose(
+                detector_state(forward, cid), detector_state(backward, cid), rtol=0, atol=1e-12
+            )
+
+
 # ----------------------------------------------------------------------
 class TestDriftMonitorFromSpec:
     def test_empty_spec_takes_the_defaults(self):

@@ -51,6 +51,15 @@ def bench_fleet():
     )
 
 
+@pytest.fixture(scope="module")
+def ragged_fleet():
+    """24 cells over both protocols and two C-rates: 14, 15, 28 or 35
+    windows at a 120 s step, most ending in a partial tail window."""
+    return generate_fleet(
+        24, seed=5, ambient_temps_c=(10.0, 25.0), c_rates=(1.0, 2.0), max_time_s=1800.0
+    )
+
+
 # ----------------------------------------------------------------------
 class TestFleetSim:
     def test_deterministic_by_seed(self):
@@ -185,6 +194,40 @@ class TestFleetEngine:
             for f in fields:
                 np.testing.assert_array_equal(getattr(second[cid], f), kept[cid][f])
                 np.testing.assert_array_equal(getattr(third[cid], f), kept[cid][f])
+
+    @pytest.mark.parametrize("n_models", [1, 4])
+    def test_rollout_order_and_heterogeneity(self, model, ragged_fleet, tmp_path, n_models):
+        """Shortest cycle first, mixed protocols, partial tails, one or
+        four model groups: every trajectory matches the scalar loop, the
+        results keep assignment order and each cell stores its last
+        prediction."""
+        pairs = sorted(ragged_fleet.assignments(), key=lambda pair: len(pair[1].data))
+        if n_models == 1:
+            engine = FleetEngine(default_model=model)
+            model_of = {cid: model for cid, _ in pairs}
+        else:
+            registry = ModelRegistry(tmp_path)
+            models = [TwoBranchSoCNet(rng=np.random.default_rng(10 + k)) for k in range(n_models)]
+            for k, m in enumerate(models):
+                registry.publish(f"m{k}", m)
+            engine = FleetEngine(registry=registry)
+            model_of = {}
+            for k, (cid, cycle) in enumerate(pairs):
+                engine.register_cell(cid, chemistry=cycle.tags["chemistry"], model_name=f"m{k % n_models}")
+                model_of[cid] = models[k % n_models]
+        results = engine.rollout_fleet(pairs, step_s=120.0)
+        assert list(results) == [cid for cid, _ in pairs]
+        assert {len(r) - 1 for r in results.values()} == {14, 15, 28, 35}
+        assert any(r.tail_s for r in results.values())
+        for cid, cycle in pairs:
+            ref = model_rollout(model_of[cid], cycle, 120.0)
+            got = results[cid]
+            np.testing.assert_allclose(got.soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
+            np.testing.assert_array_equal(got.time_s, ref.time_s)
+            np.testing.assert_array_equal(got.soc_true, ref.soc_true)
+            assert (got.step_s, got.tail_s) == (ref.step_s, ref.tail_s)
+            assert got.initial_soc == got.soc_pred[0]
+            assert engine.cell(cid).soc == got.soc_pred[-1]
 
     def test_rollout_updates_cell_state(self, model, small_fleet):
         engine = FleetEngine(default_model=model)

@@ -415,6 +415,57 @@ class TestCrashRestore:
         assert calls["n"] == max_windows - 4
         reopened.close()
 
+    def test_mixed_resume_finished_mid_rollout_and_fresh_cells(self, model, fleet, tmp_path):
+        """One model group resumes cells that had finished, cells that
+        were mid-rollout and one assignment that never started: every
+        trajectory matches an uninterrupted run, and forwards run only
+        for the windows the journal does not hold."""
+        crash_at = 20  # past the 15-window discharges, inside the 35-window cycles
+        late = ("late", fleet.members[0].cycle)
+        reference = FleetEngine(default_model=model).rollout_fleet(
+            fleet.assignments() + [late], step_s=120.0
+        )
+        path = tmp_path / "fleet.journal"
+        journal = StateJournal(path)
+        engine = FleetEngine(default_model=model, journal=journal)
+
+        def bomb(window):
+            if window >= crash_at:
+                raise Crash
+
+        with pytest.raises(Crash):
+            engine.rollout_fleet(fleet.assignments(), step_s=120.0, step_hook=bomb)
+        journal.close()
+
+        reopened = StateJournal(path)
+        lengths = {cid: len(reference[cid]) - 1 for cid in reference}
+        assert min(lengths.values()) < crash_at < max(lengths.values())
+        restored = FleetEngine.restore(reopened, default_model=model, use_kernel=False)
+        windows_run = []
+        calls = {"n": 0}
+        original = model.predict_soc
+
+        def counting_predict(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        model.predict_soc = counting_predict
+        try:
+            resumed = restored.resume_rollout_fleet(
+                fleet.assignments() + [late], step_s=120.0, step_hook=windows_run.append
+            )
+        finally:
+            model.predict_soc = original
+        assert list(resumed) == list(reference)
+        for cid, got in resumed.items():
+            np.testing.assert_allclose(got.soc_pred, reference[cid].soc_pred, atol=1e-9, rtol=0)
+            np.testing.assert_array_equal(got.time_s, reference[cid].time_s)
+            assert restored.cell(cid).soc == float(got.soc_pred[-1])
+        # the fresh cell runs all its windows, the mid-rollout cells only
+        # those past the crash, the finished cells none
+        assert calls["n"] == lengths["late"] + max(windows_run) - crash_at
+        reopened.close()
+
     def test_sharded_resume_same_topology_is_exact(self, model, fleet, tmp_path):
         reference = ShardedFleet(4, default_model=model).rollout_fleet(
             fleet.assignments(), step_s=120.0
