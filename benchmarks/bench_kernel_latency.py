@@ -11,17 +11,13 @@ Measurements of what the compiled inference path
   mostly object graph).
 - **batched throughput** — rows/s at ``--batch`` rows per call, both
   paths, plus a ``rollout_fleet`` run of a synthetic fleet through
-  ``FleetEngine(use_kernel=True)`` vs the ``use_kernel=False`` escape
-  hatch (``rollout_kernel_speedup``).
+  ``FleetEngine``, checked cell by cell against
+  :func:`repro.core.model_rollout` (``rollout_diff``).
 - **wire codec** — encode+decode round-trips of a bulk estimate
   request and a fleet-rollout reply: a stdlib-pickle body in the same
   length-prefixed framing (the general object codec, pickled inline
   here as the reference) vs the wire's zero-copy frames
   (``frames_speedup``).
-- **float32 tier** — the same batched estimate/predict through
-  ``CompiledTwoBranchKernel(dtype=float32)``: ``float32_speedup`` plus
-  the measured accuracy deltas vs the float64 kernel
-  (``float32_est_diff`` / ``float32_pred_diff``, budget 1e-6).
 - **cross-model fusion** — a mixed-model batch served by the
   per-model dispatch loop vs one block-diagonal
   :class:`repro.core.FusedTwoBranchKernel` GEMM chain:
@@ -52,7 +48,7 @@ import time
 
 import numpy as np
 
-from repro.core import CompiledTwoBranchKernel, FusedTwoBranchKernel, TwoBranchSoCNet
+from repro.core import CompiledTwoBranchKernel, FusedTwoBranchKernel, TwoBranchSoCNet, model_rollout
 from repro.eval.reporting import format_table
 from repro.serve import FleetEngine, generate_fleet, wire
 
@@ -94,30 +90,6 @@ def bench_batched(model, kernel, batch: int, reps: int) -> dict:
         "kernel_rows_per_s": batch / (kernel_us * 1e-6),
         "batched_speedup": tensor_us / kernel_us,
         "batched_diff": diff,
-    }
-
-
-def bench_float32(model, kernel, batch: int, reps: int) -> dict:
-    """The float32 serving tier vs the float64 kernel, same batch."""
-    kernel32 = CompiledTwoBranchKernel(model, dtype=np.float32)
-    rng = np.random.default_rng(2)
-    v = rng.uniform(2.8, 4.2, batch)
-    i = rng.uniform(-5.0, 5.0, batch)
-    t = rng.uniform(0.0, 45.0, batch)
-    soc = rng.uniform(0.0, 1.0, batch)
-    h = rng.uniform(1.0, 400.0, batch)
-    kernel32.estimate_soc(v, i, t)  # warm the buffers
-    f64_us = _p50_us(lambda: kernel.estimate_soc(v, i, t), reps)
-    f32_us = _p50_us(lambda: kernel32.estimate_soc(v, i, t), reps)
-    est_diff = float(np.max(np.abs(kernel32.estimate_soc(v, i, t) - kernel.estimate_soc(v, i, t))))
-    pred_diff = float(np.max(np.abs(
-        kernel32.predict_soc(soc, i, t, h).astype(np.float64) - kernel.predict_soc(soc, i, t, h)
-    )))
-    return {
-        "float32_rows_per_s": batch / (f32_us * 1e-6),
-        "float32_speedup": f64_us / f32_us,
-        "float32_est_diff": est_diff,
-        "float32_pred_diff": pred_diff,
     }
 
 
@@ -220,7 +192,7 @@ def bench_tracing_overhead(model, reps: int) -> dict:
 
 
 def bench_rollout(model, cells: int, step_s: float, seed: int) -> dict:
-    """Fleet rollout through kernels vs the Tensor escape hatch."""
+    """Fleet rollout through the engine, checked against per-cell ``model_rollout``."""
     fleet = generate_fleet(
         cells,
         seed=seed,
@@ -230,24 +202,18 @@ def bench_rollout(model, cells: int, step_s: float, seed: int) -> dict:
         max_time_s=1800.0,
     )
     assignments = fleet.assignments()
-    tensor_engine = FleetEngine(default_model=model, use_kernel=False)
+    engine = FleetEngine(default_model=model)
     t0 = time.perf_counter()
-    tensor_results = tensor_engine.rollout_fleet(assignments, step_s=step_s)
-    tensor_s = time.perf_counter() - t0
-    kernel_engine = FleetEngine(default_model=model)
-    t0 = time.perf_counter()
-    kernel_results = kernel_engine.rollout_fleet(assignments, step_s=step_s)
+    kernel_results = engine.rollout_fleet(assignments, step_s=step_s)
     kernel_s = time.perf_counter() - t0
     diff = max(
-        float(np.max(np.abs(kernel_results[cid].soc_pred - tensor_results[cid].soc_pred)))
-        for cid, _ in assignments
+        float(np.max(np.abs(kernel_results[cid].soc_pred - model_rollout(model, cycle, step_s).soc_pred)))
+        for cid, cycle in assignments
     )
-    steps_total = sum(len(r) - 1 for r in tensor_results.values())
+    steps_total = sum(len(r) - 1 for r in kernel_results.values())
     return {
         "rollout_cells": cells,
-        "rollout_tensor_s": tensor_s,
         "rollout_kernel_s": kernel_s,
-        "rollout_kernel_speedup": tensor_s / kernel_s,
         "rollout_diff": diff,
         "rollout_cell_steps_per_s": steps_total / kernel_s,
         "_results": kernel_results,
@@ -320,7 +286,6 @@ def run(reps: int, batch: int, cells: int, step_s: float, seed: int, fast: bool,
 
     single = bench_single_row(model, kernel, reps)
     batched = bench_batched(model, kernel, batch, max(reps // 10, 50))
-    f32 = bench_float32(model, kernel, batch, max(reps // 10, 50))
     fused = bench_fused(batch, max(reps // 10, 50), seed)
     monitor = bench_monitor_overhead(model, max(reps // 2, 100))
     tracing = bench_tracing_overhead(model, max(reps // 2, 100))
@@ -335,7 +300,6 @@ def run(reps: int, batch: int, cells: int, step_s: float, seed: int, fast: bool,
         "fast": fast,
         **single,
         **batched,
-        **f32,
         **fused,
         **monitor,
         **tracing,
@@ -355,10 +319,6 @@ def run(reps: int, batch: int, cells: int, step_s: float, seed: int, fast: bool,
     print(format_table(["path", "p50 [us]", "rows/s"], rows, float_digits=1))
     print(f"kernel speedup: {record['kernel_speedup']:.1f}x single-row, "
           f"{record['batched_speedup']:.1f}x at batch {batch}")
-    print(f"float32 tier (batch {batch}): {f32['float32_rows_per_s']:,.0f} rows/s "
-          f"-> {record['float32_speedup']:.2f}x vs float64; "
-          f"deltas est {f32['float32_est_diff']:.2e} / pred {f32['float32_pred_diff']:.2e} "
-          f"(budget 1e-6)")
     print(f"fused {fused['fused_models']}-model batch x{fused['fused_batch']}: "
           f"dispatch {fused['dispatch_rows_per_s']:,.0f} rows/s vs "
           f"fused {fused['mixed_model_rows_per_s']:,.0f} rows/s "
@@ -369,10 +329,9 @@ def run(reps: int, batch: int, cells: int, step_s: float, seed: int, fast: bool,
     print(f"tracing overhead: engine estimate x1 {tracing['engine_traced_p50_us']:.1f}us traced "
           f"(1% head-sampled root span) "
           f"-> {(record['tracing_overhead'] - 1) * 100:+.1f}% (budget +5%)")
-    print(f"rollout_fleet ({cells} cells): Tensor {rollout['rollout_tensor_s']:.3f}s, "
-          f"kernel {rollout['rollout_kernel_s']:.3f}s "
-          f"-> {record['rollout_kernel_speedup']:.1f}x "
-          f"({record['rollout_cell_steps_per_s']:,.0f} cell-steps/s)")
+    print(f"rollout_fleet ({cells} cells): {rollout['rollout_kernel_s']:.3f}s "
+          f"({record['rollout_cell_steps_per_s']:,.0f} cell-steps/s, "
+          f"diff vs model_rollout {rollout['rollout_diff']:.2e})")
     print(f"wire (batch {batch}): estimate pickle {wire_rec['estimate_pickle_us']:.1f}us "
           f"vs frames {wire_rec['estimate_frames_us']:.1f}us; rollout reply "
           f"pickle {wire_rec['rollout_reply_pickle_us']:.0f}us vs frames "
@@ -393,10 +352,6 @@ def run(reps: int, batch: int, cells: int, step_s: float, seed: int, fast: bool,
     if record["fused_diff"] > 1e-9:
         print(f"FAIL: fused chain diverges from per-model dispatch "
               f"({record['fused_diff']:.3e} > 1e-9)")
-        return 1
-    if max(record["float32_est_diff"], record["float32_pred_diff"]) > 1e-6:
-        print(f"FAIL: float32 tier outside its documented budget "
-              f"(est {record['float32_est_diff']:.3e} / pred {record['float32_pred_diff']:.3e} > 1e-6)")
         return 1
     return 0
 

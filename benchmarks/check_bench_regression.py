@@ -19,10 +19,6 @@ buying:
   Tensor path's, both timed in the same process.  A change that makes
   the kernel allocate, re-slice buffers, or fall off the GEMM chain
   shows up as a speedup drop.
-- ``float32_speedup`` (same record): the float32 serving tier's
-  batched throughput over the float64 kernel's.  A change that upcasts
-  mid-chain (silently restoring float64 work) shows up as the ratio
-  collapsing to ~1.
 - ``fused_speedup`` (same record): one cross-model fused GEMM chain
   over the per-model dispatch loop on a mixed-model batch in the
   dispatch-bound regime the engine fuses in.
@@ -48,11 +44,9 @@ Checks applied to the current run (``--current``):
   hit throughput);
 - for ``kernel_speedup``: ``max_equiv_diff`` must stay within the 1e-9
   golden-equivalence budget (same reasoning as ``max_traj_diff``), and
-  ``rollout_kernel_speedup``/``frames_speedup`` are reported for the
-  log but not gated (at smoke scale their wall time is small enough
-  for runner contention to flip them);
-- for ``float32_speedup``: the float32 estimate/predict deltas must
-  stay within the documented 1e-6 budget;
+  ``frames_speedup`` is reported for the log but not gated (at smoke
+  scale its wall time is small enough for runner contention to flip
+  it);
 - for ``fused_speedup``: ``fused_diff`` must stay within the 1e-9
   golden-equivalence budget.
 
@@ -79,7 +73,6 @@ _CONFIG_KEYS = {
     "speedup": ("cells", "step_s", "fast"),
     "gateway_ratio": ("cells", "requests", "clients", "max_batch"),
     "kernel_speedup": ("reps", "batch", "step_s", "fast"),
-    "float32_speedup": ("reps", "batch", "fast"),
     "fused_speedup": ("reps", "fused_models", "fused_batch", "fast"),
     "shm_payload_ratio": ("shm_payload_mb", "workers", "fast"),
 }
@@ -108,10 +101,6 @@ def check(baseline: dict, current: dict, tolerance: float, metric: str = "speedu
             f"gateway run dropped work: errors={current.get('errors')} shed={current.get('shed')} "
             f"(throughput with dropped completions does not count)"
         )
-    if metric == "float32_speedup":
-        worst32 = max(current["float32_est_diff"], current["float32_pred_diff"])
-        if worst32 > 1e-6:
-            failures.append(f"float32 delta {worst32:.3e} exceeds the documented 1e-6 budget")
     if metric == "fused_speedup" and current["fused_diff"] > 1e-9:
         failures.append(
             f"fused-chain divergence {current['fused_diff']:.3e} exceeds the 1e-9 "
@@ -132,8 +121,7 @@ def check(baseline: dict, current: dict, tolerance: float, metric: str = "speedu
     extras = {
         "speedup": ("sharded_speedup", "process_speedup", "shm_speedup"),
         "gateway_ratio": (),
-        "kernel_speedup": ("batched_speedup", "rollout_kernel_speedup", "frames_speedup"),
-        "float32_speedup": (),
+        "kernel_speedup": ("batched_speedup", "frames_speedup"),
         "fused_speedup": (),
         "shm_payload_ratio": (),
     }[metric]
@@ -160,12 +148,6 @@ def check(baseline: dict, current: dict, tolerance: float, metric: str = "speedu
             f"raw throughput (informational): "
             f"{current['gateway_req_s']:,.0f} req/s through the gateway "
             f"(baseline recorded {baseline['gateway_req_s']:,.0f})"
-        )
-    elif metric == "float32_speedup":
-        print(
-            f"raw throughput (informational): "
-            f"{current['float32_rows_per_s']:,.0f} float32 rows/s "
-            f"(baseline recorded {baseline['float32_rows_per_s']:,.0f})"
         )
     elif metric == "fused_speedup":
         print(

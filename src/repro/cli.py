@@ -350,7 +350,6 @@ def _subprocess_worker_spec(args, model, monitoring: bool, tracing: bool):
         trace=tracing,
         archive_root=getattr(args, "archive_dir", None),
         journal_segment_bytes=_segment_bytes(args),
-        dtype=getattr(args, "dtype", None),
         spawn=not getattr(args, "worker_url", None),
     )
 
@@ -432,14 +431,12 @@ def _cmd_serve_sim(args) -> int:
         engine = ShardedFleet(
             args.shards,
             spec=WorkerSpec(
-                model=model, registry=registry, journal=journal, metrics=metrics,
-                drift=drift, dtype=args.dtype,
+                model=model, registry=registry, journal=journal, metrics=metrics, drift=drift
             ),
         )
     else:
         engine = FleetEngine(
-            default_model=model, registry=registry, journal=journal,
-            metrics=metrics, drift=drift, dtype=args.dtype or "float64",
+            default_model=model, registry=registry, journal=journal, metrics=metrics, drift=drift
         )
     assignments = fleet.assignments()
 
@@ -721,8 +718,7 @@ def _cmd_serve(args) -> int:
         engine = ShardedFleet(
             args.shards,
             spec=WorkerSpec(
-                model=model, registry=registry, journal=journal, metrics=metrics,
-                drift=drift, dtype=args.dtype,
+                model=model, registry=registry, journal=journal, metrics=metrics, drift=drift
             ),
         )
     else:
@@ -732,8 +728,7 @@ def _cmd_serve(args) -> int:
             else None
         )
         engine = FleetEngine(
-            default_model=model, registry=registry, journal=journal,
-            metrics=metrics, drift=drift, dtype=args.dtype or "float64",
+            default_model=model, registry=registry, journal=journal, metrics=metrics, drift=drift
         )
     daemon = SocDaemon(
         engine,
@@ -1082,10 +1077,6 @@ def _flag_parents() -> dict[str, argparse.ArgumentParser]:
                    help="cold store for sealed journal segments: rotation ships "
                         "segments here and unlinks them locally; restore replays "
                         "them back (see repro.serve.archive)")
-    g.add_argument("--dtype", choices=("float64", "float32"), default=None,
-                   help="serving precision tier for the compiled kernels: float32 "
-                        "halves memory traffic at ~1e-6 SoC deviation "
-                        "(default: float64)")
     return {
         "fleet": fleet,
         "gateway": gateway,

@@ -25,21 +25,19 @@ interpreter and allocator overhead, not arithmetic.
   the active batch size cached between calls — steady-state inference
   allocates nothing but the returned result row.
 
-Numerics: with the default ``dtype=float64`` the kernel matches the
-Tensor path to ~1e-13 over full autoregressive rollouts (the only
-differences are scaler-fusion and bias-row summation-order rounding at
-the machine-epsilon level), far inside the fleet's 1e-9 equivalence
+Numerics: the kernel runs in float64 and matches the Tensor path to
+~1e-13 over full autoregressive rollouts (the only differences are
+scaler-fusion and bias-row summation-order rounding at the
+machine-epsilon level), far inside the fleet's 1e-9 equivalence
 budget — the golden-equivalence suite in ``tests/test_core_kernels.py``
-pins this.  ``dtype=float32`` halves the memory traffic (the
-deployment-shaped BMS configuration) at single-precision accuracy,
-~1e-6.
+pins this.
 
 The kernel is a *snapshot*: it copies the weights at construction.
 After mutating the model (training, ``load_state_dict``), call
 :meth:`CompiledTwoBranchKernel.refresh` or build a new kernel.
 :class:`repro.serve.FleetEngine` compiles one kernel per distinct model
-object and uses it for ``estimate``/``predict``/``rollout_fleet``
-unless constructed with ``use_kernel=False``.
+object and serves every ``estimate``/``predict``/``rollout_fleet``
+through it.
 
 **Fused-stack layout.**  A mixed-model batch (different registry
 versions, canary cohorts) would otherwise pay one GEMM-chain dispatch
@@ -127,13 +125,9 @@ class CompiledBranchKernel:
     scaler:
         The branch's fixed :class:`FeatureScaler`, fused into the first
         affine stage so the kernel consumes raw physical units.
-    dtype:
-        Block dtype: ``float64`` (default, 1e-9-equivalent to the
-        Tensor path) or ``float32`` (deployment-sized).
     """
 
-    def __init__(self, module, scaler: FeatureScaler, dtype=np.float64):
-        self.dtype = np.dtype(dtype)
+    def __init__(self, module, scaler: FeatureScaler):
         chain = export_affine_chain(module)
         if chain[0][0].shape[0] != scaler.n_features:
             raise ValueError(
@@ -150,7 +144,7 @@ class CompiledBranchKernel:
                 # scaler fusion: raw x in, first hidden pre-activation out
                 fused_bias = (0.0 if bias is None else bias) - (offsets / scales) @ weight
                 weight, bias = weight / scales[:, None], fused_bias
-            bias_vec = np.zeros(weight.shape[1]) if bias is None else np.asarray(bias, dtype=np.float64)
+            bias_vec = np.zeros(weight.shape[1]) if bias is None else np.array(bias, dtype=np.float64)
             last = k == len(chain) - 1
             out_ones = not last and carry and _preserves_ones(tag)
             if carry:
@@ -159,7 +153,7 @@ class CompiledBranchKernel:
                 block = np.vstack([weight, bias_vec])
                 explicit_bias = None
             else:
-                block, explicit_bias = weight, bias_vec.astype(self.dtype)
+                block, explicit_bias = weight, bias_vec
             if out_ones:
                 # extra column keeps the ones channel flowing: only the
                 # bias row feeds it, so it computes exactly 1.0
@@ -167,7 +161,7 @@ class CompiledBranchKernel:
                 column[-1, 0] = 1.0
                 block = np.hstack([block, column])
             self._stages.append(
-                (np.ascontiguousarray(block, dtype=self.dtype), explicit_bias, _inplace_activation(tag))
+                (np.ascontiguousarray(block, dtype=np.float64), explicit_bias, _inplace_activation(tag))
             )
             self._tags.append(tag)
             carry = out_ones
@@ -203,9 +197,9 @@ class CompiledBranchKernel:
         """Point the cached views at ``n``-row slices, growing buffers as needed."""
         if n > self._capacity:
             cap = max(n, 2 * self._capacity)
-            self._x = np.empty((cap, self.n_inputs + 1), dtype=self.dtype)
+            self._x = np.empty((cap, self.n_inputs + 1))
             self._x[:, -1] = 1.0  # the ones channel driving bias rows
-            self._bufs = [np.empty((cap, block.shape[1]), dtype=self.dtype) for block, _, _ in self._stages]
+            self._bufs = [np.empty((cap, block.shape[1])) for block, _, _ in self._stages]
             self._capacity = cap
         self._xv = self._x[:n]
         self._sv = [(block, bias, act, buf[:n]) for (block, bias, act), buf in zip(self._stages, self._bufs)]
@@ -260,7 +254,7 @@ class FusedBranchKernel:
 
     See the module docstring ("Fused-stack layout") for the stacked
     ``(M, q, p)`` construction and why padding lanes cannot contaminate
-    real rows.  Members must share one :attr:`dtype` and one
+    real rows.  Members must share one
     :attr:`CompiledBranchKernel.chain_signature`; weights may differ.
 
     :meth:`forward_columns` takes the usual per-feature columns plus a
@@ -275,13 +269,8 @@ class FusedBranchKernel:
             raise ValueError("fused kernel needs at least one member")
         self.members = list(members)
         head = self.members[0]
-        self.dtype = head.dtype
         signature = head.chain_signature
         for member in self.members[1:]:
-            if member.dtype != self.dtype:
-                raise ValueError(
-                    f"fused members must share one dtype ({member.dtype.name} vs {self.dtype.name})"
-                )
             if member.chain_signature != signature:
                 raise ValueError("fused members must share one exported chain architecture")
         self.n_members = len(self.members)
@@ -310,11 +299,8 @@ class FusedBranchKernel:
         """Point the cached views at ``n_max``-row group slices, growing as needed."""
         if n_max > self._capacity:
             cap = max(n_max, 2 * self._capacity)
-            self._x = np.empty((self.n_members, cap, self._in_stride), dtype=self.dtype)
-            self._bufs = [
-                np.empty((self.n_members, cap, block.shape[2]), dtype=self.dtype)
-                for block, _, _ in self._stages
-            ]
+            self._x = np.empty((self.n_members, cap, self._in_stride))
+            self._bufs = [np.empty((self.n_members, cap, block.shape[2])) for block, _, _ in self._stages]
             self._capacity = cap
         self._xv = self._x[:, :n_max]
         self._sv = [
@@ -339,7 +325,7 @@ class FusedBranchKernel:
             raise ValueError(f"member vector must be 1-D, got shape {member.shape}")
         n = member.shape[0]
         if n == 0:
-            return np.empty(0, dtype=self.dtype)
+            return np.empty(0)
         counts = np.bincount(member, minlength=self.n_members)
         if counts.size > self.n_members:
             raise ValueError(f"member index out of range (n_members={self.n_members})")
@@ -376,30 +362,26 @@ class CompiledTwoBranchKernel:
 
     Mirrors the raw-physical-units inference API of
     :class:`~repro.core.model.TwoBranchSoCNet` (``estimate_soc`` /
-    ``predict_soc`` / ``predict_from_sensors``), so serving code can
-    swap between the Tensor path and the compiled path object-for-object.
+    ``predict_soc`` / ``predict_from_sensors``), so the Tensor model can
+    stand in as its golden reference call for call.
 
     Parameters
     ----------
     model:
         The trained network to export; kept as :attr:`model` so cache
         owners can detect staleness by identity.
-    dtype:
-        ``float64`` (default; ~1e-13 of the Tensor path) or
-        ``float32`` (deployment-sized, ~1e-6).
     """
 
-    def __init__(self, model: TwoBranchSoCNet, dtype=np.float64):
+    def __init__(self, model: TwoBranchSoCNet):
         self.model = model
-        self.dtype = np.dtype(dtype)
         self.branch1: CompiledBranchKernel
         self.branch2: CompiledBranchKernel
         self.refresh()
 
     def refresh(self) -> None:
         """Re-export the model's current weights into fresh blocks."""
-        self.branch1 = CompiledBranchKernel(self.model.branch1.mlp, self.model.scaler1, self.dtype)
-        self.branch2 = CompiledBranchKernel(self.model.branch2.mlp, self.model.scaler2, self.dtype)
+        self.branch1 = CompiledBranchKernel(self.model.branch1.mlp, self.model.scaler1)
+        self.branch2 = CompiledBranchKernel(self.model.branch2.mlp, self.model.scaler2)
 
     def num_bytes(self) -> int:
         """Total size of both branches' weight blocks."""
@@ -433,31 +415,27 @@ class CompiledTwoBranchKernel:
         return self.predict_soc(soc_now, current_avg, temp_avg_c, horizon_s)
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledTwoBranchKernel(dtype={self.dtype.name}, "
-            f"bytes={self.num_bytes()}, model={self.model!r})"
-        )
+        return f"CompiledTwoBranchKernel(bytes={self.num_bytes()}, model={self.model!r})"
 
 
 class FusedTwoBranchKernel:
     """Several models' compiled kernels fused into one batched GEMM chain.
 
     Built from *already compiled* :class:`CompiledTwoBranchKernel`
-    members (same architecture and dtype; weights differ), this serves a
+    members (same architecture; weights differ), this serves a
     mixed-model batch with one GEMM chain per branch instead of one per
     model — :class:`repro.serve.FleetEngine` routes multi-model
     ``estimate``/``predict`` batches here and keeps :attr:`members` so it
     can detect staleness by member-kernel identity.
 
     Raises ``ValueError`` when the members' exported chains cannot be
-    stacked (different layer shapes, activations, or dtypes).
+    stacked (different layer shapes or activations).
     """
 
     def __init__(self, kernels: Sequence[CompiledTwoBranchKernel]):
         if not kernels:
             raise ValueError("fused kernel needs at least one member")
         self.members = tuple(kernels)
-        self.dtype = self.members[0].dtype
         self.branch1 = FusedBranchKernel([kernel.branch1 for kernel in self.members])
         self.branch2 = FusedBranchKernel([kernel.branch2 for kernel in self.members])
 
@@ -487,7 +465,4 @@ class FusedTwoBranchKernel:
             return self.branch2.forward_columns((soc_now, current_avg, temp_avg_c, horizon_s), member)
 
     def __repr__(self) -> str:
-        return (
-            f"FusedTwoBranchKernel(members={self.n_members}, "
-            f"dtype={self.dtype.name}, bytes={self.num_bytes()})"
-        )
+        return f"FusedTwoBranchKernel(members={self.n_members}, bytes={self.num_bytes()})"

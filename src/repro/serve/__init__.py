@@ -53,11 +53,9 @@ and versioned checkpoint rollout.
 - :mod:`repro.serve.fleet_sim` — synthetic heterogeneous fleets for
   benchmarks and the ``repro-soc serve-sim`` subcommand.
 
-Inference defaults to the compiled kernel path
+Inference always runs on the float64 compiled kernel path
 (:mod:`repro.core.kernels`) — flat weight blocks, fused scalers,
-preallocated GEMM chains — with ``use_kernel=False`` as the Tensor-path
-escape hatch on :class:`FleetEngine`, :class:`ShardedFleet` and
-:class:`ShardWorker`.
+preallocated GEMM chains.
 
 See ``src/repro/serve/README.md`` for the compiled-kernel
 architecture, gateway architecture, sharding topology, worker wire

@@ -169,43 +169,10 @@ class FleetEngine:
         per-cell state mutation (registration, estimates, predictions,
         rollout windows) is appended to it, making the fleet restorable
         via :meth:`restore` / :meth:`resume_rollout_fleet`.
-    use_kernel:
-        Serve inference through per-model
-        :class:`~repro.core.kernels.CompiledTwoBranchKernel` compiled
-        chains (default).  The escape hatch ``use_kernel=False`` routes
-        every forward through the original autograd ``Tensor`` path
-        instead — the kernels carry a golden-equivalence guarantee
-        (1e-9 across batch sizes, branches and the cascade; see
-        ``tests/test_core_kernels.py``), so this is for debugging and
-        A/B timing, not correctness.  Kernels snapshot a model's
-        weights at first use and are recompiled automatically when a
-        model *object* is replaced (e.g. a registry promote); mutating
-        weights in place on a live engine requires a new engine or
-        ``use_kernel=False``.
-    dtype:
-        Serving precision tier for the compiled kernels: ``float64``
-        (default; ~1e-13 of the Tensor path) or ``float32`` (the
-        deployment-sized fast tier, ~1e-6 single-forward accuracy —
-        quantified per op by ``bench_kernel_latency.py`` and pinned in
-        ``tests/test_core_kernels.py``).  Estimate/predict results are
-        returned (and journaled/wired) in this dtype; fleet rollouts
-        keep float64 trajectory state regardless, so recursion, journal
-        records and resume stay on one representation.  Requires
-        ``use_kernel=True`` — the Tensor path is float64-only.
-    fuse_models:
-        Serve mixed-model estimate/predict batches through one batched
-        :class:`~repro.core.kernels.FusedTwoBranchKernel` GEMM chain
-        instead of one dispatch per model group (default).  Fusion is
-        adaptive: it only engages on dispatch-bound batches (at least
-        four model groups, at most ~64 rows per group on average);
-        GEMM-bound batches keep the per-model loop.  The fused kernel
-        is cached per model-key set and rebuilt when any member kernel
-        is recompiled; incompatible architectures fall back to the
-        per-model loop automatically.
     metrics:
         Optional :class:`~repro.monitor.metrics.MetricsRegistry`; when
         attached the engine reports per-model request counters
-        (``engine_requests_total{op=,model=,path=}``), rollout window
+        (``engine_requests_total{op=,model=}``), rollout window
         counts, per-window physics-residual summaries
         (``engine_physics_residual{model=}``) and a fleet-size gauge.
         ``None`` (the default) keeps the hot path entirely
@@ -225,6 +192,20 @@ class FleetEngine:
         while the plain single-monitor path keeps working unchanged.
 
     At least one of ``default_model`` / ``registry`` must be provided.
+
+    Every estimate, predict and rollout is served through float64
+    :class:`~repro.core.kernels.CompiledTwoBranchKernel` compiled chains,
+    which match the Tensor path to 1e-9 across batch sizes, branches
+    and the cascade (``tests/test_core_kernels.py``).  Kernels snapshot
+    a model's weights at first use and are recompiled automatically
+    when a model *object* is replaced (e.g. a registry promote);
+    mutating weights in place on a live engine requires a new engine.
+    Mixed-model estimate/predict batches that are dispatch-bound (at
+    least four model groups, at most ~64 rows per group on average) are
+    served through one batched
+    :class:`~repro.core.kernels.FusedTwoBranchKernel` GEMM chain; every
+    other batch, and any model set whose architectures cannot be
+    stacked, keeps the per-model loop.
     """
 
     def __init__(
@@ -232,23 +213,13 @@ class FleetEngine:
         default_model: TwoBranchSoCNet | None = None,
         registry: ModelRegistry | None = None,
         journal: StateJournal | None = None,
-        use_kernel: bool = True,
         metrics: MetricsRegistry | None = None,
         drift: DriftMonitor | None = None,
-        dtype=np.float64,
-        fuse_models: bool = True,
     ):
         if default_model is None and registry is None:
             raise ValueError("need a default model, a registry, or both")
         self.registry = registry
         self.journal = journal
-        self.use_kernel = use_kernel
-        self.dtype = np.dtype(dtype)
-        if self.dtype.kind != "f":
-            raise ValueError(f"serving dtype must be a float dtype, got {self.dtype}")
-        if self.dtype != np.dtype(np.float64) and not use_kernel:
-            raise ValueError("dtype tiers require use_kernel=True (the Tensor path is float64-only)")
-        self.fuse_models = bool(fuse_models)
         self.metrics = metrics
         if metrics is not None:
             from ..monitor.resources import install_process_metrics
@@ -283,11 +254,8 @@ class FleetEngine:
         journal: StateJournal,
         default_model: TwoBranchSoCNet | None = None,
         registry: ModelRegistry | None = None,
-        use_kernel: bool = True,
         metrics: MetricsRegistry | None = None,
         drift: DriftMonitor | None = None,
-        dtype=np.float64,
-        fuse_models: bool = True,
     ) -> FleetEngine:
         """Rebuild an engine from a journal after a restart.
 
@@ -301,11 +269,8 @@ class FleetEngine:
             default_model=default_model,
             registry=registry,
             journal=journal,
-            use_kernel=use_kernel,
             metrics=metrics,
             drift=drift,
-            dtype=dtype,
-            fuse_models=fuse_models,
         )
         for state in journal.snapshot().cells.values():
             engine._adopt_state(dataclasses.replace(state))
@@ -432,7 +397,7 @@ class FleetEngine:
                 for key, idx in groups.items():
                     self._op_counter("estimate", key).inc(len(idx))
         else:
-            out = np.empty(len(cell_ids), dtype=self.dtype)
+            out = np.empty(len(cell_ids))
             for key, idx in groups.items():
                 with trace_stage("engine.estimate", model=key, rows=len(idx)):
                     out[idx] = self._infer(key).estimate_soc(v[idx], i[idx], t[idx])
@@ -508,7 +473,7 @@ class FleetEngine:
                 for key, idx in groups.items():
                     self._op_counter("predict", key).inc(len(idx))
         else:
-            out = np.empty(len(cell_ids), dtype=self.dtype)
+            out = np.empty(len(cell_ids))
             for key, idx in groups.items():
                 with trace_stage("engine.predict", model=key, rows=len(idx)):
                     out[idx] = self._infer(key).predict_soc(
@@ -836,12 +801,7 @@ class FleetEngine:
         """Cached ``engine_requests_total`` counter for one (op, model)."""
         counter = self._op_counters.get((op, key))
         if counter is None:
-            counter = self.metrics.counter(
-                "engine_requests_total",
-                op=op,
-                model=key,
-                path="kernel" if self.use_kernel else "tensor",
-            )
+            counter = self.metrics.counter("engine_requests_total", op=op, model=key)
             self._op_counters[(op, key)] = counter
         return counter
 
@@ -924,23 +884,21 @@ class FleetEngine:
         # publishes and promotes without a rebuild
         return self.registry.load(key)
 
-    def _infer(self, key: str):
-        """Serving implementation for a model key: compiled kernel or Tensor model.
+    def _infer(self, key: str) -> CompiledTwoBranchKernel:
+        """The compiled kernel serving a model key.
 
-        With ``use_kernel`` (the default) the model is compiled once
-        into a :class:`~repro.core.kernels.CompiledTwoBranchKernel`,
-        cached per model key and invalidated by model-object identity —
+        The model is compiled once into a
+        :class:`~repro.core.kernels.CompiledTwoBranchKernel`, cached per
+        model key and invalidated by model-object identity —
         a registry promote that loads a new checkpoint object triggers
         a recompile on its next use (replacing the old entry, so the
         cache stays bounded at one kernel per key) and a live engine
         never serves stale weights.
         """
         model = self._model(key)
-        if not self.use_kernel:
-            return model
         kernel = self._kernels.get(key)
         if kernel is None or kernel.model is not model:
-            kernel = CompiledTwoBranchKernel(model, dtype=self.dtype)
+            kernel = CompiledTwoBranchKernel(model)
             self._kernels[key] = kernel
         return kernel
 
@@ -960,8 +918,6 @@ class FleetEngine:
         and sets whose exported chains cannot be stacked are cached as
         ``None``.
         """
-        if not self.fuse_models or not self.use_kernel:
-            return None
         if len(groups) < _FUSE_MIN_GROUPS or n > _FUSE_MAX_ROWS_PER_GROUP * len(groups):
             return None
         keys = tuple(sorted(groups))

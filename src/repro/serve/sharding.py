@@ -129,11 +129,6 @@ class ShardedFleet:
         (in-process workers only — process/socket workers own their
         durability, e.g. one journal per worker process, declared via
         ``WorkerSpec.journal``).
-    use_kernel:
-        Passed to every in-process shard engine: serve through compiled
-        inference kernels (default) or the Tensor path (see
-        :class:`FleetEngine`).  Ignored when ``spec`` is given — specs
-        carry their own ``use_kernel``.
     metrics, drift:
         Optional :class:`~repro.monitor.metrics.MetricsRegistry` /
         :class:`~repro.monitor.drift.DriftMonitor` shared by every
@@ -149,7 +144,6 @@ class ShardedFleet:
         default_model: TwoBranchSoCNet | None = None,
         registry: ModelRegistry | None = None,
         journal: StateJournal | None = None,
-        use_kernel: bool = True,
         metrics: MetricsRegistry | None = None,
         drift: DriftMonitor | None = None,
         spec: WorkerSpec | Sequence[WorkerSpec] | None = None,
@@ -173,7 +167,6 @@ class ShardedFleet:
         self._default_model = default_model
         self.registry = registry
         self.journal = journal
-        self.use_kernel = use_kernel
         # named metrics_registry (not .metrics) because .metrics() is the
         # topology-wide snapshot method — mirroring ISSUE/API naming
         self.metrics_registry = metrics
@@ -187,7 +180,6 @@ class ShardedFleet:
         n_shards: int,
         default_model: TwoBranchSoCNet | None = None,
         registry: ModelRegistry | None = None,
-        use_kernel: bool = True,
         metrics: MetricsRegistry | None = None,
         drift: DriftMonitor | None = None,
     ) -> ShardedFleet:
@@ -205,7 +197,6 @@ class ShardedFleet:
             default_model=default_model,
             registry=registry,
             journal=journal,
-            use_kernel=use_kernel,
             metrics=metrics,
             drift=drift,
         )
@@ -590,7 +581,6 @@ class ShardedFleet:
             model=self._default_model,
             registry=self.registry,
             journal=self.journal,
-            use_kernel=self.use_kernel,
             metrics=self.metrics_registry,
             drift=self.drift,
         )

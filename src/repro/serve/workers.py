@@ -130,18 +130,13 @@ class WorkerCrashError(RuntimeError):
 
 
 def _wire_col(col) -> np.ndarray:
-    """One inference operand as a contiguous 1-D float wire payload.
+    """One inference operand as a contiguous 1-D float64 wire payload.
 
     Scalars ship as a single element — the remote engine broadcasts
     them across the batch exactly as the in-process engine would — so
-    a fleet-wide constant never crosses the wire N times.  ``float32``
-    arrays keep their dtype (the frame codec is dtype-faithful, and a
-    silent float64 upcast would re-copy the bandwidth the tiered
-    serving mode saves); everything else is normalized to float64.
+    a fleet-wide constant never crosses the wire N times.
     """
-    array = np.asarray(col)
-    if array.dtype != np.float32:
-        array = np.asarray(array, dtype=np.float64)
+    array = np.asarray(col, dtype=np.float64)
     if array.ndim == 0:
         array = array.reshape(1)
     return np.ascontiguousarray(array)
@@ -172,13 +167,11 @@ def _engine_spec(
     default_model: TwoBranchSoCNet | None,
     registry_root: str | Path | None,
     journal_path: str | Path | None,
-    use_kernel: bool,
     monitor: bool,
     trace: bool,
     archive_root: str | Path | None = None,
     journal_segment_bytes: int = 0,
     drift_from_registry: bool = False,
-    dtype=None,
 ) -> dict:
     """The ``init`` payload a worker builds its engine from."""
     if default_model is None and registry_root is None:
@@ -189,14 +182,11 @@ def _engine_spec(
         "model": _model_spec(default_model),
         "registry_root": None if registry_root is None else str(registry_root),
         "journal_path": None if journal_path is None else str(journal_path),
-        "use_kernel": use_kernel,
         "monitor": monitor,
         "trace": trace,
         "archive_root": None if archive_root is None else str(archive_root),
         "journal_segment_bytes": int(journal_segment_bytes),
         "drift_from_registry": bool(drift_from_registry),
-        # dtype ships as a name string so the spec stays plain JSON-able
-        "dtype": str(np.dtype(dtype).name) if dtype is not None else "float64",
     }
 
 
@@ -241,10 +231,6 @@ class ShardWorker:
         without one a restart comes back empty.
     name:
         Label used in error messages and health reports.
-    use_kernel:
-        Whether the worker engine serves through compiled inference
-        kernels (default) or the Tensor path (see
-        :class:`~repro.serve.engine.FleetEngine`).
     monitor:
         Build the worker engine with its own
         :class:`~repro.monitor.metrics.MetricsRegistry` and
@@ -266,10 +252,6 @@ class ShardWorker:
         (see :mod:`repro.serve.archive`).
     drift_from_registry:
         Resolve per-chemistry drift detectors from registry metadata.
-    dtype:
-        Serving precision tier of the worker engine (``"float64"``
-        default / ``"float32"``); estimate/predict replies come back in
-        this dtype.
     spawn:
         Socket schemes only: launch :func:`run_worker` on ``url``
         first instead of dialing a worker that is already listening.
@@ -293,13 +275,11 @@ class ShardWorker:
         registry_root: str | Path | None = None,
         journal_path: str | Path | None = None,
         name: str = "shard",
-        use_kernel: bool = True,
         monitor: bool = False,
         trace: bool = False,
         archive_root: str | Path | None = None,
         journal_segment_bytes: int = 0,
         drift_from_registry: bool = False,
-        dtype=None,
         spawn: bool = False,
         connect_timeout_s: float = 10.0,
         call_timeout_s: float | None = None,
@@ -312,13 +292,11 @@ class ShardWorker:
             default_model,
             registry_root,
             journal_path,
-            use_kernel,
             monitor,
             trace,
             archive_root,
             journal_segment_bytes,
             drift_from_registry,
-            dtype,
         )
         parsed = None if url is None else parse_url(url)
         self._scheme = None if parsed is None else parsed.scheme
@@ -806,10 +784,6 @@ class WorkerSpec:
     (:func:`~repro.serve.driftconfig.drift_resolver_from_registry`)
     instead of the uniform default detectors ``monitor=True`` builds;
     it requires a ``registry``.
-
-    ``dtype`` selects the serving tier (``"float64"`` default;
-    ``"float32"`` halves kernel memory traffic and requires
-    ``use_kernel=True``) and is forwarded to every resolved engine.
     """
 
     url: str | None = None
@@ -818,11 +792,9 @@ class WorkerSpec:
     journal: StateJournal | str | Path | None = None
     monitor: bool = False
     trace: bool = False
-    use_kernel: bool = True
     archive_root: str | Path | None = None
     journal_segment_bytes: int = 0
     drift_from_registry: bool = False
-    dtype: object = None
     shm_slots: int = DEFAULT_SHM_SLOTS
     shm_slab_bytes: int = DEFAULT_SHM_SLAB_BYTES
     spawn: bool = False
@@ -876,13 +848,11 @@ class WorkerSpec:
             registry_root=registry_root,
             journal_path=self._journal_path(shard),
             name=self.name.format(shard=shard) if isinstance(shard, int) else shard,
-            use_kernel=self.use_kernel,
             monitor=self.monitor,
             trace=self.trace,
             archive_root=self.archive_root,
             journal_segment_bytes=self.journal_segment_bytes,
             drift_from_registry=self.drift_from_registry,
-            dtype=self.dtype,
             call_timeout_s=self.call_timeout_s,
             shm_slots=self.shm_slots,
             shm_slab_bytes=self.shm_slab_bytes,
@@ -909,13 +879,7 @@ class WorkerSpec:
 
             drift = drift_resolver_from_registry(registry)
         return FleetEngine(
-            default_model=self.model,
-            registry=registry,
-            journal=journal,
-            use_kernel=self.use_kernel,
-            metrics=metrics,
-            drift=drift,
-            dtype=self.dtype or "float64",
+            default_model=self.model, registry=registry, journal=journal, metrics=metrics, drift=drift
         )
 
     def _journal_path(self, shard: int | str) -> str | None:
@@ -936,10 +900,31 @@ class WorkerSpec:
 WORKER_ANNOUNCE = "worker listening on "
 
 
+# Keys an ``init`` spec may carry: the _engine_spec keys plus the shm
+# ring description.  A peer from another build may send settings this
+# worker does not have; it gets an error instead of an engine that
+# silently ignores them.
+_SPEC_KEYS = frozenset(
+    (
+        "model",
+        "registry_root",
+        "journal_path",
+        "monitor",
+        "trace",
+        "archive_root",
+        "journal_segment_bytes",
+        "drift_from_registry",
+        "shm",
+    )
+)
+
+
 def _build_engine(spec: dict) -> FleetEngine:
+    unexpected = sorted(set(spec) - _SPEC_KEYS)
+    if unexpected:
+        raise ValueError(f"init spec has unexpected keys: {', '.join(unexpected)}")
     model = _build_model(spec["model"])
     registry = None if spec["registry_root"] is None else ModelRegistry(spec["registry_root"])
-    use_kernel = spec.get("use_kernel", True)
     metrics = drift = None
     if spec.get("monitor"):
         from ..monitor.drift import DriftMonitor
@@ -952,14 +937,7 @@ def _build_engine(spec: dict) -> FleetEngine:
 
         # the engine wraps the resolver in a ChemistryDriftRouter
         drift = drift_resolver_from_registry(registry)
-    kwargs = dict(
-        default_model=model,
-        registry=registry,
-        use_kernel=use_kernel,
-        metrics=metrics,
-        drift=drift,
-        dtype=spec.get("dtype", "float64"),
-    )
+    kwargs = dict(default_model=model, registry=registry, metrics=metrics, drift=drift)
     journal_path = spec["journal_path"]
     if journal_path is None:
         return FleetEngine(**kwargs)

@@ -20,6 +20,7 @@ from repro.nn import MLP, Linear, Sequential, Tanh, export_affine_chain
 from repro.serve import FleetEngine, ModelRegistry, generate_fleet
 
 BATCH_SIZES = (1, 7, 1024)
+FAST_FLEET = dict(ambient_temps_c=(25.0,), c_rates=(1.0, 2.0), protocols=("discharge",), max_time_s=1800.0)
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +112,6 @@ class TestBuffers:
 
 
 class TestDtypeAndExport:
-    def test_float32_mode_is_single_precision_close(self, model):
-        kernel = CompiledTwoBranchKernel(model, dtype=np.float32)
-        x = _inputs(256, seed=3)
-        ref = model.estimate_soc(x["voltage"], x["current"], x["temp_c"])
-        got = kernel.estimate_soc(x["voltage"], x["current"], x["temp_c"])
-        assert np.max(np.abs(got - ref)) < 1e-4
-        assert kernel.num_bytes() < CompiledTwoBranchKernel(model).num_bytes()
-
     def test_refresh_picks_up_new_weights(self, model):
         kernel = CompiledTwoBranchKernel(model)
         before = kernel.estimate_soc(3.7, 1.0, 25.0)
@@ -161,26 +154,6 @@ class TestDtypeAndExport:
             ref = mlp(nn.Tensor(branch1_scaler().transform(x))).data[:, 0]
         got = kernel.forward_columns((x[:, 0], x[:, 1], x[:, 2]))
         np.testing.assert_allclose(got, ref, atol=1e-9, rtol=0)
-
-
-class TestFloat32Golden:
-    """The float32 tier's documented accuracy claim (~1e-6 vs float64)."""
-
-    def test_estimate_within_documented_tolerance(self, model, kernel):
-        k32 = CompiledTwoBranchKernel(model, dtype=np.float32)
-        x = _inputs(2048, seed=11)
-        ref = kernel.estimate_soc(x["voltage"], x["current"], x["temp_c"])
-        got = k32.estimate_soc(x["voltage"], x["current"], x["temp_c"])
-        assert got.dtype == np.float32
-        np.testing.assert_allclose(got, ref, atol=1e-6, rtol=0)
-
-    def test_predict_within_documented_tolerance(self, model, kernel):
-        k32 = CompiledTwoBranchKernel(model, dtype=np.float32)
-        x = _inputs(2048, seed=12)
-        ref = kernel.predict_soc(x["soc"], x["current"], x["temp_c"], x["horizon_s"])
-        got = k32.predict_soc(x["soc"], x["current"], x["temp_c"], x["horizon_s"])
-        assert got.dtype == np.float32
-        np.testing.assert_allclose(got, ref, atol=1e-6, rtol=0)
 
 
 class TestFusedKernels:
@@ -238,27 +211,6 @@ class TestFusedKernels:
         got = fused.estimate_soc(x["voltage"], x["current"], x["temp_c"], np.zeros(8, dtype=int))
         np.testing.assert_allclose(got, ref, atol=1e-9, rtol=0)
 
-    def test_float32_members_within_documented_tolerance(self, members, kernels):
-        fused32 = FusedTwoBranchKernel([CompiledTwoBranchKernel(m, dtype=np.float32) for m in members])
-        x = _inputs(512, seed=42)
-        member = np.random.default_rng(42).integers(0, len(members), 512)
-        ref = np.empty(512)
-        for u, kernel in enumerate(kernels):
-            idx = np.flatnonzero(member == u)
-            ref[idx] = kernel.estimate_soc(x["voltage"][idx], x["current"][idx], x["temp_c"][idx])
-        got = fused32.estimate_soc(x["voltage"], x["current"], x["temp_c"], member)
-        assert got.dtype == np.float32
-        np.testing.assert_allclose(got, ref, atol=1e-6, rtol=0)
-
-    def test_mixed_dtypes_rejected(self, members):
-        with pytest.raises(ValueError, match="share one dtype"):
-            FusedTwoBranchKernel(
-                [
-                    CompiledTwoBranchKernel(members[0]),
-                    CompiledTwoBranchKernel(members[1], dtype=np.float32),
-                ]
-            )
-
     def test_mixed_architectures_rejected(self, kernels):
         other = TwoBranchSoCNet(ModelConfig(hidden=(8, 8)), rng=np.random.default_rng(7))
         with pytest.raises(ValueError, match="chain architecture"):
@@ -270,48 +222,71 @@ class TestFusedKernels:
 
 
 class TestEngineFusion:
-    """FleetEngine's mixed-model fused path == the per-model loop."""
+    """FleetEngine's mixed-model batches, fused or looped, == the Tensor model."""
 
     # four models: fusion only engages on dispatch-bound batches
     # (>= 4 model groups, small per-group row counts)
     MODELS = ("nmc-model", "lfp-model", "lto-model", "nca-model")
 
     @pytest.fixture()
-    def routed_engines(self, tmp_path):
+    def routed_engine(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         for seed, name in enumerate(self.MODELS, start=1):
             registry.publish(name, TwoBranchSoCNet(rng=np.random.default_rng(seed)))
-        engines = [FleetEngine(registry=registry, fuse_models=fuse) for fuse in (True, False)]
+        engine = FleetEngine(registry=registry)
         ids = [f"c{k}" for k in range(64)]
-        for engine in engines:
-            for k, cid in enumerate(ids):
-                engine.register_cell(cid, model_name=self.MODELS[k % len(self.MODELS)])
-        return engines, ids
+        for k, cid in enumerate(ids):
+            engine.register_cell(cid, model_name=self.MODELS[k % len(self.MODELS)])
+        return engine, ids
 
-    def test_estimate_and_predict_match_loop(self, routed_engines):
-        (fused_engine, loop_engine), ids = routed_engines
+    @pytest.mark.parametrize("n_models", [4, 2], ids=["fused", "loop"])
+    def test_served_path_matches_tensor_model(self, tmp_path, n_models):
+        """Estimate, predict and rollout of a mixed-model fleet match each
+        cell's own Tensor model and ``model_rollout`` to 1e-9, whether the
+        batch takes the fused chain (4 models) or the per-model loop (2)."""
+        registry = ModelRegistry(tmp_path / "registry")
+        models = {}
+        for seed, name in enumerate(self.MODELS[:n_models], start=1):
+            models[name] = TwoBranchSoCNet(rng=np.random.default_rng(seed))
+            registry.publish(name, models[name])
+        engine = FleetEngine(registry=registry)
+        assignments = generate_fleet(16, seed=3, **FAST_FLEET).assignments()
+        ids = [cid for cid, _ in assignments]
+        route = [self.MODELS[k % n_models] for k in range(len(ids))]
+        for cid, name in zip(ids, route):
+            engine.register_cell(cid, model_name=name)
         x = _inputs(len(ids), seed=50)
-        est_fused = fused_engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
-        est_loop = loop_engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
-        np.testing.assert_allclose(est_fused, est_loop, atol=1e-9, rtol=0)
-        pred_fused = fused_engine.predict(ids, x["current"], x["temp_c"], x["horizon_s"])
-        pred_loop = loop_engine.predict(ids, x["current"], x["temp_c"], x["horizon_s"])
-        np.testing.assert_allclose(pred_fused, pred_loop, atol=1e-9, rtol=0)
+        est = engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
+        pred = engine.predict(ids, x["current"], x["temp_c"], x["horizon_s"], soc_now=x["soc"])
+        assert bool(engine._fused) == (n_models >= 4)
+        for name, model in models.items():
+            idx = np.array([k for k, routed in enumerate(route) if routed == name])
+            ref_est = model.estimate_soc(x["voltage"][idx], x["current"][idx], x["temp_c"][idx])
+            np.testing.assert_allclose(est[idx], ref_est, atol=1e-9, rtol=0)
+            ref_pred = model.predict_soc(
+                x["soc"][idx], x["current"][idx], x["temp_c"][idx], x["horizon_s"][idx]
+            )
+            np.testing.assert_allclose(pred[idx], ref_pred, atol=1e-9, rtol=0)
+        rolled = engine.rollout_fleet(assignments, step_s=120.0)
+        for (cid, cycle), name in zip(assignments, route):
+            ref = model_rollout(models[name], cycle, 120.0)
+            np.testing.assert_allclose(rolled[cid].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
+            np.testing.assert_array_equal(rolled[cid].time_s, ref.time_s)
 
-    def test_fused_kernel_is_cached_and_reused(self, routed_engines):
-        (fused_engine, _), ids = routed_engines
+    def test_fused_kernel_is_cached_and_reused(self, routed_engine):
+        engine, ids = routed_engine
         x = _inputs(len(ids), seed=51)
-        fused_engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
-        (_, fused_a) = next(iter(fused_engine._fused.values()))
-        fused_engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
-        (_, fused_b) = next(iter(fused_engine._fused.values()))
+        engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
+        (_, fused_a) = next(iter(engine._fused.values()))
+        engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
+        (_, fused_b) = next(iter(engine._fused.values()))
         assert fused_a is fused_b and fused_a is not None
 
     def test_gemm_bound_batches_keep_the_per_model_loop(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         for seed, name in enumerate(("a-model", "b-model"), start=1):
             registry.publish(name, TwoBranchSoCNet(rng=np.random.default_rng(seed)))
-        engine = FleetEngine(registry=registry, fuse_models=True)
+        engine = FleetEngine(registry=registry)
         ids = [f"c{k}" for k in range(32)]
         for k, cid in enumerate(ids):
             engine.register_cell(cid, model_name="a-model" if k % 2 else "b-model")
@@ -320,55 +295,28 @@ class TestEngineFusion:
         engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
         assert not engine._fused
 
-    def test_float32_engine_requires_kernels(self, model):
-        with pytest.raises(ValueError, match="use_kernel"):
-            FleetEngine(default_model=model, dtype=np.float32, use_kernel=False)
-
-    def test_float32_engine_serves_float32(self, model):
-        engine = FleetEngine(default_model=model, dtype=np.float32)
-        ids = ["a", "b"]
-        for cid in ids:
-            engine.register_cell(cid)
-        out = engine.estimate(ids, [3.7, 3.6], [1.0, 2.0], 25.0)
-        assert out.dtype == np.float32
-
 
 class TestEngineIntegration:
-    def test_engine_rollout_matches_tensor_escape_hatch(self):
-        """FleetEngine on kernels == FleetEngine on Tensors == scalar loop."""
+    def test_engine_rollout_matches_model_rollout(self):
+        """FleetEngine on kernels == the per-cell Tensor ``model_rollout``."""
         model = TwoBranchSoCNet(rng=np.random.default_rng(1))
-        fleet = generate_fleet(
-            12,
-            seed=3,
-            ambient_temps_c=(25.0,),
-            c_rates=(1.0, 2.0),
-            protocols=("discharge",),
-            max_time_s=1800.0,
-        )
-        assignments = fleet.assignments()
-        kernel_engine = FleetEngine(default_model=model)
-        tensor_engine = FleetEngine(default_model=model, use_kernel=False)
-        with_kernel = kernel_engine.rollout_fleet(assignments, step_s=120.0)
-        without = tensor_engine.rollout_fleet(assignments, step_s=120.0)
+        assignments = generate_fleet(12, seed=3, **FAST_FLEET).assignments()
+        rolled = FleetEngine(default_model=model).rollout_fleet(assignments, step_s=120.0)
         for cell_id, cycle in assignments:
             ref = model_rollout(model, cycle, 120.0)
-            np.testing.assert_allclose(with_kernel[cell_id].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
-            np.testing.assert_allclose(
-                with_kernel[cell_id].soc_pred, without[cell_id].soc_pred, atol=1e-9, rtol=0
-            )
-            np.testing.assert_array_equal(with_kernel[cell_id].time_s, ref.time_s)
+            np.testing.assert_allclose(rolled[cell_id].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
+            np.testing.assert_array_equal(rolled[cell_id].time_s, ref.time_s)
 
-    def test_engine_estimate_predict_match_escape_hatch(self):
+    def test_engine_estimate_predict_match_tensor_model(self):
         model = TwoBranchSoCNet(rng=np.random.default_rng(2))
         x = _inputs(32, seed=6)
-        outs = {}
-        for use_kernel in (True, False):
-            engine = FleetEngine(default_model=model, use_kernel=use_kernel)
-            ids = [f"c{k}" for k in range(32)]
-            for cid in ids:
-                engine.register_cell(cid)
-            est = engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
-            pred = engine.predict(ids, x["current"], x["temp_c"], 60.0)
-            outs[use_kernel] = (est, pred)
-        np.testing.assert_allclose(outs[True][0], outs[False][0], atol=1e-9, rtol=0)
-        np.testing.assert_allclose(outs[True][1], outs[False][1], atol=1e-9, rtol=0)
+        engine = FleetEngine(default_model=model)
+        ids = [f"c{k}" for k in range(32)]
+        for cid in ids:
+            engine.register_cell(cid)
+        est = engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
+        pred = engine.predict(ids, x["current"], x["temp_c"], 60.0)
+        ref_est = model.estimate_soc(x["voltage"], x["current"], x["temp_c"])
+        np.testing.assert_allclose(est, ref_est, atol=1e-9, rtol=0)
+        ref_pred = model.predict_soc(ref_est, x["current"], x["temp_c"], np.full(32, 60.0))
+        np.testing.assert_allclose(pred, ref_pred, atol=1e-9, rtol=0)

@@ -125,26 +125,6 @@ class TestDaemonE2E:
                 proc.poll() is None and proc.kill()
                 proc.wait(timeout=10)
 
-    def test_inbound_worker_serves_the_spec_dtype(self, model):
-        """A ``--connect`` worker is built from the whole worker spec:
-        under a float32 spec it serves float32 estimates."""
-        spec = WorkerSpec(url="pipe://", model=model, dtype="float32")
-        fleet = ShardedFleet(1, spec=spec)
-        daemon = SocDaemon(fleet, "tcp://127.0.0.1:0", worker_spec=spec, control_interval_s=0)
-        joiner = None
-        try:
-            with daemon:
-                joiner = subprocess.Popen(_join_code(daemon.url, "joiner"), env=_worker_env())
-                wait_for(lambda: fleet.n_shards == 2, what="joiner attach")
-                with daemon.gateway.batcher.lock:
-                    for shard in fleet._shards:  # the resolved worker and the inbound one
-                        shard.register_cell("x")
-                        assert shard.estimate(["x"], 3.7, 1.0, 25.0).dtype == np.float32
-        finally:
-            if joiner is not None:
-                joiner.poll() is None and joiner.kill()
-                joiner.wait(timeout=10)
-
     def test_add_worker_by_url_through_client(self, model):
         from repro.serve import ShardWorker
 

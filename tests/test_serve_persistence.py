@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import TwoBranchSoCNet
+from repro.core import CompiledTwoBranchKernel, TwoBranchSoCNet
 from repro.serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal, generate_fleet
 
 
@@ -51,6 +51,19 @@ def _truncated(cycle, n_samples: int):
 
 
 # ----------------------------------------------------------------------
+def _count_kernel_predicts(monkeypatch) -> dict:
+    """Count Branch 2 kernel forwards from now on; ``calls["n"]`` is the tally."""
+    calls = {"n": 0}
+    original = CompiledTwoBranchKernel.predict_soc
+
+    def counting_predict(self, *args, **kwargs):
+        calls["n"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledTwoBranchKernel, "predict_soc", counting_predict)
+    return calls
+
+
 class TestStateJournal:
     def test_roundtrip_across_reopen(self, model, tmp_path):
         path = tmp_path / "fleet.journal"
@@ -376,7 +389,7 @@ class TestCrashRestore:
             assert restored.cell(cid).soc == float(reference[cid].soc_pred[-1])
         reopened.close()
 
-    def test_resume_skips_journaled_windows(self, model, fleet, tmp_path):
+    def test_resume_skips_journaled_windows(self, model, fleet, tmp_path, monkeypatch):
         """Resume replays the journaled prefix instead of recomputing it:
         windows before the crash point trigger no model forwards."""
         path = tmp_path / "fleet.journal"
@@ -392,30 +405,18 @@ class TestCrashRestore:
         journal.close()
 
         reopened = StateJournal(path)
-        # the Tensor path, so the spy below sees every model forward
-        # (the default compiled-kernel path never calls the model)
-        restored = FleetEngine.restore(reopened, default_model=model, use_kernel=False)
+        restored = FleetEngine.restore(reopened, default_model=model)
         windows_run = []
-        calls = {"n": 0}
-        original = model.predict_soc
-
-        def counting_predict(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        model.predict_soc = counting_predict
-        try:
-            restored.resume_rollout_fleet(
-                fleet.assignments(), step_s=120.0, step_hook=windows_run.append
-            )
-        finally:
-            model.predict_soc = original
+        calls = _count_kernel_predicts(monkeypatch)
+        restored.resume_rollout_fleet(
+            fleet.assignments(), step_s=120.0, step_hook=windows_run.append
+        )
         max_windows = max(windows_run)
         # forwards happen only for the windows past the crash point
         assert calls["n"] == max_windows - 4
         reopened.close()
 
-    def test_mixed_resume_finished_mid_rollout_and_fresh_cells(self, model, fleet, tmp_path):
+    def test_mixed_resume_finished_mid_rollout_and_fresh_cells(self, model, fleet, tmp_path, monkeypatch):
         """One model group resumes cells that had finished, cells that
         were mid-rollout and one assignment that never started: every
         trajectory matches an uninterrupted run, and forwards run only
@@ -440,22 +441,12 @@ class TestCrashRestore:
         reopened = StateJournal(path)
         lengths = {cid: len(reference[cid]) - 1 for cid in reference}
         assert min(lengths.values()) < crash_at < max(lengths.values())
-        restored = FleetEngine.restore(reopened, default_model=model, use_kernel=False)
+        restored = FleetEngine.restore(reopened, default_model=model)
         windows_run = []
-        calls = {"n": 0}
-        original = model.predict_soc
-
-        def counting_predict(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        model.predict_soc = counting_predict
-        try:
-            resumed = restored.resume_rollout_fleet(
-                fleet.assignments() + [late], step_s=120.0, step_hook=windows_run.append
-            )
-        finally:
-            model.predict_soc = original
+        calls = _count_kernel_predicts(monkeypatch)
+        resumed = restored.resume_rollout_fleet(
+            fleet.assignments() + [late], step_s=120.0, step_hook=windows_run.append
+        )
         assert list(resumed) == list(reference)
         for cid, got in resumed.items():
             np.testing.assert_allclose(got.soc_pred, reference[cid].soc_pred, atol=1e-9, rtol=0)

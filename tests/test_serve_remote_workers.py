@@ -40,7 +40,7 @@ def small_fleet():
 
 
 # ----------------------------------------------------------------------
-class TestRemoteShardWorker:
+class TestTcpWorker:
     def test_serves_engine_api_over_tcp(self, model):
         local = FleetEngine(default_model=model)
         worker = ShardWorker(

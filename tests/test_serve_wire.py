@@ -310,15 +310,7 @@ class TestDecoderHardening:
 
 
 class TestDtypeFidelity:
-    """float32 payloads must cross the wire without a float64 upcast."""
-
-    def test_wire_col_preserves_float32(self):
-        from repro.serve.workers import _wire_col
-
-        col = np.linspace(0.0, 1.0, 17, dtype=np.float32)
-        out = _wire_col(col)
-        assert out.dtype == np.float32
-        assert out.tobytes() == col.tobytes()
+    """Frames keep any numeric dtype; inference operands ship as float64."""
 
     def test_wire_col_upcasts_everything_else_to_float64(self):
         from repro.serve.workers import _wire_col
@@ -326,31 +318,14 @@ class TestDtypeFidelity:
         assert _wire_col([1, 2, 3]).dtype == np.float64
         assert _wire_col(np.arange(3, dtype=np.int32)).dtype == np.float64
         assert _wire_col(3.7).dtype == np.float64
-        assert _wire_col(np.float32(3.7)).dtype == np.float32
+        assert _wire_col(np.float32(3.7)).dtype == np.float64
+        assert _wire_col(np.linspace(0.0, 1.0, 17, dtype=np.float32)).dtype == np.float64
 
     def test_float32_frame_roundtrip_is_bit_for_bit(self):
         col = np.random.default_rng(3).standard_normal(129).astype(np.float32)
         frame = roundtrip_v2("estimate", {"n": 129}, [col])
         assert frame.arrays[0].dtype == np.float32
         assert frame.arrays[0].tobytes() == col.tobytes()
-
-    def test_float32_worker_replies_stay_float32(self, model):
-        local = FleetEngine(default_model=model, dtype=np.float32)
-        rng = np.random.default_rng(5)
-        ids = [f"c{k}" for k in range(48)]
-        v = rng.uniform(2.8, 4.2, 48).astype(np.float32)
-        i = rng.uniform(-5, 5, 48).astype(np.float32)
-        t = rng.uniform(0, 45, 48).astype(np.float32)
-        with ShardWorker("pipe://", default_model=model, dtype="float32", name="f32") as worker:
-            for cid in ids:
-                local.register_cell(cid)
-                worker.register_cell(cid)
-            out = worker.estimate(ids, v, i, t)
-            assert out.dtype == np.float32
-            np.testing.assert_array_equal(out, local.estimate(ids, v, i, t))
-            pred = worker.predict(ids, i, t, 60.0)
-            assert pred.dtype == np.float32
-            np.testing.assert_array_equal(pred, local.predict(ids, i, t, 60.0))
 
 
 class TestShmRefs:
@@ -501,6 +476,16 @@ class TestWorkerInterop:
             worker.register_cell("a")
             assert "a" in worker and worker.alive
 
+    def test_init_with_unknown_spec_keys_gets_a_typed_err(self, model):
+        """A spec carrying settings this worker does not have (here the
+        float32 tier and the Tensor path) is refused, not served as float64."""
+        with ShardWorker("pipe://", default_model=model, name="oldspec") as worker:
+            spec = {**worker._spec, "dtype": "float32", "use_kernel": False}
+            reply = worker._transport.request("init", wire.call_meta((spec,)))
+            assert reply.kind == "err" and reply.meta["type"] == "ValueError"
+            assert "unexpected keys: dtype, use_kernel" in reply.meta["message"]
+            assert worker._transport.request("ping", wire.call_meta()).meta["value"] == "pong"
+
     def test_scalar_broadcast_ships_one_element_and_results_are_writable(self, model, small_fleet):
         """Fleet-wide scalars cross the pipe once, and every returned
         array is writable — the same contract as an in-process engine."""
@@ -516,16 +501,6 @@ class TestWorkerInterop:
             rolled = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
         first = next(iter(rolled.values()))
         first.soc_pred[-1] = 0.0  # writable
-
-    def test_tensor_path_worker(self, model, small_fleet):
-        """use_kernel=False ships to the child and serves equivalently."""
-        ref = FleetEngine(default_model=model, use_kernel=False).rollout_fleet(
-            small_fleet.assignments(), step_s=120.0
-        )
-        with ShardWorker("pipe://", default_model=model, use_kernel=False, name="tensor") as worker:
-            got = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
-        for cell_id in ref:
-            np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
 
     def test_v2_frames_beat_pickle_on_size(self):
         """The frame encoding of a bulk estimate is leaner than its pickle."""

@@ -36,7 +36,7 @@ def small_fleet():
 
 
 # ----------------------------------------------------------------------
-class TestProcessShardWorker:
+class TestPipeWorker:
     def test_serves_engine_api_across_the_wire(self, model):
         local = FleetEngine(default_model=model)
         with ShardWorker("pipe://", default_model=model, name="api") as worker:
@@ -345,7 +345,7 @@ class TestWorkerMetrics:
             worker.register_cell("b")
             worker.estimate(["a", "b"], 3.7, 1.0, 25.0)
             snap = worker.metrics_snapshot()
-        key = 'engine_requests_total{model="__default__",op="estimate",path="kernel"}'
+        key = 'engine_requests_total{model="__default__",op="estimate"}'
         assert snap["counters"][key] == 2.0
         assert snap["gauges"]["engine_cells"] == 2.0
 
@@ -359,9 +359,9 @@ class TestWorkerMetrics:
             fleet.estimate(ids, 3.7, 1.0, 25.0)
             fleet.rollout_fleet(small_fleet.assignments(), 120.0)
             merged = fleet.metrics()
-        key = 'engine_requests_total{model="__default__",op="estimate",path="kernel"}'
+        key = 'engine_requests_total{model="__default__",op="estimate"}'
         assert merged["counters"][key] == float(len(ids))
-        rollout_key = 'engine_requests_total{model="__default__",op="rollout",path="kernel"}'
+        rollout_key = 'engine_requests_total{model="__default__",op="rollout"}'
         assert merged["counters"][rollout_key] == float(len(ids))
         assert merged["gauges"]["engine_cells"] == float(len(ids))  # gauges sum across shards
         hist = merged["histograms"]['engine_physics_residual{model="__default__"}']
@@ -379,7 +379,7 @@ class TestWorkerMetrics:
             victim._proc.kill()
             victim._proc.wait()
             merged = fleet.metrics()  # no raise; surviving shard reports
-            key = 'engine_requests_total{model="__default__",op="estimate",path="kernel"}'
+            key = 'engine_requests_total{model="__default__",op="estimate"}'
             assert 0 < merged["counters"][key] < 8.0
         finally:
             fleet.close()
