@@ -63,11 +63,7 @@ ALLOWLIST = [
 # src/repro/learn/loop.py, scripts/e2e_retrain.py,
 # tests/test_learn_harvest.py, tests/test_learn_finetune.py,
 # tests/test_learn_loop.py, tests/test_learn_e2e.py,
-# src/repro/monitor/resources.py, src/repro/serve/loadgen.py,
-# src/repro/perflab/__init__.py, src/repro/perflab/table.py,
-# src/repro/perflab/runner.py, src/repro/perflab/analysis.py,
-# benchmarks/perf_lab.py, tests/test_monitor_resources.py,
-# tests/test_serve_loadgen.py, tests/test_perflab.py,
+# src/repro/monitor/resources.py, tests/test_monitor_resources.py,
 # tests/test_scripts_scrape.py, tests/test_bench_regression.py
 
 

@@ -260,11 +260,13 @@ def _gateway_traffic(engine, fleet, args, metrics=None, tracer=None):
     from .serve import SocGateway
 
     members = list(fleet.members)
-    per_client = max(1, args.requests // args.clients)
+    # the first ``requests % clients`` clients send one extra request,
+    # so exactly ``--requests`` are sent
+    per_client, extra = divmod(args.requests, args.clients)
 
     async def client(gateway, k):
         completions = []
-        for j in range(per_client):
+        for j in range(per_client + (k < extra)):
             member = members[(k * 37 + j * 7) % len(members)]
             data = member.cycle.data
             idx = (k * 11 + j * 13) % len(member.cycle)
@@ -892,31 +894,6 @@ def _cmd_registry(args) -> int:
     return 0
 
 
-def _cmd_perf_lab(args) -> int:
-    import json
-
-    from .perflab import analyze, load_table, run_table
-
-    if args.perf_lab_command == "run":
-        manifest = run_table(load_table(args.table), args.out)
-        failed = [r["run_id"] for r in manifest["runs"] if not r["ok"]]
-        if failed:
-            print(f"FAILED runs: {', '.join(failed)}")
-            return 1
-        return 0
-    summary = analyze(args.out, slo_p99_ms=args.slo_p99_ms, per_cell_req_s=args.per_cell_req_s)
-    capacity = summary["capacity"]
-    print(json.dumps(capacity["assumptions"], indent=2))
-    for key, head in sorted(capacity["headline"].items()):
-        print(
-            f"{key}: knee {head['knee_rate']:.0f} req/s ({head['status']}, worst shape "
-            f"{head['shape']}) -> {head['req_s_per_worker']:.0f} req/s/worker, "
-            f"{head['cells_per_host']:.0f} cells/host"
-        )
-    print(f"summary.json + BENCH_capacity.json written under {args.out}")
-    return 0
-
-
 def _cmd_retrain(args) -> int:
     from .learn import FineTuneConfig, fine_tune, harvest_training_set, publish_candidate
     from .serve import ModelRegistry
@@ -1289,24 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="harvest and fine-tune but publish nothing")
     retrain.set_defaults(func=_cmd_retrain)
 
-    perf_lab = sub.add_parser(
-        "perf-lab",
-        help="run-table perf sweeps with open-loop load and a capacity model",
-    )
-    perf_lab_sub = perf_lab.add_subparsers(dest="perf_lab_command", required=True)
-    lab_run = perf_lab_sub.add_parser("run", help="execute every cell of a run table")
-    lab_run.add_argument("--table", required=True, help="run table (JSON or YAML)")
-    lab_run.add_argument("--out", required=True, help="artifact directory (created)")
-    lab_run.set_defaults(func=_cmd_perf_lab)
-    lab_analyze = perf_lab_sub.add_parser(
-        "analyze", help="aggregate run artifacts into summary + BENCH_capacity.json"
-    )
-    lab_analyze.add_argument("--out", required=True, help="artifact directory from a run")
-    lab_analyze.add_argument("--slo-p99-ms", type=float, default=None,
-                             help="p99 latency objective (default: table-pinned)")
-    lab_analyze.add_argument("--per-cell-req-s", type=float, default=None,
-                             help="assumed steady per-cell req/s (default: table-pinned)")
-    lab_analyze.set_defaults(func=_cmd_perf_lab)
     return parser
 
 

@@ -1,8 +1,7 @@
 """Process resource telemetry: RSS and CPU seconds from ``/proc``.
 
-Capacity planning needs more than latency quantiles — "how many cells
-per host" is bounded by memory and CPU as much as by the knee of the
-latency curve.  This module reads the two numbers that matter from
+An operator sizing a serving process needs its memory and CPU next to
+its latency quantiles.  This module reads those two numbers from
 ``/proc/<pid>/stat`` (one ~300-byte read, no allocation-heavy psutil
 dependency) and exports them in the standard Prometheus process-metrics
 vocabulary:
@@ -20,9 +19,7 @@ meaningless total — labeled ones survive as eight inspectable series).
 registry as a snapshot-time collector, so every existing readout path —
 the worker ``metrics`` wire op, ``ShardedFleet.metrics()``, the
 ``/metrics`` exposition endpoint — sees current values with no caller
-changes.  The perf lab additionally runs a background sampling thread
-(:meth:`ResourceSampler.start`) to record a resource *time series* per
-run, not just the final value.
+changes.
 
 On platforms without ``/proc`` the reader falls back to
 ``resource.getrusage`` (coarser RSS units, still correct CPU seconds).
@@ -32,9 +29,6 @@ from __future__ import annotations
 
 import os
 import resource
-import threading
-import time
-from collections import deque
 
 __all__ = [
     "ResourceSampler",
@@ -74,92 +68,38 @@ def read_process_stats(pid: int | str = "self") -> dict:
 
 
 class ResourceSampler:
-    """Samples one process's RSS/CPU into gauges and an in-memory series.
+    """Refreshes one process's RSS/CPU instruments on each :meth:`sample`.
 
     Parameters
     ----------
     metrics:
-        Optional :class:`~repro.monitor.metrics.MetricsRegistry`; when
-        given, each :meth:`sample` refreshes
-        ``process_resident_bytes{pid=}`` and advances
-        ``process_cpu_seconds_total{pid=}`` by the (non-negative) CPU
-        delta since the previous sample, preserving counter semantics.
+        :class:`~repro.monitor.metrics.MetricsRegistry`; each
+        :meth:`sample` refreshes ``process_resident_bytes{pid=}`` and
+        advances ``process_cpu_seconds_total{pid=}`` by the
+        (non-negative) CPU delta since the previous sample, preserving
+        counter semantics.
     pid:
         Process to read (default: the calling process).
-    clock:
-        Timestamp source for the recorded series (default
-        ``time.monotonic``).
-
-    :meth:`start` runs :meth:`sample` on a daemon thread at a fixed
-    interval; samples land in a bounded deque (:attr:`samples`) for
-    artifact export via :meth:`series`.
     """
 
-    def __init__(self, metrics=None, pid: int | None = None, clock=time.monotonic, maxlen: int = 4096):
+    def __init__(self, metrics, pid: int | None = None):
         self.pid = int(pid if pid is not None else os.getpid())
-        self.clock = clock
-        self.samples: deque[dict] = deque(maxlen=maxlen)
-        self._metrics = metrics
         self._last_cpu: float | None = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        if metrics is not None:
-            label = str(self.pid)
-            self._rss_gauge = metrics.gauge("process_resident_bytes", pid=label)
-            self._cpu_counter = metrics.counter("process_cpu_seconds_total", pid=label)
-        else:
-            self._rss_gauge = None
-            self._cpu_counter = None
+        label = str(self.pid)
+        self._rss_gauge = metrics.gauge("process_resident_bytes", pid=label)
+        self._cpu_counter = metrics.counter("process_cpu_seconds_total", pid=label)
 
     def sample(self) -> dict:
-        """Take one reading; update instruments; append to the series."""
+        """Take one reading and update the instruments."""
         stats = read_process_stats(self.pid)
-        record = {"t": self.clock(), **stats}
-        if self._rss_gauge is not None:
-            self._rss_gauge.set(stats["rss_bytes"])
-            prev = self._last_cpu
-            if prev is not None and stats["cpu_seconds"] > prev:
-                self._cpu_counter.inc(stats["cpu_seconds"] - prev)
-            elif prev is None:
-                self._cpu_counter.inc(stats["cpu_seconds"])
+        self._rss_gauge.set(stats["rss_bytes"])
+        prev = self._last_cpu
+        if prev is None:
+            self._cpu_counter.inc(stats["cpu_seconds"])
+        elif stats["cpu_seconds"] > prev:
+            self._cpu_counter.inc(stats["cpu_seconds"] - prev)
         self._last_cpu = stats["cpu_seconds"]
-        self.samples.append(record)
-        return record
-
-    def series(self) -> list[dict]:
-        """The recorded samples as a JSON-safe list (oldest first)."""
-        return list(self.samples)
-
-    # -- background sampling --------------------------------------------
-    def start(self, interval_s: float = 0.25) -> None:
-        """Sample on a daemon thread every ``interval_s`` until :meth:`stop`."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(interval_s):
-                try:
-                    self.sample()
-                except Exception:
-                    pass
-
-        self._thread = threading.Thread(target=loop, name="resource-sampler", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=2.0)
-        self._thread = None
-
-    def __enter__(self) -> "ResourceSampler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        return stats
 
 
 def install_process_metrics(registry) -> ResourceSampler:

@@ -70,7 +70,6 @@ from .driftconfig import drift_resolver_from_registry
 from .engine import CellState, FleetEngine
 from .fleet_sim import FleetMember, FleetScenario, generate_fleet
 from .gateway import GatewayOverloaded, SocGateway
-from .loadgen import LoadReport, arrival_times, run_closed_loop, run_open_loop
 from .persistence import JournalSnapshot, StateJournal
 from .registry import ModelEntry, ModelRegistry
 from .scheduler import BatchStats, Completion, MicroBatcher, Request
@@ -114,8 +113,4 @@ __all__ = [
     "FleetMember",
     "FleetScenario",
     "generate_fleet",
-    "LoadReport",
-    "arrival_times",
-    "run_closed_loop",
-    "run_open_loop",
 ]

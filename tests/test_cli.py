@@ -178,6 +178,21 @@ class TestServeSim:
 
         assert len(StateJournal(journal).snapshot().cells) == 8
 
+    def test_async_sends_exactly_the_requested_count(self, capsys, tmp_path):
+        """--requests not divisible by --clients still sends exactly N."""
+        import json
+
+        soak = tmp_path / "soak.json"
+        code = main([
+            "serve-sim", "--untrained", "--cells", "4", "--fast", "--step", "120",
+            "--async", "--requests", "10", "--clients", "4", "--soak-json", str(soak),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        record = json.loads(soak.read_text())
+        assert record["requests"] == 10
+        assert record["errors"] == 0
+
 
 class TestRegistryCommand:
     @pytest.fixture()

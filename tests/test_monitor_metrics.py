@@ -231,8 +231,9 @@ class TestMergeSnapshots:
         assert merged["counters"]['requests_total{shard="1"}'] == 3.0
 
     def test_merged_snapshot_is_remergeable(self):
-        # the perf-lab runner merges a parent snapshot with an already
-        # topology-merged one; the output format must round-trip
+        # cli._report_monitoring merges the parent snapshot with
+        # ShardedFleet.metrics(), which is already topology-merged; the
+        # output format must round-trip
         a = MetricsRegistry()
         a.histogram("h").observe(1.0)
         b = MetricsRegistry()

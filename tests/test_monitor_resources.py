@@ -33,13 +33,6 @@ class TestReadProcessStats:
 
 
 class TestResourceSampler:
-    def test_sample_records_series(self):
-        sampler = ResourceSampler()
-        first = sampler.sample()
-        second = sampler.sample()
-        assert second["t"] >= first["t"]
-        assert sampler.series() == [first, second]
-
     def test_metrics_instruments_update(self):
         reg = MetricsRegistry()
         sampler = ResourceSampler(metrics=reg)
@@ -57,23 +50,6 @@ class TestResourceSampler:
             sampler.sample()
             readings.append(reg.counter_value("process_cpu_seconds_total", pid=pid))
         assert readings == sorted(readings)
-
-    def test_background_thread_collects(self):
-        sampler = ResourceSampler()
-        sampler.start(interval_s=0.01)
-        try:
-            deadline = time.monotonic() + 5.0
-            while len(sampler.samples) < 3:
-                time.sleep(0.01)
-                assert time.monotonic() < deadline, "background sampler produced nothing"
-        finally:
-            sampler.stop()
-        assert sampler._thread is None
-
-    def test_context_manager_stops(self):
-        with ResourceSampler() as sampler:
-            sampler.start(interval_s=0.01)
-        assert sampler._thread is None
 
 
 class TestInstallProcessMetrics:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import TwoBranchSoCNet
+from repro.monitor import MetricsRegistry
 from repro.serve import (
     FleetEngine,
     ModelRegistry,
@@ -158,6 +159,25 @@ class TestShardedFleet:
         sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         for m in fleet.members:
             assert sharded.cell(m.cell_id).model_key == m.chemistry
+
+    def test_shared_registry_merges_once(self, model):
+        """In-process shards share one registry; ``metrics()`` must count
+        it once, not once per shard."""
+        reg = MetricsRegistry()
+        sharded = ShardedFleet(2, default_model=model, metrics=reg)
+        ids = [f"cell-{k}" for k in range(8)]
+        for cid in ids:
+            sharded.register_cell(cid)
+        sharded.estimate(ids, 3.7, 1.0, 25.0)
+        assert min(sharded.shard_sizes()) > 0
+        merged = sharded.metrics()
+        estimates = sum(
+            value
+            for key, value in merged["counters"].items()
+            if key.startswith("engine_requests_total{") and 'op="estimate"' in key
+        )
+        assert estimates == 8
+        assert merged["gauges"]["engine_cells"] == 8
 
 
 # ----------------------------------------------------------------------
