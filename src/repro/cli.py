@@ -14,8 +14,8 @@ Gives the library a deployable surface without writing Python:
 - ``repro-soc serve-sim`` — fleet-serving simulation: roll a synthetic
   multi-chemistry fleet through the batched
   :class:`repro.serve.FleetEngine` (optionally sharded across
-  in-process workers or ``--workers N`` subprocesses, journaled to
-  durable per-cell state, and/or routed through a model registry) and
+  ``--workers N`` subprocesses, journaled to durable per-cell state,
+  and/or routed through a model registry) and
   report throughput and fleet-wide accuracy; ``--async`` additionally
   drives concurrent client traffic through the
   :class:`repro.serve.SocGateway` and reports latency percentiles,
@@ -57,7 +57,7 @@ Usage examples::
         --temp 25 --workload-current 6 --horizon 300
     repro-soc rollout model.npz --dataset lg --cycle us06-25C --step 30
     repro-soc serve-sim model.npz --cells 512 --step 60 --compare-loop
-    repro-soc serve-sim model.npz --cells 100000 --shards 8 --journal fleet.journal
+    repro-soc serve-sim model.npz --cells 100000 --workers 8 --journal fleet.journal
     repro-soc serve-sim --untrained --async --workers 2 --cells 96 --fast \\
         --clients 64 --requests 8000 --soak-json soak.json --fail-on-error
     repro-soc serve model.npz --listen tcp://0.0.0.0:7355 --workers 2 \\
@@ -372,23 +372,12 @@ def _cmd_serve_sim(args) -> int:
     import time
 
     from .core.rollout import model_rollout as _loop_rollout
-    from .serve import (
-        FleetEngine,
-        ModelRegistry,
-        ShardedFleet,
-        StateJournal,
-        WorkerSpec,
-        generate_fleet,
-    )
+    from .serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal, generate_fleet
 
     if args.cells < 1:
         raise SystemExit("--cells must be at least 1")
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
     if args.workers < 0:
         raise SystemExit("--workers cannot be negative")
-    if args.workers and args.shards > 1:
-        raise SystemExit("--workers (subprocess shards) and --shards (in-process) are exclusive")
     model, meta = _resolve_serve_model(args)
     sim_kwargs = dict(seed=args.seed)
     if args.fast:
@@ -428,13 +417,6 @@ def _cmd_serve_sim(args) -> int:
     if args.workers:
         engine = ShardedFleet(
             args.workers, spec=_subprocess_worker_spec(args, model, monitoring, tracing)
-        )
-    elif args.shards > 1:
-        engine = ShardedFleet(
-            args.shards,
-            spec=WorkerSpec(
-                model=model, registry=registry, journal=journal, metrics=metrics, drift=drift
-            ),
         )
     else:
         engine = FleetEngine(
@@ -481,8 +463,6 @@ def _cmd_serve_sim(args) -> int:
     print(f"fleet: {len(fleet)} cells ({chem}), {fleet.n_conditions()} duty cycles")
     if args.workers:
         print(f"workers: {args.workers} subprocesses (cells per shard: {engine.shard_sizes()})")
-    elif args.shards > 1:
-        print(f"shards: {args.shards} (cells per shard: {engine.shard_sizes()})")
     print(
         f"batched rollout: {steps_total} steps in {elapsed:.3f}s "
         f"-> {len(fleet) / elapsed:,.0f} cells/s, {steps_total / elapsed:,.0f} cell-steps/s"
@@ -635,10 +615,8 @@ def _report_monitoring(engine, metrics, drift, args) -> int:
 
     snapshots = [metrics.snapshot()]
     fleet_metrics = getattr(engine, "metrics", None)
-    if callable(fleet_metrics) and getattr(engine, "metrics_registry", None) is not metrics:
-        # subprocess workers carry their own registries; in-process
-        # shards share the parent registry already snapshotted above
-        snapshots.append(fleet_metrics())
+    if callable(fleet_metrics):
+        snapshots.append(fleet_metrics())  # the workers' own registries
     merged = merge_snapshots(snapshots)
     drift_total = sum(
         value for key, value in merged["counters"].items() if key.startswith("drift_events_total")
@@ -679,15 +657,11 @@ def _report_monitoring(engine, metrics, drift, args) -> int:
 
 def _cmd_serve(args) -> int:
     """Long-running multi-host serving daemon (``repro-soc serve``)."""
-    from .serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal, WorkerSpec
+    from .serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal
     from .serve.daemon import SocDaemon, run_daemon
 
     if args.workers < 0:
         raise SystemExit("--workers cannot be negative")
-    if args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
-    if args.workers and args.shards > 1:
-        raise SystemExit("--workers (subprocess shards) and --shards (in-process) are exclusive")
     model, meta = _resolve_serve_model(args)
     registry = None
     if args.registry:
@@ -711,18 +685,6 @@ def _cmd_serve(args) -> int:
     worker_spec = _subprocess_worker_spec(args, model, monitoring=True, tracing=tracing)
     if args.workers:
         engine = ShardedFleet(args.workers, spec=worker_spec)
-    elif args.shards > 1:
-        journal = (
-            StateJournal(args.journal, archive=_archive_store(args), max_segment_bytes=_segment_bytes(args))
-            if args.journal
-            else None
-        )
-        engine = ShardedFleet(
-            args.shards,
-            spec=WorkerSpec(
-                model=model, registry=registry, journal=journal, metrics=metrics, drift=drift
-            ),
-        )
     else:
         journal = (
             StateJournal(args.journal, archive=_archive_store(args), max_segment_bytes=_segment_bytes(args))
@@ -970,8 +932,8 @@ def _cmd_inspect(args) -> int:
 # ----------------------------------------------------------------------
 _SERVE_EPILOG = """\
 flag groups (shared by serve-sim, serve and worker):
-  fleet topology     how cells are partitioned: in-process shards,
-                     subprocess/socket workers, journals, registries
+  fleet topology     how cells are partitioned across subprocess/socket
+                     workers, journals, registries
   gateway            micro-batching and admission control
   observability      metrics/drift/tracing and the HTTP scrape endpoint
   worker transport   the medium shard workers are reached over
@@ -996,11 +958,9 @@ def _flag_parents() -> dict[str, argparse.ArgumentParser]:
     """Shared flag groups for the serving subcommands (parent parsers)."""
     fleet = argparse.ArgumentParser(add_help=False)
     g = fleet.add_argument_group("fleet topology")
-    g.add_argument("--shards", type=int, default=1,
-                   help="partition the fleet across this many in-process shard workers")
     g.add_argument("--workers", type=int, default=0,
                    help="partition the fleet across this many worker subprocesses "
-                        "(medium set by --worker-transport; 0 = in-process)")
+                        "(medium set by --worker-transport; 0 = one in-process engine)")
     g.add_argument("--journal", default=None,
                    help="stream per-cell state to this journal file (restorable; with "
                         "--workers each worker journals to <path>.shardK)")

@@ -12,8 +12,8 @@ module closes that loop on live traffic:
   ``engine.predict(..., commit=False)``); since Branch 2 is a pure
   function of its inputs, any difference between the two groups'
   outputs is exactly the checkpoint divergence — measured through
-  whatever topology is serving (single engine, in-process shards, or
-  subprocess workers), with no second engine and no state disturbance.
+  whatever topology is serving (a single engine or sharded workers),
+  with no second engine and no state disturbance.
 - :class:`AutoCanaryPolicy` folds those probes into an EWMA and applies
   the decision rule: **veto** (fresh drift/physics events since the
   canary started → roll back), **hard ceiling** (any probe above

@@ -816,11 +816,9 @@ class FleetEngine:
     def _track_size(self, delta: int) -> None:
         """Adjust the fleet-size gauge by ``delta``.
 
-        Delta-based on purpose: in-process shards *share* one registry,
-        so ``set(len(self._cells))`` would clobber the gauge with a
-        single shard's count — increments from every shard sum to the
-        fleet size, matching how :func:`merge_snapshots` sums gauges
-        across subprocess workers.
+        Each shard engine owns its registry, and
+        :func:`merge_snapshots` sums the shards' gauges into the fleet
+        size.
         """
         if self.metrics is not None:
             self.metrics.gauge("engine_cells").inc(delta)

@@ -315,7 +315,7 @@ class SocGateway:
                 result = await loop.run_in_executor(None, _run)
             except WorkerCrashError:
                 if getattr(self.engine, "restart_dead_workers", None) is None:
-                    raise  # nothing to heal: single engines, in-process shards
+                    raise  # nothing to heal: a single engine
                 # retry even when _recover_workers restarted nothing — a
                 # concurrent recovery (another request batch, the control
                 # loop) may already have healed the fleet for us
@@ -374,9 +374,10 @@ class SocGateway:
         """Restart dead shard workers so a crashed batch can retry.
 
         Wired as the batcher's ``on_worker_crash`` hook (and used by
-        :meth:`rollout` directly).  Engines without
-        ``restart_dead_workers`` — single engines, in-process shards —
-        have nothing to heal, so the crash propagates as before.
+        :meth:`rollout` directly).  An engine without
+        ``restart_dead_workers`` (a single
+        :class:`~repro.serve.engine.FleetEngine`) has nothing to heal,
+        so the crash propagates as before.
         """
         restart = getattr(self.engine, "restart_dead_workers", None)
         if restart is None:

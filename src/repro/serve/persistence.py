@@ -44,7 +44,6 @@ must parse cleanly — and corruption anywhere else raises.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -137,7 +136,6 @@ class StateJournal:
         self._windows: dict[str, dict[int, float]] = {}
         self._step_s: float | None = None
         self._appended = 0  # records since the last compaction
-        self._scope_depth = 0
         self._fh = None
         if self.archive is not None:
             self._fetch_archived_segments()
@@ -188,29 +186,10 @@ class StateJournal:
         self._append({"op": "drop", "id": cell_id})
 
     def begin_rollout(self, step_s: float) -> None:
-        """Mark the start of a fleet rollout, clearing prior progress.
-
-        Inside an open :meth:`rollout_scope` this is a no-op (the scope
-        already wrote the marker), so sharded fleets journal one marker
-        per fleet rollout rather than one per shard.
-        """
-        if self._scope_depth > 0:
-            if self._step_s is not None and step_s != self._step_s:
-                raise ValueError(f"nested rollout step {step_s!r} != scope step {self._step_s!r}")
-            return
+        """Mark the start of a fleet rollout, clearing prior progress."""
         self._windows.clear()
         self._step_s = float(step_s)
         self._append({"op": "rollout", "step_s": float(step_s)})
-
-    @contextlib.contextmanager
-    def rollout_scope(self, step_s: float):
-        """Context manager marking one fleet rollout across many engines."""
-        self.begin_rollout(step_s)
-        self._scope_depth += 1
-        try:
-            yield self
-        finally:
-            self._scope_depth -= 1
 
     def append_window(self, cell_id: str, window: int, soc: float) -> None:
         """Journal one cell's rollout state after ``window`` (a ``w`` op)."""

@@ -30,34 +30,29 @@ subprocess workers, ``url="tcp://..."``/``"unix://..."`` for socket
 workers on this or any other host — and every shard, whatever the
 medium, speaks the same duck-typed engine API.
 
-A shared :class:`~repro.serve.persistence.StateJournal` makes the
-whole sharded fleet durable: shards append cell/window records to the
-one journal (a fleet rollout is bracketed once via
-``journal.rollout_scope``), and :meth:`ShardedFleet.restore` re-places
-every journaled cell by hash.
+Durability is per worker: a spec with a ``journal`` path template
+gives every process or socket worker its own journal, a restarted
+worker restores from it, and :meth:`ShardedFleet.resume_rollout_fleet`
+finishes an interrupted rollout shard by shard.  In-process shards are
+not durable.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.model import TwoBranchSoCNet
 from ..core.rollout import RolloutResult, cycle_windows
 from ..datasets.base import CycleRecord
 from ..monitor.tracing import stage
 from . import wire
 from .engine import CellState, FleetEngine
-from .persistence import StateJournal
 from .registry import ModelRegistry
+from .transport import parse_url
 from .workers import WorkerCrashError, WorkerSpec
-
-if TYPE_CHECKING:
-    from ..monitor.drift import DriftMonitor
-    from ..monitor.metrics import MetricsRegistry
 
 __all__ = ["ShardedFleet", "shard_for"]
 
@@ -105,105 +100,41 @@ class ShardedFleet:
     Parameters
     ----------
     n_shards:
-        Number of shard workers (each a :class:`FleetEngine` by
-        default).
+        Number of shard workers.
+    registry:
+        The parent-side :class:`~repro.serve.registry.ModelRegistry`
+        that fleet-level tooling
+        (:class:`~repro.serve.canary.CanaryController`, the autopilot)
+        publishes and promotes through.  Without a ``spec`` the shards
+        are in-process engines sharing this instance (a checkpoint is
+        materialized once); workers open their own copy of the same
+        registry root and follow promotions via ``channels.json``.
     spec:
         A :class:`~repro.serve.workers.WorkerSpec` (one template for
         every shard) or a sequence of them (per-shard; growth beyond
         the sequence reuses its last entry).  The spec carries the
         whole worker description — transport URL, model, registry,
-        journal template, monitor/trace flags — so it replaces the
-        ``default_model``/``journal``/``metrics``/``drift`` kwargs,
-        which cannot be combined with it.
-    default_model, registry:
-        Passed to every in-process shard engine (shards share the
-        registry's model cache, so a checkpoint is materialized once).
-        With a ``spec``, ``registry`` may still be given: workers open
-        their own copy of the same registry *root*, and the parent-side
-        instance is what fleet-level tooling
-        (:class:`~repro.serve.canary.CanaryController`, the autopilot)
-        publishes and promotes through — workers follow via the shared
-        ``channels.json``.
-    journal:
-        Optional shared :class:`StateJournal` for the whole fleet
-        (in-process workers only — process/socket workers own their
-        durability, e.g. one journal per worker process, declared via
-        ``WorkerSpec.journal``).
-    metrics, drift:
-        Optional :class:`~repro.monitor.metrics.MetricsRegistry` /
-        :class:`~repro.monitor.drift.DriftMonitor` shared by every
-        in-process shard engine (one registry, one detector bank —
-        cell ids are fleet-unique, so shards cannot collide).  With a
-        ``spec``, declare monitoring there instead (``monitor=True``);
-        worker snapshots merge in :meth:`metrics`.
+        journal template, monitor/trace flags.  Default:
+        ``WorkerSpec(registry=registry)``, in-process shards.
     """
 
     def __init__(
         self,
         n_shards: int,
-        default_model: TwoBranchSoCNet | None = None,
         registry: ModelRegistry | None = None,
-        journal: StateJournal | None = None,
-        metrics: MetricsRegistry | None = None,
-        drift: DriftMonitor | None = None,
         spec: WorkerSpec | Sequence[WorkerSpec] | None = None,
     ):
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        self._specs: list[WorkerSpec] | None = None
-        if spec is not None:
-            if default_model is not None or journal is not None or metrics is not None or drift is not None:
-                raise ValueError(
-                    "spec carries the worker description; drop the "
-                    "default_model/journal/metrics/drift kwargs"
-                )
-            self._specs = [spec] if isinstance(spec, WorkerSpec) else list(spec)
-            if not self._specs:
-                raise ValueError("spec sequence cannot be empty")
-            self._check_spec_addresses(n_shards)
-            journal = next(
-                (s.journal for s in self._specs if isinstance(s.journal, StateJournal)), None
-            )
-        self._default_model = default_model
+        if spec is None:
+            spec = WorkerSpec(registry=registry)
+        self._specs = [spec] if isinstance(spec, WorkerSpec) else list(spec)
+        if not self._specs:
+            raise ValueError("spec sequence cannot be empty")
         self.registry = registry
-        self.journal = journal
-        # named metrics_registry (not .metrics) because .metrics() is the
-        # topology-wide snapshot method — mirroring ISSUE/API naming
-        self.metrics_registry = metrics
-        self.drift = drift
+        self._shards: list = []
+        self._check_endpoints([(k, self._spec_for(k)) for k in range(n_shards)])
         self._shards = [self._new_worker(k) for k in range(n_shards)]
-
-    @classmethod
-    def restore(
-        cls,
-        journal: StateJournal,
-        n_shards: int,
-        default_model: TwoBranchSoCNet | None = None,
-        registry: ModelRegistry | None = None,
-        metrics: MetricsRegistry | None = None,
-        drift: DriftMonitor | None = None,
-    ) -> ShardedFleet:
-        """Rebuild a sharded fleet from a journal after a restart.
-
-        Ownership is recomputed from the cell ids, so the journal needs
-        no shard map — restoring at a *different* ``n_shards`` than the
-        crashed process ran is valid and simply re-places the cells.
-        (Resuming a rollout at the same shard count is bit-for-bit
-        exact; a different count re-partitions the batches, which can
-        shift trajectories by BLAS rounding ~1e-17.)
-        """
-        fleet = cls(
-            n_shards,
-            default_model=default_model,
-            registry=registry,
-            journal=journal,
-            metrics=metrics,
-            drift=drift,
-        )
-        for state in journal.snapshot().cells.values():
-            shard = shard_for(state.cell_id, n_shards)
-            fleet._shards[shard]._adopt_state(dataclasses.replace(state))
-        return fleet
 
     # -- topology ------------------------------------------------------
     @property
@@ -230,15 +161,9 @@ class ShardedFleet:
         if n_shards < 1:
             raise ValueError("need at least one shard")
         old = self._shards
+        self._check_endpoints([(k, self._spec_for(k)) for k in range(len(old), n_shards)])
         self._shards = old[:n_shards] + [self._new_worker(k) for k in range(len(old), n_shards)]
-        moved = 0
-        for source, shard in enumerate(old):
-            for state in list(shard.cells()):
-                target = shard_for(state.cell_id, n_shards)
-                if target != source:
-                    shard._evict_state(state.cell_id)
-                    self._shards[target]._adopt_state(state)
-                    moved += 1
+        moved = self._migrate(old)
         for removed in old[n_shards:]:
             self._close_worker(removed)
         return moved
@@ -340,18 +265,14 @@ class ShardedFleet:
         """Fan a fleet rollout out to the shards and gather the results.
 
         Each shard rolls its slice in lock-step batches (see
-        :meth:`FleetEngine.rollout_fleet`); one journal rollout marker
-        brackets the whole fleet, so restore/resume sees a single
-        rollout regardless of shard count.  Every cycle is planned and
-        its tags checked before the first shard call, so one that cannot
-        be planned, or whose tags cannot cross the wire, raises
+        :meth:`FleetEngine.rollout_fleet`), and a durable worker
+        journals its own slice.  Every cycle is planned and its tags
+        checked before the first shard call, so one that cannot be
+        planned, or whose tags cannot cross the wire, raises
         ``ValueError`` with no shard state or journal changed.
         """
         pairs = list(assignments)
         _plan_cycles(pairs, step_s)
-        if self.journal is not None:
-            with self.journal.rollout_scope(step_s):
-                return self._fan_rollout(pairs, step_s, step_hook, resume=False)
         return self._fan_rollout(pairs, step_s, step_hook, resume=False)
 
     def resume_rollout_fleet(
@@ -360,17 +281,15 @@ class ShardedFleet:
         step_s: float,
         step_hook: Callable[[int], None] | None = None,
     ) -> dict[str, RolloutResult]:
-        """Finish an interrupted fleet rollout from the shared journal.
+        """Finish an interrupted fleet rollout from the workers' journals.
 
-        Shards replay their own cells' journaled windows and compute
-        only the remainder (see
-        :meth:`FleetEngine.resume_rollout_fleet`); the shard count may
-        differ from the run that crashed.  Durable spec-declared workers
-        (journaled :class:`~repro.serve.workers.ShardWorker`) resume
-        from their own per-worker journals instead of a shared one.
+        Every shard must be durable (a journaled
+        :class:`~repro.serve.workers.ShardWorker`): each replays its own
+        cells' journaled windows and computes only the remainder (see
+        :meth:`FleetEngine.resume_rollout_fleet`).
         """
-        if self.journal is None and not all(getattr(s, "durable", False) for s in self._shards):
-            raise ValueError("resume requires a fleet with a journal attached")
+        if not all(getattr(shard, "durable", False) for shard in self._shards):
+            raise ValueError("resume requires every shard to be a journaled worker")
         pairs = list(assignments)
         _plan_cycles(pairs, step_s)
         return self._fan_rollout(pairs, step_s, step_hook, resume=True)
@@ -439,12 +358,12 @@ class ShardedFleet:
         monitor flags).  Rendezvous hashing then migrates ~1/n of the
         cells onto the new shard, live state intact.
         """
+        index = len(self._shards)
         if isinstance(spec, str):
-            template = self._spec_for(len(self._shards))
-            spec = dataclasses.replace(template, url=spec, spawn=False)
-        worker = spec.resolve(len(self._shards))
-        if self._specs is not None:
-            self._specs.append(spec)
+            spec = dataclasses.replace(self._spec_for(index), url=spec, spawn=False)
+        self._check_endpoints([(index, spec)])
+        worker = spec.resolve(index)
+        self._specs.append(spec)
         return self.adopt_worker(worker)
 
     def adopt_worker(self, worker) -> int:
@@ -457,15 +376,10 @@ class ShardedFleet:
         not a spec to resolve.  Cells the new shard now wins migrate in
         with their state (the same move :meth:`rebalance` performs).
         """
+        old = list(self._shards)
         self._shards.append(worker)
-        n = len(self._shards)
-        for source, shard in enumerate(self._shards[:-1]):
-            for state in list(shard.cells()):
-                target = shard_for(state.cell_id, n)
-                if target != source:
-                    shard._evict_state(state.cell_id)
-                    self._shards[target]._adopt_state(state)
-        return n - 1
+        self._migrate(old)
+        return len(old)
 
     def reattach_worker(self, name: str, transport) -> int | None:
         """Re-home a returning ``--connect`` worker onto its old shard.
@@ -494,28 +408,18 @@ class ShardedFleet:
     def metrics(self) -> dict:
         """One merged metrics snapshot across the whole shard topology.
 
-        In-process shards sharing one registry contribute it once
-        (deduplicated by object identity); subprocess workers built
-        with ``monitor=True`` ship their snapshots over the wire
-        (``metrics`` op).  Dead workers are skipped — their series
+        Every shard built with ``monitor=True`` contributes its own
+        registry's snapshot (workers ship theirs over the wire, the
+        ``metrics`` op).  Dead workers are skipped — their series
         resume after :meth:`restart_dead_workers`.  Merge rules are
         those of :func:`repro.monitor.metrics.merge_snapshots`.
         """
         from ..monitor.metrics import merge_snapshots
 
         snapshots: list[dict] = []
-        seen: set[int] = set()
         for shard in self._shards:
-            snapshot_fn = getattr(shard, "metrics_snapshot", None)
-            if snapshot_fn is None:
-                continue
-            registry = getattr(shard, "metrics", None)
-            if registry is not None:
-                if id(registry) in seen:
-                    continue
-                seen.add(id(registry))
             try:
-                snapshot = snapshot_fn()
+                snapshot = shard.metrics_snapshot()
             except WorkerCrashError:
                 continue
             if snapshot:
@@ -525,26 +429,16 @@ class ShardedFleet:
     def drift_events(self) -> list:
         """Drift events gathered across the whole shard topology.
 
-        Fans :meth:`FleetEngine.drift_events` out to every shard:
-        in-process shards sharing one monitor (or router) contribute it
-        once (deduplicated by object identity), subprocess workers ship
-        their events over the wire (``drift_events`` op).  Dead workers
-        are skipped.  Order is per-shard oldest-first; cell ids are
-        fleet-unique, so events never collide across shards.
+        Fans :meth:`FleetEngine.drift_events` out to every shard
+        (workers ship their events over the wire, the ``drift_events``
+        op).  Dead workers are skipped.  Order is per-shard
+        oldest-first; cell ids are fleet-unique, so events never
+        collide across shards.
         """
         events: list = []
-        seen: set[int] = set()
         for shard in self._shards:
-            fetch = getattr(shard, "drift_events", None)
-            if fetch is None:
-                continue
-            monitor = getattr(shard, "drift", None)
-            if monitor is not None:
-                if id(monitor) in seen:
-                    continue
-                seen.add(id(monitor))
             try:
-                events.extend(fetch())
+                events.extend(shard.drift_events())
             except WorkerCrashError:
                 continue
         return events
@@ -569,42 +463,47 @@ class ShardedFleet:
         return self._spec_for(index).resolve(index)
 
     def _spec_for(self, index: int) -> WorkerSpec:
-        """The :class:`WorkerSpec` governing shard ``index``.
+        """The :class:`WorkerSpec` governing shard ``index``."""
+        return self._specs[min(index, len(self._specs) - 1)]
 
-        Legacy kwargs are folded into an in-process spec, so there is
-        exactly one construction path whatever the API vintage.
+    def _check_endpoints(self, new: list[tuple[int, WorkerSpec]]) -> None:
+        """Refuse new shards that would dial an endpoint already in use.
+
+        A standalone worker serves one connection at a time, so a second
+        shard dialing its fixed URL would hang in ``init``; this runs
+        before any dial.  It compares against the live shards' URLs,
+        not their specs (after :meth:`add_worker` a shard's index no
+        longer names the spec that built it).  Spawned, ``pipe://`` and
+        ``shm://`` workers and in-process shards dial nothing shared.
         """
-        if self._specs is not None:
-            return self._specs[min(index, len(self._specs) - 1)]
-        return WorkerSpec(
-            url=None,
-            model=self._default_model,
-            registry=self.registry,
-            journal=self.journal,
-            metrics=self.metrics_registry,
-            drift=self.drift,
-        )
-
-    def _check_spec_addresses(self, n_shards: int) -> None:
-        """Reject socket topologies where shards would share one endpoint.
-
-        A standalone worker serves one connection at a time, so two
-        shards dialing the same fixed URL would deadlock the second;
-        catching it at construction beats a hung ``connect``.  Spawned
-        workers (fresh process per shard) and ``{shard}``-templated
-        URLs are fine, as is a spec list with distinct addresses.
-        """
-        fixed: set[str] = set()
-        for index in range(n_shards):
-            s = self._specs[min(index, len(self._specs) - 1)]
-            if s.url is None or s.spawn or "{shard}" in s.url or s.scheme in ("pipe", "shm"):
+        in_use = {getattr(shard, "url", None) for shard in self._shards}
+        for index, spec in new:
+            if spec.url is None or spec.spawn or spec.scheme in ("pipe", "shm"):
                 continue
-            if s.url in fixed:
+            url = str(parse_url(spec.url.format(shard=index) if "{shard}" in spec.url else spec.url))
+            if url in in_use:
                 raise ValueError(
-                    f"{n_shards} shards would share one worker endpoint {s.url!r}; "
+                    f"shard {index} would share worker endpoint {url!r} with another shard; "
                     "use a {shard} URL template, spawn=True, or distinct per-shard specs"
                 )
-            fixed.add(s.url)
+            in_use.add(url)
+
+    def _migrate(self, old_shards: list) -> int:
+        """Move cells from ``old_shards`` to their owners in the current topology.
+
+        ``old_shards[k]`` was shard ``k``; every cell whose rendezvous
+        owner is now another index migrates with its live state.
+        Returns the number of cells moved.
+        """
+        moved = 0
+        for source, shard in enumerate(old_shards):
+            for state in list(shard.cells()):
+                target = self.shard_of(state.cell_id)
+                if target != source:
+                    shard._evict_state(state.cell_id)
+                    self._shards[target]._adopt_state(state)
+                    moved += 1
+        return moved
 
     @staticmethod
     def _close_worker(worker) -> None:

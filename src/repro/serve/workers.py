@@ -67,8 +67,7 @@ Lifecycle, one rule for every launch mode:
   redials a socket peer that is still up; an inbound peer must dial
   back in and is re-attached with :meth:`ShardWorker.attach`.  Either
   way the engine restores from its journal, so an interrupted fleet
-  rollout resumes bit-for-bit via ``resume_rollout_fleet`` — the same
-  1e-9 equivalence budget as the in-process shards.
+  rollout resumes bit-for-bit via ``resume_rollout_fleet``.
 - **graceful drain** — ``close()`` sends a ``shutdown`` op: the
   worker flushes and closes its journal, replies, and exits 0; a
   spawning parent escalates to ``kill`` only after a grace period.
@@ -761,8 +760,9 @@ class WorkerSpec:
     :class:`ShardedFleet <repro.serve.sharding.ShardedFleet>` resolves
     every shard through :meth:`resolve`, whatever the topology:
 
-    - ``url=None`` — an in-process :class:`FleetEngine` (the original
-      thread-sharded mode);
+    - ``url=None`` — an in-process :class:`FleetEngine`, which is not
+      durable: it takes no ``journal``, and ``monitor=True`` gives it
+      its own metrics registry and drift monitor;
     - any other ``url`` — a :class:`ShardWorker`, launched as its
       scheme says (``pipe://``, ``shm://``, or ``tcp://``/``unix://``
       spawned with ``spawn=True``, else dialed);
@@ -775,9 +775,7 @@ class WorkerSpec:
     ``name``, ``url`` and ``journal`` are templates: a ``{shard}``
     placeholder is substituted with the shard index (an inbound
     worker's name); a journal path without one gets a ``.shard{k}``
-    (``.{name}``) suffix so workers never share a journal file.  ``journal`` may also be a ready
-    :class:`~repro.serve.persistence.StateJournal` *instance* — valid
-    only for in-process shards, which share one fleet journal.
+    (``.{name}``) suffix so workers never share a journal file.
 
     ``drift_from_registry=True`` resolves per-chemistry drift-detector
     specs from the registry's published-model metadata
@@ -789,7 +787,7 @@ class WorkerSpec:
     url: str | None = None
     model: TwoBranchSoCNet | None = None
     registry: ModelRegistry | str | Path | None = None
-    journal: StateJournal | str | Path | None = None
+    journal: str | Path | None = None
     monitor: bool = False
     trace: bool = False
     archive_root: str | Path | None = None
@@ -801,8 +799,6 @@ class WorkerSpec:
     name: str = "shard{shard}"
     connect_timeout_s: float = 10.0
     call_timeout_s: float | None = None
-    metrics: object = None
-    drift: object = None
 
     def __post_init__(self):
         if self.url is not None:
@@ -822,7 +818,12 @@ class WorkerSpec:
     def resolve(self, index: int):
         """Build the worker for shard ``index`` (engine or :class:`ShardWorker`)."""
         if self.url is None:
-            return self._resolve_engine()
+            if self.journal is not None:
+                raise ValueError("in-process shards are not durable; journal a pipe:// or socket worker")
+            registry = self.registry
+            if registry is not None and not isinstance(registry, ModelRegistry):
+                registry = ModelRegistry(registry)
+            return FleetEngine(**_engine_kwargs(self.model, registry, self.monitor, self.drift_from_registry))
         url = self.url.format(shard=index) if "{shard}" in self.url else self.url
         return ShardWorker(
             url,
@@ -856,30 +857,6 @@ class WorkerSpec:
             call_timeout_s=self.call_timeout_s,
             shm_slots=self.shm_slots,
             shm_slab_bytes=self.shm_slab_bytes,
-        )
-
-    def _resolve_engine(self) -> FleetEngine:
-        registry = self.registry
-        if registry is not None and not isinstance(registry, ModelRegistry):
-            registry = ModelRegistry(registry)
-        journal = self.journal
-        if journal is not None and not isinstance(journal, StateJournal):
-            raise ValueError(
-                "in-process shards share one StateJournal; pass the instance, not a path"
-            )
-        metrics, drift = self.metrics, self.drift
-        if self.monitor and metrics is None:
-            from ..monitor.drift import DriftMonitor
-            from ..monitor.metrics import MetricsRegistry
-
-            metrics = MetricsRegistry()
-            drift = DriftMonitor(metrics=metrics)
-        if self.drift_from_registry and registry is not None:
-            from .driftconfig import drift_resolver_from_registry
-
-            drift = drift_resolver_from_registry(registry)
-        return FleetEngine(
-            default_model=self.model, registry=registry, journal=journal, metrics=metrics, drift=drift
         )
 
     def _journal_path(self, shard: int | str) -> str | None:
@@ -919,25 +896,35 @@ _SPEC_KEYS = frozenset(
 )
 
 
+def _engine_kwargs(
+    model: TwoBranchSoCNet | None,
+    registry: ModelRegistry | None,
+    monitor: bool,
+    drift_from_registry: bool,
+) -> dict:
+    """``FleetEngine`` kwargs for one shard: its own registry and monitor, if any."""
+    metrics = drift = None
+    if monitor:
+        from ..monitor.drift import DriftMonitor
+        from ..monitor.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        drift = DriftMonitor(metrics=metrics)
+    if drift_from_registry and registry is not None:
+        from .driftconfig import drift_resolver_from_registry
+
+        # the engine wraps the resolver in a ChemistryDriftRouter
+        drift = drift_resolver_from_registry(registry)
+    return dict(default_model=model, registry=registry, metrics=metrics, drift=drift)
+
+
 def _build_engine(spec: dict) -> FleetEngine:
     unexpected = sorted(set(spec) - _SPEC_KEYS)
     if unexpected:
         raise ValueError(f"init spec has unexpected keys: {', '.join(unexpected)}")
     model = _build_model(spec["model"])
     registry = None if spec["registry_root"] is None else ModelRegistry(spec["registry_root"])
-    metrics = drift = None
-    if spec.get("monitor"):
-        from ..monitor.drift import DriftMonitor
-        from ..monitor.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        drift = DriftMonitor(metrics=metrics)
-    if spec.get("drift_from_registry") and registry is not None:
-        from .driftconfig import drift_resolver_from_registry
-
-        # the engine wraps the resolver in a ChemistryDriftRouter
-        drift = drift_resolver_from_registry(registry)
-    kwargs = dict(default_model=model, registry=registry, metrics=metrics, drift=drift)
+    kwargs = _engine_kwargs(model, registry, bool(spec.get("monitor")), bool(spec.get("drift_from_registry")))
     journal_path = spec["journal_path"]
     if journal_path is None:
         return FleetEngine(**kwargs)
@@ -1053,9 +1040,8 @@ class WorkerEndpoint:
         if op == "contains":
             return args[0] in engine
         if op == "adopt_state":
-            # unlike in-process shards (whose shared journal already
-            # holds the record), this worker's own journal must learn
-            # about cells migrating in — or a restart would lose them
+            # this worker's own journal must learn about cells
+            # migrating in, or a restart would lose them
             engine._adopt_state(args[0])
             if engine.journal is not None:
                 engine.journal.append_cell(args[0])

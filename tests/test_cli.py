@@ -163,15 +163,14 @@ class TestServeSim:
         out = capsys.readouterr().out
         assert out.count("[watch") == 2
 
-    def test_sharded_and_journaled(self, checkpoint, capsys, tmp_path):
+    def test_journaled(self, checkpoint, capsys, tmp_path):
         journal = tmp_path / "fleet.journal"
         code = main([
             "serve-sim", checkpoint, "--cells", "8", "--fast", "--step", "120",
-            "--shards", "4", "--journal", str(journal),
+            "--journal", str(journal),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards: 4" in out
         assert "journal:" in out
         assert journal.exists()
         from repro.serve import StateJournal

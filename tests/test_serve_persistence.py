@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.core import CompiledTwoBranchKernel, TwoBranchSoCNet
-from repro.serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal, generate_fleet
+from repro.serve import (
+    FleetEngine,
+    ModelRegistry,
+    ShardedFleet,
+    StateJournal,
+    WorkerSpec,
+    generate_fleet,
+)
 
 
 @pytest.fixture(scope="module")
@@ -457,60 +464,6 @@ class TestCrashRestore:
         assert calls["n"] == lengths["late"] + max(windows_run) - crash_at
         reopened.close()
 
-    def test_sharded_resume_same_topology_is_exact(self, model, fleet, tmp_path):
-        reference = ShardedFleet(4, default_model=model).rollout_fleet(
-            fleet.assignments(), step_s=120.0
-        )
-        path = tmp_path / "fleet.journal"
-        journal = StateJournal(path)
-        sharded = ShardedFleet(4, default_model=model, journal=journal)
-        calls = {"n": 0}
-
-        def bomb(window):
-            calls["n"] += 1
-            if calls["n"] >= 5:  # partway through some shard's fan-out
-                raise Crash
-
-        with pytest.raises(Crash):
-            sharded.rollout_fleet(fleet.assignments(), step_s=120.0, step_hook=bomb)
-        journal.close()
-
-        reopened = StateJournal(path)
-        restored = ShardedFleet.restore(reopened, n_shards=4, default_model=model)
-        resumed = restored.resume_rollout_fleet(fleet.assignments(), step_s=120.0)
-        for cid, _ in fleet.assignments():
-            np.testing.assert_array_equal(resumed[cid].soc_pred, reference[cid].soc_pred)
-        reopened.close()
-
-    def test_sharded_restore_at_different_shard_count(self, model, fleet, tmp_path):
-        """Restoring at another shard count re-places cells by hash and
-        still matches to the fleet's 1e-9 equivalence budget."""
-        reference = FleetEngine(default_model=model).rollout_fleet(
-            fleet.assignments(), step_s=120.0
-        )
-        path = tmp_path / "fleet.journal"
-        journal = StateJournal(path)
-        sharded = ShardedFleet(2, default_model=model, journal=journal)
-        calls = {"n": 0}
-
-        def bomb(window):
-            calls["n"] += 1
-            if calls["n"] >= 5:
-                raise Crash
-
-        with pytest.raises(Crash):
-            sharded.rollout_fleet(fleet.assignments(), step_s=120.0, step_hook=bomb)
-        journal.close()
-
-        reopened = StateJournal(path)
-        restored = ShardedFleet.restore(reopened, n_shards=5, default_model=model)
-        resumed = restored.resume_rollout_fleet(fleet.assignments(), step_s=120.0)
-        for cid, _ in fleet.assignments():
-            np.testing.assert_allclose(
-                resumed[cid].soc_pred, reference[cid].soc_pred, atol=1e-9, rtol=0
-            )
-        reopened.close()
-
     @pytest.mark.parametrize("crash_at", [5, 27])
     def test_resume_is_exact_over_mixed_window_counts(self, model, bench_fleet, tmp_path, crash_at):
         """27- and 28-window traces in one group: a crash at window 27
@@ -553,7 +506,7 @@ class TestCrashRestore:
         engine = FleetEngine(default_model=model)
         with pytest.raises(ValueError, match="journal"):
             engine.resume_rollout_fleet(fleet.assignments()[:1], step_s=120.0)
-        sharded = ShardedFleet(2, default_model=model)
+        sharded = ShardedFleet(2, spec=WorkerSpec(model=model))
         with pytest.raises(ValueError, match="journal"):
             sharded.resume_rollout_fleet(fleet.assignments()[:1], step_s=120.0)
 

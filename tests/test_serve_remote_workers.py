@@ -136,21 +136,18 @@ class TestWorkerSpec:
 
     def test_rejects_journal_path_for_in_process_shards(self, model, tmp_path):
         spec = WorkerSpec(model=model, journal=str(tmp_path / "fleet.journal"))
-        with pytest.raises(ValueError, match="pass the instance"):
+        with pytest.raises(ValueError, match="not durable"):
             spec.resolve(0)
 
 
 # ----------------------------------------------------------------------
 class TestShardedFleetSpec:
-    def test_worker_factory_kwarg_is_gone(self, model):
-        # the deprecated callable-factory path was removed; WorkerSpec is
-        # the single construction seam now
-        with pytest.raises(TypeError, match="worker_factory"):
-            ShardedFleet(2, worker_factory=lambda k: FleetEngine(default_model=model))
-
-    def test_spec_rejects_legacy_engine_kwargs(self, model):
-        with pytest.raises(ValueError, match="spec carries the worker description"):
-            ShardedFleet(2, spec=WorkerSpec(model=model), default_model=model)
+    def test_worker_factory_kwarg_is_gone(self):
+        # WorkerSpec is the single construction seam: the callable factory
+        # and the shared-engine kwargs are gone
+        for kwarg in ("worker_factory", "default_model", "journal", "metrics", "drift"):
+            with pytest.raises(TypeError, match=kwarg):
+                ShardedFleet(2, **{kwarg: object()})
 
     def test_tcp_fleet_matches_single_engine(self, model, small_fleet):
         """Acceptance: a tcp:// fleet produces the same estimates and
@@ -196,6 +193,25 @@ class TestShardedFleetSpec:
             assert fleet.restart_dead_workers() == [0]
             assert fleet.heartbeat(timeout_s=5.0) == [True, True]
             assert "a" in fleet  # state restored, not a blank respawn
+
+    def test_fixed_endpoint_in_use_is_refused_on_every_growth_path(self, model):
+        """A second shard dialing a live worker's fixed URL would hang in
+        ``init``: construction, ``rebalance`` and ``add_worker`` refuse
+        it before dialing, and the fleet is left as it was."""
+        spare = ShardWorker("tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare")
+        spare._drop_link()  # free the listener: the fleet dials it next
+        spec = WorkerSpec(url=spare.url, model=model, call_timeout_s=3.0)
+        with pytest.raises(ValueError, match="endpoint"):
+            ShardedFleet(2, spec=spec)
+        with ShardedFleet(1, spec=spec) as fleet:
+            fleet.register_cell("a")
+            with pytest.raises(ValueError, match="endpoint"):
+                fleet.rebalance(2)
+            with pytest.raises(ValueError, match="endpoint"):
+                fleet.add_worker(spare.url)
+            assert fleet.n_shards == 1
+            assert "a" in fleet
+        spare.close()
 
     def test_add_worker_by_url_migrates_cells(self, model):
         """The daemon registration path: growing the fleet by a bare

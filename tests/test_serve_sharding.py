@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core import TwoBranchSoCNet
-from repro.monitor import MetricsRegistry
 from repro.serve import (
     FleetEngine,
     ModelRegistry,
     ShardedFleet,
-    StateJournal,
     WorkerSpec,
     generate_fleet,
     shard_for,
@@ -70,7 +68,7 @@ class TestShardFor:
 class TestShardedFleet:
     def test_rejects_bad_config(self, model):
         with pytest.raises(ValueError):
-            ShardedFleet(0, default_model=model)
+            ShardedFleet(0, spec=WorkerSpec(model=model))
         with pytest.raises(ValueError):
             ShardedFleet(2)  # no model, no registry
 
@@ -78,7 +76,7 @@ class TestShardedFleet:
         """The acceptance property: >=4 shards, 1e-9 agreement with the
         single-engine path across heterogeneous cycle lengths."""
         single = FleetEngine(default_model=model).rollout_fleet(fleet.assignments(), step_s=120.0)
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         results = sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         assert set(results) == set(single)
         for cid, _ in fleet.assignments():
@@ -90,7 +88,7 @@ class TestShardedFleet:
         assert sorted(results) == sorted(cid for cid, _ in fleet.assignments())
 
     def test_cells_live_on_their_hash_shard(self, model, fleet):
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         for m in fleet.members:
             assert m.cell_id in sharded
@@ -102,7 +100,7 @@ class TestShardedFleet:
     def test_estimate_and_predict_match_single_engine(self, model):
         ids = [f"c{k}" for k in range(10)]
         single = FleetEngine(default_model=model)
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         for cid in ids:
             single.register_cell(cid)
             sharded.register_cell(cid)
@@ -120,21 +118,21 @@ class TestShardedFleet:
             assert sharded.cell(cid).last_seen_s == 1.0
 
     def test_unknown_cell_raises(self, model):
-        sharded = ShardedFleet(3, default_model=model)
+        sharded = ShardedFleet(3, spec=WorkerSpec(model=model))
         with pytest.raises(KeyError):
             sharded.cell("ghost")
         with pytest.raises(KeyError):
             sharded.estimate(["ghost"], 3.7, 1.0, 25.0)
 
     def test_deregister_cell(self, model):
-        sharded = ShardedFleet(3, default_model=model)
+        sharded = ShardedFleet(3, spec=WorkerSpec(model=model))
         sharded.register_cell("a")
         state = sharded.deregister_cell("a")
         assert state.cell_id == "a"
         assert "a" not in sharded
 
     def test_rebalance_preserves_state_and_moves_minimum(self, model, fleet):
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         before = {s.cell_id: (s.soc, s.n_requests) for s in sharded.cells()}
         moved = sharded.rebalance(6)
@@ -161,10 +159,9 @@ class TestShardedFleet:
             assert sharded.cell(m.cell_id).model_key == m.chemistry
 
     def test_shared_registry_merges_once(self, model):
-        """In-process shards share one registry; ``metrics()`` must count
-        it once, not once per shard."""
-        reg = MetricsRegistry()
-        sharded = ShardedFleet(2, default_model=model, metrics=reg)
+        """Each monitored in-process shard owns a registry; ``metrics()``
+        merges them into fleet totals."""
+        sharded = ShardedFleet(2, spec=WorkerSpec(model=model, monitor=True))
         ids = [f"cell-{k}" for k in range(8)]
         for cid in ids:
             sharded.register_cell(cid)
@@ -197,13 +194,11 @@ class TestBadCycleTouchesNoShard:
     first shard runs: earlier shards commit no state and no journal
     windows."""
 
-    @pytest.mark.parametrize("topology", ["inproc", "pipe"])
-    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("resume, topology", [(False, "inproc"), (False, "pipe"), (True, "pipe")])
     def test_state_and_journals_unchanged(self, model, fleet, tmp_path, topology, resume):
         if topology == "inproc":
-            journal = StateJournal(tmp_path / "fleet.journal")
-            sharded = ShardedFleet(2, default_model=model, journal=journal)
-            journal_files = [tmp_path / "fleet.journal"]
+            sharded = ShardedFleet(2, spec=WorkerSpec(model=model))
+            journal_files = []
         else:
             spec = WorkerSpec(url="pipe://", model=model, journal=str(tmp_path / "s{shard}.journal"))
             sharded = ShardedFleet(2, spec=spec)
