@@ -27,7 +27,7 @@ Run:  python examples/serve_client.py
 import numpy as np
 
 from repro.core import TwoBranchSoCNet
-from repro.serve import ShardedFleet, SocClient, WorkerSpec
+from repro.serve import ShardedFleet, ShardWorker, SocClient, WorkerSpec
 from repro.serve.daemon import SocDaemon
 
 
@@ -39,7 +39,6 @@ def main() -> None:
     daemon = SocDaemon(
         ShardedFleet(2, spec=spec),
         "tcp://127.0.0.1:0",  # port 0: the OS picks; daemon.url has it
-        worker_spec=spec,
         control_interval_s=0.5,
     )
     with daemon:
@@ -64,11 +63,7 @@ def main() -> None:
             #    (here we cheat and spawn locally; across hosts you'd
             #    start `repro-soc worker --listen tcp://0.0.0.0:7456`
             #    on the new machine and register that address).
-            from repro.serve import ShardWorker
-
-            spare = ShardWorker(
-                "tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare"
-            )
+            spare = ShardWorker(spec)
             spare._drop_link()  # free the listener: the daemon dials it
             index = client.add_worker(spare.url)
             print(f"worker {spare.url} joined as shard {index}")

@@ -338,7 +338,7 @@ def _worker_url_template(args) -> str | None:
     return f"unix://{tempfile.gettempdir()}/repro-soc-{os.getpid()}.shard{{shard}}.sock"
 
 
-def _subprocess_worker_spec(args, model, monitoring: bool, tracing: bool):
+def _fleet_spec(args, model, monitoring: bool, tracing: bool):
     """The :class:`~repro.serve.WorkerSpec` for ``--workers`` topologies."""
     from .serve import WorkerSpec
 
@@ -415,9 +415,7 @@ def _cmd_serve_sim(args) -> int:
             args.journal, archive=_archive_store(args), max_segment_bytes=_segment_bytes(args)
         )
     if args.workers:
-        engine = ShardedFleet(
-            args.workers, spec=_subprocess_worker_spec(args, model, monitoring, tracing)
-        )
+        engine = ShardedFleet(args.workers, spec=_fleet_spec(args, model, monitoring, tracing))
     else:
         engine = FleetEngine(
             default_model=model, registry=registry, journal=journal, metrics=metrics, drift=drift
@@ -682,9 +680,9 @@ def _cmd_serve(args) -> int:
 
         tracer = SpanTracer(sample_rate=args.trace_sample, metrics=metrics, service="gateway")
 
-    worker_spec = _subprocess_worker_spec(args, model, monitoring=True, tracing=tracing)
     if args.workers:
-        engine = ShardedFleet(args.workers, spec=worker_spec)
+        spec = _fleet_spec(args, model, monitoring=True, tracing=tracing)
+        engine = ShardedFleet(args.workers, spec=spec)
     else:
         journal = (
             StateJournal(args.journal, archive=_archive_store(args), max_segment_bytes=_segment_bytes(args))
@@ -697,7 +695,6 @@ def _cmd_serve(args) -> int:
     daemon = SocDaemon(
         engine,
         args.listen,
-        worker_spec=worker_spec,
         max_batch=args.max_batch,
         max_delay_s=args.max_delay_ms / 1000.0,
         max_in_flight=args.max_in_flight,

@@ -164,9 +164,9 @@ class SocClient:
         """Actively probe every shard worker through the daemon."""
         return list(self._call("heartbeat"))
 
-    def add_worker(self, url_or_spec: str) -> int:
+    def add_worker(self, url: str) -> int:
         """Register a new shard worker by URL; returns its shard index."""
-        return int(self._call("add_worker", url_or_spec))
+        return int(self._call("add_worker", url))
 
     # -- registry ops ---------------------------------------------------
     def drift_events(self) -> list:

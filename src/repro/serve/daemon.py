@@ -43,14 +43,13 @@ and healing.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
 
 from ..monitor.autopilot import ControlLoop
 from . import wire
 from .gateway import SocGateway
 from .transport import Transport, TransportError, TransportListener, TransportTimeout
-from .workers import WorkerSpec, _build_model
+from .workers import ShardWorker, _build_model
 
 __all__ = ["SocDaemon", "run_daemon"]
 
@@ -88,18 +87,16 @@ class SocDaemon:
     engine:
         The fleet to serve — a :class:`~repro.serve.engine.FleetEngine`
         or (for worker registration / healing to mean anything) a
-        :class:`~repro.serve.sharding.ShardedFleet`.  The daemon owns
-        it: :meth:`stop` closes it.
+        :class:`~repro.serve.sharding.ShardedFleet`, whose
+        :attr:`~repro.serve.sharding.ShardedFleet.spec` describes the
+        workers that join later (``worker_hello`` or ``add_worker``).
+        A single engine acks a ``worker_hello`` and then drops it, and
+        refuses ``add_worker``.  The daemon owns the engine:
+        :meth:`stop` closes it.
     listen:
         Control URL to accept clients and inbound workers on
         (``unix:///path`` or ``tcp://host:port``; port 0 binds an
         ephemeral port — read :attr:`url`).
-    worker_spec:
-        Template :class:`~repro.serve.workers.WorkerSpec` for workers
-        that join later (``worker_hello`` or ``add_worker``): model,
-        registry root, journal template, monitor/trace flags.  Without
-        it, inbound workers are rejected and ``add_worker`` needs the
-        fleet's own spec template.
     max_batch, max_delay_s, max_in_flight, metrics, tracer:
         Passed to the :class:`~repro.serve.gateway.SocGateway`.
     control_interval_s:
@@ -133,7 +130,6 @@ class SocDaemon:
         engine,
         listen: str,
         *,
-        worker_spec: WorkerSpec | None = None,
         max_batch: int = 64,
         max_delay_s: float = 0.010,
         max_in_flight: int = 1024,
@@ -148,7 +144,6 @@ class SocDaemon:
         exposition_port: int | None = None,
     ):
         self.engine = engine
-        self.worker_spec = worker_spec
         self.autopilot = autopilot
         self.gateway = SocGateway(
             engine,
@@ -346,15 +341,10 @@ class SocDaemon:
             reattach = getattr(self.engine, "reattach_worker", None)
             if reattach is not None and reattach(name, transport) is not None:
                 return
-            spec = self.worker_spec
+            spec = getattr(self.engine, "spec", None)
             if spec is None:
-                raise RuntimeError(
-                    "daemon has no worker_spec; inbound workers cannot be provisioned"
-                )
-            adopt = getattr(self.engine, "adopt_worker", None)
-            if adopt is None:
                 raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
-            adopt(spec.adopt(transport, name))
+            self.engine.adopt_worker(ShardWorker(spec, name, transport=transport))
 
     def _dispatch(self, frame: wire.V2Frame):
         """One client op's reply; engine mutations go under the batcher lock."""
@@ -397,10 +387,9 @@ class SocDaemon:
                 add = getattr(self.engine, "add_worker", None)
                 if add is None:
                     raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
-                spec = args[0]
-                if isinstance(spec, str) and self.worker_spec is not None:
-                    spec = _respec(self.worker_spec, spec)
-                return int(add(spec))
+                if not args or not isinstance(args[0], str):
+                    raise ValueError("add_worker takes one worker URL string")
+                return int(add(args[0]))
         if op == "shutdown":
             return "stopping"
         with gateway.batcher.lock:
@@ -477,10 +466,6 @@ class SocDaemon:
         if controller is not None and controller.active:
             return int(getattr(controller, op)())
         return int(getattr(self._registry(), op)(name))
-
-
-def _respec(template: WorkerSpec, url: str) -> WorkerSpec:
-    return dataclasses.replace(template, url=url, spawn=False)
 
 
 def run_daemon(daemon: SocDaemon, announce=print) -> int:

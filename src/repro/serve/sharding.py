@@ -51,7 +51,6 @@ from ..monitor.tracing import stage
 from . import wire
 from .engine import CellState, FleetEngine
 from .registry import ModelRegistry
-from .transport import parse_url
 from .workers import WorkerCrashError, WorkerSpec
 
 __all__ = ["ShardedFleet", "shard_for"]
@@ -110,31 +109,25 @@ class ShardedFleet:
         materialized once); workers open their own copy of the same
         registry root and follow promotions via ``channels.json``.
     spec:
-        A :class:`~repro.serve.workers.WorkerSpec` (one template for
-        every shard) or a sequence of them (per-shard; growth beyond
-        the sequence reuses its last entry).  The spec carries the
-        whole worker description — transport URL, model, registry,
-        journal template, monitor/trace flags.  Default:
-        ``WorkerSpec(registry=registry)``, in-process shards.
+        The :class:`~repro.serve.workers.WorkerSpec` every shard is
+        built from, growth included (exposed as :attr:`spec`): transport
+        URL, model, registry, journal template, monitor/trace flags.
+        Default: ``WorkerSpec(registry=registry)``, in-process shards.
     """
 
     def __init__(
         self,
         n_shards: int,
         registry: ModelRegistry | None = None,
-        spec: WorkerSpec | Sequence[WorkerSpec] | None = None,
+        spec: WorkerSpec | None = None,
     ):
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        if spec is None:
-            spec = WorkerSpec(registry=registry)
-        self._specs = [spec] if isinstance(spec, WorkerSpec) else list(spec)
-        if not self._specs:
-            raise ValueError("spec sequence cannot be empty")
+        self.spec = WorkerSpec(registry=registry) if spec is None else spec
         self.registry = registry
         self._shards: list = []
-        self._check_endpoints([(k, self._spec_for(k)) for k in range(n_shards)])
-        self._shards = [self._new_worker(k) for k in range(n_shards)]
+        self._check_endpoints(self.spec, range(n_shards))
+        self._shards = [self.spec.resolve(k) for k in range(n_shards)]
 
     # -- topology ------------------------------------------------------
     @property
@@ -161,8 +154,8 @@ class ShardedFleet:
         if n_shards < 1:
             raise ValueError("need at least one shard")
         old = self._shards
-        self._check_endpoints([(k, self._spec_for(k)) for k in range(len(old), n_shards)])
-        self._shards = old[:n_shards] + [self._new_worker(k) for k in range(len(old), n_shards)]
+        self._check_endpoints(self.spec, range(len(old), n_shards))
+        self._shards = old[:n_shards] + [self.spec.resolve(k) for k in range(len(old), n_shards)]
         moved = self._migrate(old)
         for removed in old[n_shards:]:
             self._close_worker(removed)
@@ -348,33 +341,30 @@ class ShardedFleet:
                 health.append(bool(getattr(shard, "alive", True)))
         return health
 
-    def add_worker(self, spec: WorkerSpec | str) -> int:
-        """Grow the fleet by one shard worker; returns its index.
+    def add_worker(self, url: str) -> int:
+        """Grow the fleet by the worker listening at ``url``; returns its index.
 
-        ``spec`` may be a full :class:`~repro.serve.workers.WorkerSpec`
-        or just a transport URL string — the daemon's worker
-        registration path — in which case the fleet's spec template is
-        reused with the new address (same model, journal template,
-        monitor flags).  Rendezvous hashing then migrates ~1/n of the
-        cells onto the new shard, live state intact.
+        The daemon's outbound registration path: the new shard is
+        :attr:`spec` dialing ``url`` (same model, journal template,
+        monitor flags), and :attr:`spec` itself is left as it was, so
+        later growth still builds from it.  Rendezvous hashing then
+        migrates ~1/n of the cells onto the new shard, live state
+        intact.
         """
         index = len(self._shards)
-        if isinstance(spec, str):
-            spec = dataclasses.replace(self._spec_for(index), url=spec, spawn=False)
-        self._check_endpoints([(index, spec)])
-        worker = spec.resolve(index)
-        self._specs.append(spec)
-        return self.adopt_worker(worker)
+        spec = dataclasses.replace(self.spec, url=url, spawn=False)
+        self._check_endpoints(spec, [index])
+        return self.adopt_worker(spec.resolve(index))
 
     def adopt_worker(self, worker) -> int:
         """Attach an already-built worker as a new shard; returns its index.
 
         The inbound-registration half of the serve daemon: a worker
         that dialed in (``repro-soc worker --connect``) arrives as a
-        live :class:`~repro.serve.workers.ShardWorker`
-        (:meth:`WorkerSpec.adopt <repro.serve.workers.WorkerSpec.adopt>`),
-        not a spec to resolve.  Cells the new shard now wins migrate in
-        with their state (the same move :meth:`rebalance` performs).
+        live :class:`~repro.serve.workers.ShardWorker` built from
+        :attr:`spec` around its transport, not a spec to resolve.  Cells
+        the new shard now wins migrate in with their state (the same
+        move :meth:`rebalance` performs).
         """
         old = list(self._shards)
         self._shards.append(worker)
@@ -459,32 +449,25 @@ class ShardedFleet:
         self.close()
 
     # ------------------------------------------------------------------
-    def _new_worker(self, index: int):
-        return self._spec_for(index).resolve(index)
-
-    def _spec_for(self, index: int) -> WorkerSpec:
-        """The :class:`WorkerSpec` governing shard ``index``."""
-        return self._specs[min(index, len(self._specs) - 1)]
-
-    def _check_endpoints(self, new: list[tuple[int, WorkerSpec]]) -> None:
-        """Refuse new shards that would dial an endpoint already in use.
+    def _check_endpoints(self, spec: WorkerSpec, indices: Iterable[int]) -> None:
+        """Refuse new shards ``indices`` of ``spec`` that would dial an endpoint in use.
 
         A standalone worker serves one connection at a time, so a second
         shard dialing its fixed URL would hang in ``init``; this runs
-        before any dial.  It compares against the live shards' URLs,
-        not their specs (after :meth:`add_worker` a shard's index no
-        longer names the spec that built it).  Spawned, ``pipe://`` and
-        ``shm://`` workers and in-process shards dial nothing shared.
+        before any dial.  It compares against the live shards' URLs
+        (after :meth:`add_worker` some shards dial URLs :attr:`spec`
+        does not name).  Spawned, ``pipe://`` and ``shm://`` workers
+        and in-process shards dial nothing shared.
         """
+        if spec.url is None or spec.spawn or spec.scheme in ("pipe", "shm"):
+            return
         in_use = {getattr(shard, "url", None) for shard in self._shards}
-        for index, spec in new:
-            if spec.url is None or spec.spawn or spec.scheme in ("pipe", "shm"):
-                continue
-            url = str(parse_url(spec.url.format(shard=index) if "{shard}" in spec.url else spec.url))
+        for index in indices:
+            url = spec.url_for(index)
             if url in in_use:
                 raise ValueError(
                     f"shard {index} would share worker endpoint {url!r} with another shard; "
-                    "use a {shard} URL template, spawn=True, or distinct per-shard specs"
+                    "use a {shard} URL template or spawn=True"
                 )
             in_use.add(url)
 

@@ -21,15 +21,16 @@ URL                    peer
 ``unix:///path``       :func:`run_worker` on that address (port 0
                        picks one); otherwise a worker already
                        listening there (``repro-soc worker --listen``)
-inbound                :meth:`ShardWorker.from_transport`: a worker
-                       that dialed us (``repro-soc worker --connect``)
+inbound                ``ShardWorker(spec, name, transport=...)``: a
+                       worker that dialed us
+                       (``repro-soc worker --connect``)
 =====================  ===============================================
 
-:class:`WorkerSpec` is the declarative description every topology
-resolves from, the in-process engine included:
-``WorkerSpec(url=...).resolve(k)`` builds shard ``k`` and
-:meth:`WorkerSpec.adopt` wraps an inbound peer, through one
-spec-to-client mapping.
+:class:`WorkerSpec` is the one description of a shard worker, and every
+topology resolves from it, the in-process engine included:
+``WorkerSpec(url=...).resolve(k)`` builds shard ``k``, and
+``ShardWorker(spec, name, transport=...)`` wraps an inbound peer with
+the same engine description.
 
 Wire protocol (one reply per request, strictly in order; see
 :mod:`repro.serve.wire` for the codec)::
@@ -162,33 +163,6 @@ def _build_model(spec: dict | None) -> TwoBranchSoCNet | None:
     return model
 
 
-def _engine_spec(
-    default_model: TwoBranchSoCNet | None,
-    registry_root: str | Path | None,
-    journal_path: str | Path | None,
-    monitor: bool,
-    trace: bool,
-    archive_root: str | Path | None = None,
-    journal_segment_bytes: int = 0,
-    drift_from_registry: bool = False,
-) -> dict:
-    """The ``init`` payload a worker builds its engine from."""
-    if default_model is None and registry_root is None:
-        raise ValueError("need a default model, a registry root, or both")
-    if drift_from_registry and registry_root is None:
-        raise ValueError("drift_from_registry needs a registry root to resolve specs from")
-    return {
-        "model": _model_spec(default_model),
-        "registry_root": None if registry_root is None else str(registry_root),
-        "journal_path": None if journal_path is None else str(journal_path),
-        "monitor": monitor,
-        "trace": trace,
-        "archive_root": None if archive_root is None else str(archive_root),
-        "journal_segment_bytes": int(journal_segment_bytes),
-        "drift_from_registry": bool(drift_from_registry),
-    }
-
-
 # How long a failed link waits for a child we spawned to exit before the
 # error is raised without its exit code.  A crashed worker is reapable at
 # once; a live one (e.g. after a call timeout) is left for restart().
@@ -207,124 +181,38 @@ class ShardWorker:
     <repro.serve.sharding.ShardedFleet>` assumes (``register_cell`` /
     ``estimate`` / ``predict`` / ``rollout_fleet`` / state
     adopt/evict / ``len`` / ``in``), each call one round-trip on the
-    wire protocol.  The ``url`` scheme picks how the peer is launched
-    (see the module docstring); everything else — the RPC surface, zero-copy
-    encoding, trace propagation, the lifecycle — is the same
-    for every launch mode.
+    wire protocol.  The spec's URL scheme picks how the peer is
+    launched (see the module docstring); everything else — the RPC
+    surface, zero-copy encoding, trace propagation, the lifecycle — is
+    the same for every launch mode.
 
-    Parameters
-    ----------
-    url:
-        ``pipe://`` or ``shm://`` (spawn a child over stdio),
-        ``tcp://host:port`` or ``unix:///path`` (spawn or dial a
-        socket worker).  Inbound peers are built with
-        :meth:`from_transport` instead.
-    default_model:
-        Model shipped to the worker at init (weights over the wire).
-    registry_root:
-        Optional :class:`~repro.serve.registry.ModelRegistry` directory
-        the worker opens for per-chemistry routing.
-    journal_path:
-        Optional per-worker :class:`~repro.serve.persistence.StateJournal`
-        file.  A restart restores the engine from it (crash recovery);
-        without one a restart comes back empty.
-    name:
-        Label used in error messages and health reports.
-    monitor:
-        Build the worker engine with its own
-        :class:`~repro.monitor.metrics.MetricsRegistry` and
-        :class:`~repro.monitor.drift.DriftMonitor` (default
-        configurations).  The parent reads the registry over the wire
-        via :meth:`metrics_snapshot` (the ``metrics`` op), which
-        :meth:`ShardedFleet.metrics
-        <repro.serve.sharding.ShardedFleet.metrics>` merges across the
-        topology.
-    trace:
-        Enable distributed-tracing support in the worker: requests
-        whose frame carries trace context (see
-        :data:`repro.serve.wire.TRACE_META_KEY`) get
-        ``worker.deserialize`` / ``worker.compute`` /
-        ``worker.serialize`` child spans recorded worker-side and
-        shipped back in the reply meta.
-    archive_root, journal_segment_bytes:
-        Cold-store directory and segment size for the worker journal
-        (see :mod:`repro.serve.archive`).
-    drift_from_registry:
-        Resolve per-chemistry drift detectors from registry metadata.
-    spawn:
-        Socket schemes only: launch :func:`run_worker` on ``url``
-        first instead of dialing a worker that is already listening.
-    connect_timeout_s, call_timeout_s:
-        Dial deadline (refused connections are retried until it) and
-        optional per-call reply deadline.
-    shm_slots, shm_slab_bytes:
-        ``shm://`` ring geometry; ``shm_slots`` x ``shm_slab_bytes``
-        bounds each direction's ring (oversized messages fall back to
-        in-band frames).
+    ``spec`` describes the worker (see :class:`WorkerSpec`); ``shard``
+    — an index, or an inbound worker's name — picks its URL, name and
+    journal from the spec's templates.  A ``transport`` makes it an
+    inbound peer: a worker that dialed us (``repro-soc worker
+    --connect``) has no URL to redial, so after a disconnect it must
+    dial again and is re-attached with :meth:`attach`.
     """
 
     _proc: subprocess.Popen | None = None
     _transport: Transport | None = None
     _rings: tuple[ShmRing, ShmRing] | None = None
 
-    def __init__(
-        self,
-        url: str | None,
-        default_model: TwoBranchSoCNet | None = None,
-        registry_root: str | Path | None = None,
-        journal_path: str | Path | None = None,
-        name: str = "shard",
-        monitor: bool = False,
-        trace: bool = False,
-        archive_root: str | Path | None = None,
-        journal_segment_bytes: int = 0,
-        drift_from_registry: bool = False,
-        spawn: bool = False,
-        connect_timeout_s: float = 10.0,
-        call_timeout_s: float | None = None,
-        shm_slots: int = DEFAULT_SHM_SLOTS,
-        shm_slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
-        _transport: Transport | None = None,
-    ):
-        self.name = name
-        self._spec = _engine_spec(
-            default_model,
-            registry_root,
-            journal_path,
-            monitor,
-            trace,
-            archive_root,
-            journal_segment_bytes,
-            drift_from_registry,
-        )
-        parsed = None if url is None else parse_url(url)
-        self._scheme = None if parsed is None else parsed.scheme
+    def __init__(self, spec: WorkerSpec, shard: int | str = 0, transport: Transport | None = None):
+        self.spec = spec
+        self.name = _fill(spec.name, shard) if isinstance(shard, int) else shard
+        self._init_payload = spec.init_payload(shard)
         # the address restart() comes back to; None for inbound peers
-        self._requested_url = None if parsed is None else str(parsed)
+        self._requested_url = None if transport is not None else spec.url_for(shard)
+        if transport is None and self._requested_url is None:
+            raise ValueError("a spec without a url resolves to an in-process engine, not a worker")
         self.url: str | None = self._requested_url
-        self._spawn = bool(spawn)
-        self._connect_timeout_s = float(connect_timeout_s)
-        self._call_timeout_s = call_timeout_s
-        self._shm_slots = int(shm_slots)
-        self._shm_slab_bytes = int(shm_slab_bytes)
         self._exit_code: int | None = None
         self.restarts = 0
-        if _transport is not None:
-            self.attach(_transport)
+        if transport is not None:
+            self.attach(transport)
         else:
             self._open()
-
-    @classmethod
-    def from_transport(cls, transport: Transport, name: str = "inbound", **spec_kwargs) -> ShardWorker:
-        """Adopt an already-connected transport (a worker that dialed us).
-
-        Used by the daemon for ``repro-soc worker --connect`` peers:
-        the worker initiated the connection, so there is no URL to
-        redial — after a disconnect the worker is expected to dial
-        again, and the daemon re-attaches the new transport with
-        :meth:`attach`.
-        """
-        return cls(None, name=name, _transport=transport, **spec_kwargs)
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -342,7 +230,7 @@ class ShardWorker:
     @property
     def durable(self) -> bool:
         """Whether this worker journals its state (restart restores it)."""
-        return self._spec["journal_path"] is not None
+        return self._init_payload["journal_path"] is not None
 
     @property
     def exit_code(self) -> int | None:
@@ -381,7 +269,7 @@ class ShardWorker:
         always is once its link dropped) and redials a socket peer that
         is still up.  An inbound peer has no address to redial: it must
         dial back in and be re-attached with :meth:`attach`.  With a
-        ``journal_path`` the new engine replays cells, model routing
+        ``journal`` the new engine replays cells, model routing
         and in-flight rollout progress before serving; an interrupted
         ``rollout_fleet`` is then completed with
         :meth:`resume_rollout_fleet`.
@@ -395,7 +283,7 @@ class ShardWorker:
             )
         self.restarts += 1
         self._drop_link()
-        self._reap(0, kill=self._scheme in ("pipe", "shm"))
+        self._reap(0, kill=self.spec.scheme in ("pipe", "shm"))
         self._open()
 
     def attach(self, transport: Transport) -> None:
@@ -409,7 +297,7 @@ class ShardWorker:
         self._drop_link()
         self._transport = transport
         self._exit_code = None
-        self._call("init", self._spec)
+        self._call("init", self._init_payload)
 
     def close(self, grace_s: float = 5.0) -> int | None:
         """Drain the worker and drop the link; returns :attr:`exit_code`.
@@ -449,8 +337,9 @@ class ShardWorker:
     def _open(self) -> None:
         """Launch the peer when it is ours to launch, connect, send ``init``."""
         self._exit_code = None
-        spec = self._spec
-        if self._scheme in ("pipe", "shm"):
+        payload = self._init_payload
+        scheme = self.spec.scheme
+        if scheme in ("pipe", "shm"):
             self._proc = subprocess.Popen(
                 [sys.executable, "-c", _BOOTSTRAP.format("worker_main")],
                 stdin=subprocess.PIPE,
@@ -458,40 +347,35 @@ class ShardWorker:
                 env=_child_env(),
             )
             self._transport = PipeTransport(
-                self._proc.stdin, self._proc.stdout, peer=f"{self._scheme}://{self.name}"
+                self._proc.stdin, self._proc.stdout, peer=f"{scheme}://{self.name}"
             )
-            if self._scheme == "shm":
-                spec = {**spec, "shm": self._attach_rings()}
+            if scheme == "shm":
+                payload = {**payload, "shm": self._attach_rings()}
         else:
-            if self._spawn and self._proc is None:
+            if self.spec.spawn and self._proc is None:
                 self._spawn_listener()
             try:
-                self._transport = connect(self.url, timeout_s=self._connect_timeout_s)
+                self._transport = connect(self.url, timeout_s=self.spec.connect_timeout_s)
             except TransportError as exc:
                 raise WorkerCrashError(f"shard worker {self.name!r} unreachable: {exc}") from exc
-        self._call("init", spec)
+        self._call("init", payload)
 
     def _attach_rings(self) -> dict:
-        """Fresh shm rings for a new child; returns their ``init`` spec.
+        """Fresh shm rings for a new child; returns their ``init`` entry.
 
         A respawned child must never read a dead sibling's cursor
         state.  ``req`` is parent-writes/child-reads, ``rep`` the
         reverse; the child learns the paths (and its swapped roles)
-        from the spec.
+        from the entry.  The geometry is the module's
+        ``DEFAULT_SHM_SLOTS`` x ``DEFAULT_SHM_SLAB_BYTES``, read at
+        call time; oversized messages fall back to in-band frames.
         """
         tag = os.path.join(shm_ring_dir(), f"repro-soc-{os.getpid()}-{id(self):x}-{self.restarts}")
-        req, rep = (
-            ShmRing(f"{tag}-{end}", slots=self._shm_slots, slab_bytes=self._shm_slab_bytes, create=True)
-            for end in ("req", "rep")
-        )
+        geometry = {"slots": DEFAULT_SHM_SLOTS, "slab_bytes": DEFAULT_SHM_SLAB_BYTES}
+        req, rep = (ShmRing(f"{tag}-{end}", create=True, **geometry) for end in ("req", "rep"))
         self._rings = (req, rep)
         self._transport.attach_shm(tx=req, rx=rep)
-        return {
-            "req": req.path,
-            "rep": rep.path,
-            "slots": self._shm_slots,
-            "slab_bytes": self._shm_slab_bytes,
-        }
+        return {"req": req.path, "rep": rep.path, **geometry}
 
     def _spawn_listener(self) -> None:
         """Launch a standalone socket worker and learn its bound URL."""
@@ -739,7 +623,7 @@ class ShardWorker:
                 f"shard worker {self.name!r} is not running (exit code {self._exit_code}); call restart()"
             )
         try:
-            return wire.check_reply(transport.request_with(send, timeout_s=self._call_timeout_s))
+            return wire.check_reply(transport.request_with(send, timeout_s=self.spec.call_timeout_s))
         except TransportError as exc:
             raise self._transport_failed(op, exc) from exc
 
@@ -752,24 +636,21 @@ def _child_env() -> dict:
     return env
 
 
+def _fill(template: str, shard: int | str) -> str:
+    """``template`` with its ``{shard}`` placeholder, if any, set to ``shard``."""
+    return template.format(shard=shard) if "{shard}" in template else template
+
+
 # -- worker specification ----------------------------------------------
 @dataclasses.dataclass
 class WorkerSpec:
-    """Declarative description of one shard worker — the single factory.
+    """The one description of a shard worker; every topology resolves from it.
 
-    :class:`ShardedFleet <repro.serve.sharding.ShardedFleet>` resolves
-    every shard through :meth:`resolve`, whatever the topology:
-
-    - ``url=None`` — an in-process :class:`FleetEngine`, which is not
-      durable: it takes no ``journal``, and ``monitor=True`` gives it
-      its own metrics registry and drift monitor;
-    - any other ``url`` — a :class:`ShardWorker`, launched as its
-      scheme says (``pipe://``, ``shm://``, or ``tcp://``/``unix://``
-      spawned with ``spawn=True``, else dialed);
-      ``tcp://127.0.0.1:0`` picks ephemeral ports, so one spec template
-      serves any shard count.
-
-    :meth:`adopt` wraps an inbound peer through the same mapping, so a
+    :class:`ShardedFleet <repro.serve.sharding.ShardedFleet>` builds
+    every shard through :meth:`resolve`: ``url=None`` gives an
+    in-process :class:`FleetEngine`, any other ``url`` a
+    :class:`ShardWorker`.  ``ShardWorker(spec, name, transport=...)``
+    wraps an inbound peer with the same engine description, so a
     worker that dialed in serves exactly what a resolved one would.
 
     ``name``, ``url`` and ``journal`` are templates: a ``{shard}``
@@ -777,11 +658,60 @@ class WorkerSpec:
     worker's name); a journal path without one gets a ``.shard{k}``
     (``.{name}``) suffix so workers never share a journal file.
 
-    ``drift_from_registry=True`` resolves per-chemistry drift-detector
-    specs from the registry's published-model metadata
-    (:func:`~repro.serve.driftconfig.drift_resolver_from_registry`)
-    instead of the uniform default detectors ``monitor=True`` builds;
-    it requires a ``registry``.
+    Fields
+    ------
+    url:
+        ``None`` for an in-process engine; ``pipe://`` or ``shm://``
+        (spawn a child over stdio; ``shm://`` moves bulk payloads
+        through shared-memory rings); ``tcp://host:port`` or
+        ``unix:///path`` (spawn or dial a socket worker).
+        ``tcp://127.0.0.1:0`` with ``spawn=True`` picks ephemeral
+        ports, so one spec serves any shard count.
+    model:
+        Default model, shipped to a worker at init (weights over the
+        wire).
+    registry:
+        :class:`~repro.serve.registry.ModelRegistry` (or its root
+        directory) for per-chemistry routing; workers open their own
+        copy of the root.  A worker needs a ``model``, a ``registry``,
+        or both.
+    journal:
+        Per-worker :class:`~repro.serve.persistence.StateJournal` path
+        template.  A restart restores the engine from it (crash
+        recovery); without one a restart comes back empty.  In-process
+        shards are not durable and take none.
+    monitor:
+        Give each engine its own
+        :class:`~repro.monitor.metrics.MetricsRegistry` and
+        :class:`~repro.monitor.drift.DriftMonitor` (default
+        configurations).  The parent reads a worker's registry over the
+        wire (:meth:`ShardWorker.metrics_snapshot`), and
+        :meth:`ShardedFleet.metrics
+        <repro.serve.sharding.ShardedFleet.metrics>` merges the
+        topology.
+    trace:
+        Distributed tracing in the worker: requests whose frame carries
+        trace context (:data:`repro.serve.wire.TRACE_META_KEY`) get
+        ``worker.deserialize`` / ``worker.compute`` /
+        ``worker.serialize`` spans, shipped back in the reply meta.
+    archive_root, journal_segment_bytes:
+        Cold-store directory and segment size for the worker journal
+        (see :mod:`repro.serve.archive`).
+    drift_from_registry:
+        Resolve per-chemistry drift-detector specs from the registry's
+        published-model metadata
+        (:func:`~repro.serve.driftconfig.drift_resolver_from_registry`)
+        instead of the uniform defaults ``monitor=True`` builds; needs
+        a ``registry``.
+    spawn:
+        Socket schemes only: launch :func:`run_worker` on the URL
+        first instead of dialing a worker that is already listening.
+    name:
+        Label in error messages and health reports; an inbound worker
+        is re-attached by it.
+    connect_timeout_s, call_timeout_s:
+        Dial deadline (refused connections are retried until it) and
+        optional per-call reply deadline.
     """
 
     url: str | None = None
@@ -793,16 +723,13 @@ class WorkerSpec:
     archive_root: str | Path | None = None
     journal_segment_bytes: int = 0
     drift_from_registry: bool = False
-    shm_slots: int = DEFAULT_SHM_SLOTS
-    shm_slab_bytes: int = DEFAULT_SHM_SLAB_BYTES
     spawn: bool = False
     name: str = "shard{shard}"
     connect_timeout_s: float = 10.0
     call_timeout_s: float | None = None
 
     def __post_init__(self):
-        if self.url is not None:
-            parse_url(self.url if "{shard}" not in self.url else self.url.format(shard=0))
+        self.url_for(0)  # refuses an unknown scheme
         if self.model is None and self.registry is None and self.url is not None:
             raise ValueError("need a default model, a registry root, or both")
         if self.drift_from_registry and self.registry is None:
@@ -811,53 +738,36 @@ class WorkerSpec:
     @property
     def scheme(self) -> str | None:
         """``None`` for in-process, else the transport scheme."""
-        if self.url is None:
-            return None
-        return parse_url(self.url if "{shard}" not in self.url else self.url.format(shard=0)).scheme
+        return None if self.url is None else parse_url(self.url_for(0)).scheme
+
+    def url_for(self, shard: int | str) -> str | None:
+        """The normalized URL of shard ``shard`` (``None`` in-process)."""
+        return None if self.url is None else str(parse_url(_fill(self.url, shard)))
 
     def resolve(self, index: int):
         """Build the worker for shard ``index`` (engine or :class:`ShardWorker`)."""
-        if self.url is None:
-            if self.journal is not None:
-                raise ValueError("in-process shards are not durable; journal a pipe:// or socket worker")
-            registry = self.registry
-            if registry is not None and not isinstance(registry, ModelRegistry):
-                registry = ModelRegistry(registry)
-            return FleetEngine(**_engine_kwargs(self.model, registry, self.monitor, self.drift_from_registry))
-        url = self.url.format(shard=index) if "{shard}" in self.url else self.url
-        return ShardWorker(
-            url,
-            spawn=self.spawn,
-            connect_timeout_s=self.connect_timeout_s,
-            **self._client_kwargs(index),
-        )
+        if self.url is not None:
+            return ShardWorker(self, index)
+        if self.journal is not None:
+            raise ValueError("in-process shards are not durable; journal a pipe:// or socket worker")
+        registry = self.registry
+        if registry is not None and not isinstance(registry, ModelRegistry):
+            registry = ModelRegistry(registry)
+        return FleetEngine(**_engine_kwargs(self.model, registry, self.monitor, self.drift_from_registry))
 
-    def adopt(self, transport: Transport, name: str) -> ShardWorker:
-        """Wrap an inbound peer (a worker that dialed us) as ``name``.
-
-        The worker gets this spec's engine description exactly as a
-        resolved shard would; its journal is the template with ``name``
-        in place of the shard index.
-        """
-        return ShardWorker.from_transport(transport, **self._client_kwargs(name))
-
-    def _client_kwargs(self, shard: int | str) -> dict:
-        """The :class:`ShardWorker` description of shard ``shard`` (index or name)."""
-        registry_root = self.registry.root if isinstance(self.registry, ModelRegistry) else self.registry
-        return dict(
-            default_model=self.model,
-            registry_root=registry_root,
-            journal_path=self._journal_path(shard),
-            name=self.name.format(shard=shard) if isinstance(shard, int) else shard,
-            monitor=self.monitor,
-            trace=self.trace,
-            archive_root=self.archive_root,
-            journal_segment_bytes=self.journal_segment_bytes,
-            drift_from_registry=self.drift_from_registry,
-            call_timeout_s=self.call_timeout_s,
-            shm_slots=self.shm_slots,
-            shm_slab_bytes=self.shm_slab_bytes,
-        )
+    def init_payload(self, shard: int | str) -> dict:
+        """The ``init`` message a worker for ``shard`` builds its engine from."""
+        registry = self.registry.root if isinstance(self.registry, ModelRegistry) else self.registry
+        return {
+            "model": _model_spec(self.model),
+            "registry_root": None if registry is None else str(registry),
+            "journal_path": self._journal_path(shard),
+            "monitor": bool(self.monitor),
+            "trace": bool(self.trace),
+            "archive_root": None if self.archive_root is None else str(self.archive_root),
+            "journal_segment_bytes": int(self.journal_segment_bytes),
+            "drift_from_registry": bool(self.drift_from_registry),
+        }
 
     def _journal_path(self, shard: int | str) -> str | None:
         if self.journal is None:
@@ -876,24 +786,11 @@ class WorkerSpec:
 # -- worker side -------------------------------------------------------
 WORKER_ANNOUNCE = "worker listening on "
 
-
-# Keys an ``init`` spec may carry: the _engine_spec keys plus the shm
+# Keys an ``init`` message may carry: the init_payload keys plus the shm
 # ring description.  A peer from another build may send settings this
 # worker does not have; it gets an error instead of an engine that
 # silently ignores them.
-_SPEC_KEYS = frozenset(
-    (
-        "model",
-        "registry_root",
-        "journal_path",
-        "monitor",
-        "trace",
-        "archive_root",
-        "journal_segment_bytes",
-        "drift_from_registry",
-        "shm",
-    )
-)
+_INIT_KEYS = frozenset(WorkerSpec().init_payload(0)) | {"shm"}
 
 
 def _engine_kwargs(
@@ -919,7 +816,7 @@ def _engine_kwargs(
 
 
 def _build_engine(spec: dict) -> FleetEngine:
-    unexpected = sorted(set(spec) - _SPEC_KEYS)
+    unexpected = sorted(set(spec) - _INIT_KEYS)
     if unexpected:
         raise ValueError(f"init spec has unexpected keys: {', '.join(unexpected)}")
     model = _build_model(spec["model"])

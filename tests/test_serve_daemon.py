@@ -80,7 +80,6 @@ class TestDaemonE2E:
         daemon = SocDaemon(
             fleet,
             "tcp://127.0.0.1:0",
-            worker_spec=spec,
             control_interval_s=0.2,
             exposition_port=0,
         )
@@ -126,19 +125,28 @@ class TestDaemonE2E:
                 proc.wait(timeout=10)
 
     def test_add_worker_by_url_through_client(self, model):
-        from repro.serve import ShardWorker
-
         spec = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True)
         fleet = ShardedFleet(2, spec=spec)
-        spare = ShardWorker("tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare")
+        spare = spec.resolve(0)
         spare._drop_link()  # free its listener for the daemon to dial
-        daemon = SocDaemon(fleet, "tcp://127.0.0.1:0", worker_spec=spec, control_interval_s=0)
+        daemon = SocDaemon(fleet, "tcp://127.0.0.1:0", control_interval_s=0)
         with daemon, SocClient(daemon.url) as client:
             client.register_cell("a")
+            with pytest.raises(ValueError, match="URL string"):
+                client.add_worker({"url": spare.url})
             index = client.add_worker(spare.url)
             assert index == 2
             assert client.worker_health() == [True, True, True]
         spare.close()
+
+    def test_serve_client_example_runs(self):
+        """``examples/serve_client.py`` runs end to end against the current API."""
+        example = os.path.join(os.path.dirname(SRC_ROOT), "examples", "serve_client.py")
+        done = subprocess.run(
+            [sys.executable, example], env=_worker_env(), capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert "joined as shard 2" in done.stdout
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +242,15 @@ class TestDaemonClients:
             with pytest.raises(RuntimeError, match="no model registry"):
                 client.rollback("serve")
 
-    def test_inbound_worker_rejected_without_worker_spec(self, daemon):
-        """A worker_hello on a daemon that cannot provision workers is
-        acked (protocol) and then dropped, never half-adopted."""
+    def test_inbound_worker_dropped_by_single_engine_daemon(self, daemon):
+        """A worker_hello on a daemon over one FleetEngine (it cannot
+        provision workers) is acked (protocol) and then dropped, never
+        half-adopted."""
         transport = connect(daemon.url, timeout_s=5.0)
         try:
             transport.send_v2("worker_hello", wire.call_meta(("stray",)), [])
             assert transport.recv_frame(timeout_s=5.0) == wire.V2Frame("ok", {"value": "attach"}, [])
-            # the attach fails daemon-side (no worker_spec): it hangs up
+            # the attach fails daemon-side (not a ShardedFleet): it hangs up
             assert transport.recv_frame(timeout_s=5.0) is None
         finally:
             transport.close()

@@ -43,9 +43,7 @@ def small_fleet():
 class TestTcpWorker:
     def test_serves_engine_api_over_tcp(self, model):
         local = FleetEngine(default_model=model)
-        worker = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="sock"
-        )
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="sock"))
         try:
             assert worker.url.startswith("tcp://127.0.0.1:")
             for engine in (local, worker):
@@ -63,9 +61,7 @@ class TestTcpWorker:
 
     def test_rollout_matches_in_process_engine(self, model, small_fleet):
         ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        worker = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="roll"
-        )
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="roll"))
         try:
             got = worker.rollout_fleet(small_fleet.assignments(), 120.0)
         finally:
@@ -74,8 +70,8 @@ class TestTcpWorker:
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
 
     def test_restart_requires_a_dialable_url(self, model):
-        """An inbound worker (dialed us; from_transport) has no address
-        to redial — restart must say so, not hang."""
+        """An inbound worker (dialed us; built around its transport) has
+        no address to redial — restart must say so, not hang."""
         import io
 
         from repro.serve.transport import PipeTransport
@@ -84,15 +80,13 @@ class TestTcpWorker:
         # a canned transport that answers the init handshake
         rd = io.BytesIO(b"".join(wire.encode_v2("ok", {"value": "ready"}, [])))
         transport = PipeTransport(io.BytesIO(), rd, peer="inbound")
-        worker = ShardWorker.from_transport(transport, name="inbound", default_model=model)
+        worker = ShardWorker(WorkerSpec(model=model), "inbound", transport=transport)
         worker._drop_link()
         with pytest.raises(WorkerCrashError, match="dial back in"):
             worker.restart()
 
     def test_restart_while_alive_is_an_error(self, model):
-        worker = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="up"
-        )
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="up"))
         try:
             with pytest.raises(RuntimeError, match="still running"):
                 worker.restart()
@@ -198,7 +192,7 @@ class TestShardedFleetSpec:
         """A second shard dialing a live worker's fixed URL would hang in
         ``init``: construction, ``rebalance`` and ``add_worker`` refuse
         it before dialing, and the fleet is left as it was."""
-        spare = ShardWorker("tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare")
+        spare = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True).resolve(0)
         spare._drop_link()  # free the listener: the fleet dials it next
         spec = WorkerSpec(url=spare.url, model=model, call_timeout_s=3.0)
         with pytest.raises(ValueError, match="endpoint"):
@@ -216,9 +210,7 @@ class TestShardedFleetSpec:
     def test_add_worker_by_url_migrates_cells(self, model):
         """The daemon registration path: growing the fleet by a bare
         URL reuses the spec template and migrates ~1/n of the cells."""
-        spare = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare"
-        )
+        spare = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True).resolve(0)
         spare._drop_link()  # free the listener: the fleet dials it next
         fleet = ShardedFleet(
             2, spec=WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="g{shard}")
@@ -232,6 +224,28 @@ class TestShardedFleetSpec:
             assert index == 2 and fleet.n_shards == 3
             assert sum(fleet.shard_sizes()) == len(ids)
             assert fleet.shard_sizes()[index] > 0  # rendezvous moved some cells over
+            for cid in ids:
+                assert fleet.cell(cid).soc == socs[cid]
+        spare.close()
+
+    def test_rebalance_after_add_worker_grows_from_the_spec(self, model):
+        """A worker added by URL does not become the template: growing
+        afterwards still builds ``pipe://`` shards from the fleet's spec
+        instead of dialing the added worker's fixed address again."""
+        spare = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True).resolve(0)
+        spare._drop_link()  # free the listener: the fleet dials it next
+        spec = WorkerSpec(url="pipe://", model=model, call_timeout_s=30.0)
+        with ShardedFleet(1, spec=spec) as fleet:
+            ids = [f"c{k}" for k in range(10)]
+            for cid in ids:
+                fleet.register_cell(cid)
+            fleet.estimate(ids, np.linspace(3.2, 4.0, len(ids)), 1.0, 25.0)
+            socs = {cid: fleet.cell(cid).soc for cid in ids}
+            assert fleet.add_worker(spare.url) == 1
+            fleet.rebalance(3)
+            assert fleet.n_shards == 3
+            assert fleet._shards[2].url == "pipe://"
+            assert fleet.spec is spec
             for cid in ids:
                 assert fleet.cell(cid).soc == socs[cid]
         spare.close()

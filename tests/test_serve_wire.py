@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core import TwoBranchSoCNet, model_rollout
 from repro.battery.simulator import SimulationResult
 from repro.monitor.drift import DriftEvent
-from repro.serve import CellState, FleetEngine, ShardWorker, generate_fleet
+from repro.serve import CellState, FleetEngine, ShardWorker, WorkerSpec, generate_fleet
 from repro.serve import wire
 
 FAST_FLEET = dict(
@@ -429,7 +429,7 @@ class TestWorkerInterop:
         v = rng.uniform(2.8, 4.2, 64)
         i = rng.uniform(-5, 5, 64)
         t = rng.uniform(0, 45, 64)
-        with ShardWorker("pipe://", default_model=model, name="v2") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="v2")) as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -443,7 +443,7 @@ class TestWorkerInterop:
     def test_v2_worker_rollout_is_bit_for_bit(self, model, small_fleet):
         local = FleetEngine(default_model=model)
         ref = local.rollout_fleet(small_fleet.assignments(), step_s=120.0)
-        with ShardWorker("pipe://", default_model=model, name="v2roll") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="v2roll")) as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
         for cell_id in ref:
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
@@ -455,7 +455,7 @@ class TestWorkerInterop:
         cycle = small_fleet.members[0].cycle
         tagged = dataclasses.replace(cycle, tags={**cycle.tags, "blob": np.arange(3)})
         ref = model_rollout(model, tagged, 120.0)
-        with ShardWorker("pipe://", default_model=model, name="tags") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="tags")) as worker:
             got = worker.rollout_fleet([("a", tagged)], step_s=120.0)
         np.testing.assert_allclose(got["a"].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
 
@@ -463,13 +463,13 @@ class TestWorkerInterop:
         bad = "pack\x00cell"
         with pytest.raises(ValueError, match="NUL"):
             FleetEngine(default_model=model).register_cell(bad)
-        with ShardWorker("pipe://", default_model=model, name="nul") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="nul")) as worker:
             with pytest.raises(ValueError, match="NUL"):
                 worker.register_cell(bad)
             assert len(worker) == 0  # a typed error: the link is still up
 
     def test_unknown_op_gets_a_typed_err_and_the_link_stays_up(self, model):
-        with ShardWorker("pipe://", default_model=model, name="unknown") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="unknown")) as worker:
             reply = worker._transport.request("exec", wire.call_meta(("rm -rf /",)))
             assert reply.kind == "err" and reply.meta["type"] == "RuntimeError"
             assert "unknown op 'exec'" in reply.meta["message"]
@@ -479,8 +479,8 @@ class TestWorkerInterop:
     def test_init_with_unknown_spec_keys_gets_a_typed_err(self, model):
         """A spec carrying settings this worker does not have (here the
         float32 tier and the Tensor path) is refused, not served as float64."""
-        with ShardWorker("pipe://", default_model=model, name="oldspec") as worker:
-            spec = {**worker._spec, "dtype": "float32", "use_kernel": False}
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="oldspec")) as worker:
+            spec = {**worker.spec.init_payload(0), "dtype": "float32", "use_kernel": False}
             reply = worker._transport.request("init", wire.call_meta((spec,)))
             assert reply.kind == "err" and reply.meta["type"] == "ValueError"
             assert "unexpected keys: dtype, use_kernel" in reply.meta["message"]
@@ -491,7 +491,7 @@ class TestWorkerInterop:
         array is writable — the same contract as an in-process engine."""
         local = FleetEngine(default_model=model)
         ids = [f"c{k}" for k in range(32)]
-        with ShardWorker("pipe://", default_model=model, name="scalar") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="scalar")) as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.model import TwoBranchSoCNet
-from repro.serve import FleetEngine, ShardWorker, WorkerCrashError, generate_fleet
+from repro.serve import FleetEngine, ShardWorker, WorkerCrashError, WorkerSpec, generate_fleet
 from repro.serve.transport import TransportListener
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -57,17 +57,20 @@ class Launcher:
         self.listener: TransportListener | None = None
         self.worker: ShardWorker | None = None
 
-    def open(self, **kwargs) -> ShardWorker:
+    def open(self, **fields) -> ShardWorker:
+        """Open a worker described by ``WorkerSpec(**fields)`` in this mode."""
         if self.mode in ("pipe", "shm"):
-            self.worker = ShardWorker(f"{self.mode}://", name=self.mode, **kwargs)
+            self.worker = ShardWorker(WorkerSpec(url=f"{self.mode}://", name=self.mode, **fields))
         elif self.mode == "tcp":
-            self.worker = ShardWorker("tcp://127.0.0.1:0", spawn=True, name=self.mode, **kwargs)
+            spec = WorkerSpec(url="tcp://127.0.0.1:0", spawn=True, name=self.mode, **fields)
+            self.worker = ShardWorker(spec)
         elif self.mode == "unix":
             url = self._start_listening_peer()
-            self.worker = ShardWorker(url, name=self.mode, **kwargs)
+            self.worker = ShardWorker(WorkerSpec(url=url, name=self.mode, **fields))
         else:
             self.listener = TransportListener("tcp://127.0.0.1:0")
-            self.worker = ShardWorker.from_transport(self._accept_inbound(), name=self.mode, **kwargs)
+            transport = self._accept_inbound()
+            self.worker = ShardWorker(WorkerSpec(**fields), self.mode, transport=transport)
         return self.worker
 
     def peer_process(self) -> subprocess.Popen:
@@ -146,7 +149,7 @@ def launch(request):
 # ----------------------------------------------------------------------
 def test_api_round_trip(launch, model, small_fleet):
     local = FleetEngine(default_model=model)
-    worker = launch.open(default_model=model)
+    worker = launch.open(model=model)
     for engine in (local, worker):
         engine.register_cell("a", chemistry="nmc")
         engine.register_cell("b", chemistry="lfp")
@@ -170,7 +173,7 @@ def test_api_round_trip(launch, model, small_fleet):
 
 
 def test_engine_errors_cross_the_wire_with_their_type(launch, model, small_fleet):
-    worker = launch.open(default_model=model)
+    worker = launch.open(model=model)
     with pytest.raises(KeyError, match="ghost"):
         worker.cell("ghost")
     # planned worker-side: the cycle is far shorter than one step
@@ -183,7 +186,7 @@ def test_engine_errors_cross_the_wire_with_their_type(launch, model, small_fleet
 
 
 def test_kill_gives_crash_error(launch, model):
-    worker = launch.open(default_model=model)
+    worker = launch.open(model=model)
     worker.register_cell("a")
     launch.kill()
     with pytest.raises(WorkerCrashError, match="died during 'estimate'") as info:
@@ -199,7 +202,7 @@ def test_kill_gives_crash_error(launch, model):
 
 
 def test_check_alive_probes_the_peer(launch, model):
-    worker = launch.open(default_model=model)
+    worker = launch.open(model=model)
     assert worker.check_alive(timeout_s=5.0) is True
     with pytest.raises(RuntimeError, match="still running"):
         worker.restart()
@@ -211,7 +214,7 @@ def test_check_alive_probes_the_peer(launch, model):
 def test_restart_resumes_rollout_bit_for_bit(launch, model, small_fleet):
     pairs = small_fleet.assignments()
     ref = FleetEngine(default_model=model).rollout_fleet(pairs, 120.0)
-    worker = launch.open(default_model=model, journal_path=os.path.join(launch.workdir, "w.journal"))
+    worker = launch.open(model=model, journal=os.path.join(launch.workdir, "w.journal"))
     assert worker.durable
     worker.crash_after_window(3)
     with pytest.raises(WorkerCrashError) as info:
@@ -226,7 +229,7 @@ def test_restart_resumes_rollout_bit_for_bit(launch, model, small_fleet):
 
 
 def test_close_returns_zero(launch, model):
-    worker = launch.open(default_model=model)
+    worker = launch.open(model=model)
     worker.register_cell("a")
     assert worker.close() == 0
     assert not worker.alive

@@ -15,6 +15,7 @@ from repro.serve import (
     WorkerSpec,
     generate_fleet,
 )
+from repro.serve import workers
 from repro.serve.driftconfig import drift_resolver_from_registry
 
 FAST_FLEET = dict(
@@ -39,7 +40,7 @@ def small_fleet():
 class TestPipeWorker:
     def test_serves_engine_api_across_the_wire(self, model):
         local = FleetEngine(default_model=model)
-        with ShardWorker("pipe://", default_model=model, name="api") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="api")) as worker:
             for engine in (local, worker):
                 engine.register_cell("a", chemistry="nmc")
                 engine.register_cell("b", chemistry="lfp")
@@ -59,11 +60,11 @@ class TestPipeWorker:
             assert len(worker) == 1
 
     def test_requires_model_or_registry(self):
-        with pytest.raises(ValueError):
-            ShardWorker("pipe://")
+        with pytest.raises(ValueError, match="default model"):
+            WorkerSpec(url="pipe://")
 
     def test_engine_errors_travel_the_wire(self, model):
-        with ShardWorker("pipe://", default_model=model, name="err") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="err")) as worker:
             with pytest.raises(KeyError):
                 worker.cell("ghost")
             with pytest.raises(ValueError, match="process boundary"):
@@ -73,14 +74,14 @@ class TestPipeWorker:
 
     def test_rollout_matches_in_process_engine(self, model, small_fleet):
         ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        with ShardWorker("pipe://", default_model=model, name="roll") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="roll")) as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), 120.0)
         for cell_id, _ in small_fleet.assignments():
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
             np.testing.assert_array_equal(got[cell_id].time_s, ref[cell_id].time_s)
 
     def test_graceful_close_exits_zero(self, model):
-        worker = ShardWorker("pipe://", default_model=model, name="drain")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="drain"))
         worker.register_cell("a")
         assert worker.close() == 0
         assert not worker.alive
@@ -89,7 +90,7 @@ class TestPipeWorker:
             worker.cell("a")
 
     def test_crash_detection_reports_exit_code(self, model, small_fleet):
-        worker = ShardWorker("pipe://", default_model=model, name="crashy")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="crashy"))
         worker.crash_after_window(2)
         with pytest.raises(WorkerCrashError, match="exit code 86"):
             worker.rollout_fleet(small_fleet.assignments(), 120.0)
@@ -100,7 +101,7 @@ class TestPipeWorker:
         worker.close()
 
     def test_restart_without_journal_comes_back_empty(self, model):
-        worker = ShardWorker("pipe://", default_model=model, name="amnesiac")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="amnesiac"))
         worker.register_cell("a")
         worker.close()
         worker.restart()
@@ -111,7 +112,7 @@ class TestPipeWorker:
 
     def test_restart_restores_state_from_journal(self, model, tmp_path):
         path = tmp_path / "worker.journal"
-        worker = ShardWorker("pipe://", default_model=model, journal_path=path, name="durable")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, journal=path, name="durable"))
         assert worker.durable
         worker.register_cell("a", chemistry="nmc")
         worker.estimate(["a"], 3.7, 1.0, 25.0)
@@ -130,7 +131,7 @@ class TestPipeWorker:
         assignments = small_fleet.assignments()
         ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
         worker = ShardWorker(
-            "pipe://", default_model=model, journal_path=tmp_path / "crash.journal", name="phoenix"
+            WorkerSpec(url="pipe://", model=model, journal=tmp_path / "crash.journal", name="phoenix")
         )
         worker.crash_after_window(3)
         with pytest.raises(WorkerCrashError):
@@ -260,8 +261,8 @@ class TestShmWorkers:
         v = rng.uniform(2.8, 4.2, 64)
         i = rng.uniform(-5, 5, 64)
         t = rng.uniform(0, 45, 64)
-        with ShardWorker("pipe://", default_model=model, name="pipe") as pipe_worker:
-            with ShardWorker("shm://", default_model=model, name="shm") as shm_worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="pipe")) as pipe_worker:
+            with ShardWorker(WorkerSpec(url="shm://", model=model, name="shm")) as shm_worker:
                 for cid in ids:
                     pipe_worker.register_cell(cid)
                     shm_worker.register_cell(cid)
@@ -279,7 +280,7 @@ class TestShmWorkers:
     def test_ring_files_are_created_and_cleaned_up(self, model):
         from repro.serve.transport import shm_ring_dir
 
-        worker = ShardWorker("shm://", default_model=model, name="rings")
+        worker = ShardWorker(WorkerSpec(url="shm://", model=model, name="rings"))
         rings = worker._rings
         assert rings is not None and all(os.path.exists(ring.path) for ring in rings)
         assert all(ring.path.startswith(shm_ring_dir()) for ring in rings)
@@ -287,7 +288,7 @@ class TestShmWorkers:
         assert all(not os.path.exists(ring.path) for ring in rings)
 
     def test_restart_swaps_in_fresh_rings(self, model):
-        worker = ShardWorker("shm://", default_model=model, name="reborn")
+        worker = ShardWorker(WorkerSpec(url="shm://", model=model, name="reborn"))
         worker.register_cell("a")
         before = worker.estimate(["a"], 3.7, 1.0, 25.0)
         old_paths = [ring.path for ring in worker._rings]
@@ -300,12 +301,13 @@ class TestShmWorkers:
         np.testing.assert_array_equal(worker.estimate(["a"], 3.7, 1.0, 25.0), before)
         worker.close()
 
-    def test_undersized_ring_falls_back_to_inline_frames(self, model):
+    def test_undersized_ring_falls_back_to_inline_frames(self, model, monkeypatch):
         ids = [f"c{k}" for k in range(256)]
-        with ShardWorker("pipe://", default_model=model, name="tiny") as ref_worker:
-            with ShardWorker(
-                "shm://", default_model=model, name="tiny-shm", shm_slots=1, shm_slab_bytes=256
-            ) as shm_worker:
+        monkeypatch.setattr(workers, "DEFAULT_SHM_SLOTS", 1)
+        monkeypatch.setattr(workers, "DEFAULT_SHM_SLAB_BYTES", 256)
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="tiny")) as ref_worker:
+            with ShardWorker(WorkerSpec(url="shm://", model=model, name="tiny-shm")) as shm_worker:
+                assert [(ring.slots, ring.slab_bytes) for ring in shm_worker._rings] == [(1, 256)] * 2
                 for cid in ids:
                     ref_worker.register_cell(cid)
                     shm_worker.register_cell(cid)
@@ -334,13 +336,13 @@ class TestWorkerMetrics:
     to the parent, and ``ShardedFleet.metrics()`` merges the topology."""
 
     def test_snapshot_is_none_without_monitoring(self, model):
-        with ShardWorker("pipe://", default_model=model, name="quiet") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="quiet")) as worker:
             worker.register_cell("a")
             worker.estimate(["a"], 3.7, 1.0, 25.0)
             assert worker.metrics_snapshot() is None
 
     def test_monitored_worker_ships_its_snapshot(self, model):
-        with ShardWorker("pipe://", default_model=model, name="mon", monitor=True) as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="mon", monitor=True)) as worker:
             worker.register_cell("a")
             worker.register_cell("b")
             worker.estimate(["a", "b"], 3.7, 1.0, 25.0)
@@ -423,13 +425,11 @@ class TestDriftFromRegistry:
     def test_spec_requires_a_registry(self, model):
         with pytest.raises(ValueError, match="needs a registry"):
             WorkerSpec(url="pipe://", model=model, drift_from_registry=True)
-        with pytest.raises(ValueError, match="needs a registry"):
-            ShardWorker("pipe://", default_model=model, drift_from_registry=True)
 
     def test_worker_routes_drift_per_chemistry_from_the_registry(self, tmp_path, model):
         registry = self._registry(tmp_path, model)
         worker = ShardWorker(
-            "pipe://", registry_root=registry.root, name="driftcfg", drift_from_registry=True
+            WorkerSpec(url="pipe://", registry=registry.root, name="driftcfg", drift_from_registry=True)
         )
         with worker:
             worker.register_cell("hot", chemistry="lfp")
