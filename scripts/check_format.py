@@ -57,8 +57,7 @@ ALLOWLIST = [
 # src/repro/serve/client.py, src/repro/serve/archive.py,
 # examples/serve_client.py, tests/test_serve_transport.py,
 # tests/test_serve_remote_workers.py, tests/test_serve_archive.py,
-# tests/test_serve_daemon.py, src/repro/serve/driftconfig.py,
-# src/repro/learn/__init__.py, src/repro/learn/harvest.py,
+# tests/test_serve_daemon.py, src/repro/learn/__init__.py, src/repro/learn/harvest.py,
 # src/repro/learn/finetune.py, src/repro/learn/publish.py,
 # src/repro/learn/loop.py, scripts/e2e_retrain.py,
 # tests/test_learn_harvest.py, tests/test_learn_finetune.py,

@@ -34,7 +34,6 @@ exposition formats, the span taxonomy, and the autopilot decision rule.
 
 from .autopilot import AutoCanaryPolicy, AutopilotConfig, ControlLoop, DivergenceProbe, ProbeTiming
 from .drift import (
-    ChemistryDriftRouter,
     Cusum,
     CusumConfig,
     DriftEvent,
@@ -61,7 +60,6 @@ from .tracing import Span, SpanTracer, TraceContext, activate, current_context, 
 __all__ = [
     "AutoCanaryPolicy",
     "AutopilotConfig",
-    "ChemistryDriftRouter",
     "ControlLoop",
     "Counter",
     "Cusum",

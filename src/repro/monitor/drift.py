@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .metrics import MetricsRegistry
 from .tracing import TRACE_STATE
 
 __all__ = [
-    "ChemistryDriftRouter",
     "Cusum",
     "CusumConfig",
     "DriftEvent",
@@ -57,7 +56,6 @@ __all__ = [
     "PageHinkley",
     "PageHinkleyConfig",
     "PhysicsBounds",
-    "iter_kinds",
     "residual_stream",
 ]
 
@@ -260,12 +258,10 @@ class _PageHinkleyBank(_DetectorBank):
         m_min = np.minimum(self.m_min[idx], m)
         triggered = (n >= cfg.min_samples) & (m - m_min > cfg.threshold)
         if triggered.any():
-            reset = idx[triggered]
             n[triggered] = 0.0
             mean[triggered] = 0.0
             m[triggered] = 0.0
             m_min[triggered] = 0.0
-            self.n[reset] = 0.0  # keep the bank consistent if idx repeats
         self.n[idx] = n
         self.mean[idx] = mean
         self.m[idx] = m
@@ -317,9 +313,11 @@ class DriftMonitor:
         Optional registry receiving ``drift_events_total{kind=...}``
         counters and a ``drift_tracked_cells`` gauge.
 
-    The hot-path contract: :meth:`observe_soc` costs a couple of
-    vectorized comparisons when nothing is wrong (no per-cell Python
-    work unless a violation actually fires), and
+    The hot-path contract: :meth:`observe_soc` costs two scalar
+    reductions when nothing is wrong (no per-cell Python work unless a
+    violation actually fires), and the engine's single-row estimate
+    path skips even that by calling it only once its own per-cell
+    compare against :attr:`bounds` finds a violation; and
     :meth:`observe_residuals` is a fixed number of numpy ops over the
     active batch regardless of fleet size.
     """
@@ -341,49 +339,6 @@ class DriftMonitor:
         self._ids: list[str] = []
         self._kind_counts: dict[str, int] = {}
         self.events_total = 0
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: dict | None,
-        metrics: MetricsRegistry | None = None,
-        max_events: int = 1024,
-    ) -> DriftMonitor:
-        """Build a monitor from a plain-dict config (registry metadata).
-
-        The spec is the JSON-safe shape stored under the ``"drift"``
-        key of a checkpoint's registry metadata (see
-        :func:`repro.serve.driftconfig.drift_resolver_from_registry`)::
-
-            {"page_hinkley": {"delta": 0.01, "threshold": 0.2},
-             "cusum": null,                       # null disables a detector
-             "bounds": {"max_discharge_c": 3.0}}  # or soc_min/soc_max/max_rate_per_s
-
-        Missing keys take the detector defaults; an explicit ``None``
-        disables that detector.  ``bounds`` accepts either the raw
-        :class:`PhysicsBounds` fields or ``max_discharge_c`` (plus
-        optional ``margin``/``soc_min``/``soc_max``), which routes
-        through :meth:`PhysicsBounds.for_c_rate`.
-        """
-        spec = dict(spec or {})
-        ph = spec.get("page_hinkley", {})
-        cs = spec.get("cusum", {})
-        b = spec.get("bounds", {})
-        if b is None:
-            bounds = None
-        else:
-            b = dict(b)
-            if "max_discharge_c" in b:
-                bounds = PhysicsBounds.for_c_rate(float(b.pop("max_discharge_c")), **b)
-            else:
-                bounds = PhysicsBounds(**b)
-        return cls(
-            page_hinkley=None if ph is None else PageHinkleyConfig(**ph),
-            cusum=None if cs is None else CusumConfig(**cs),
-            bounds=bounds,
-            max_events=int(spec.get("max_events", max_events)),
-            metrics=metrics,
-        )
 
     # -- membership ------------------------------------------------------
     def track(self, cell_ids: Sequence[str]) -> np.ndarray:
@@ -443,17 +398,20 @@ class DriftMonitor:
         maps batch rows back into ``cell_ids`` (for callers whose batch
         is a fancy-indexed subset, like the engine's rollout loop) —
         row ``k`` names ``cell_ids[positions[k]]``.  The clean-path
-        cost is two vectorized comparisons and an ``any()``; no
-        per-cell Python work happens unless a violation fires.
+        cost is two scalar reductions (plus the rate check when
+        ``delta`` is given); no per-cell Python work happens unless a
+        violation fires.  An empty batch emits nothing.
         """
         bounds = self.bounds
-        if bounds is None:
+        if bounds is None or soc.size == 0:
             return 0
         emitted = 0
         # clean-path fast check: two scalar reductions beat three
         # elementwise ops + any() at request-path batch sizes, and the
-        # mask is only ever materialized once a violation exists
-        if soc.min() < bounds.soc_min or soc.max() > bounds.soc_max:
+        # mask is only ever materialized once a violation exists.  A NaN
+        # row makes both reductions NaN, so the negated form sends that
+        # batch to the mask instead of hiding its real violations
+        if not (soc.min() >= bounds.soc_min and soc.max() <= bounds.soc_max):
             bad = (soc < bounds.soc_min) | (soc > bounds.soc_max)
             for k in np.flatnonzero(bad):
                 cid = cell_ids[int(positions[k])] if positions is not None else cell_ids[k]
@@ -541,236 +499,6 @@ class DriftMonitor:
         return 1
 
 
-class ChemistryDriftRouter:
-    """Per-chemistry drift monitoring behind the one-monitor interface.
-
-    A mixed fleet should not share one detector tuning: an LFP pack's
-    flat OCV curve earns looser residual thresholds than an NMC pack,
-    and their discharge ceilings differ.  The router keeps one
-    :class:`DriftMonitor` per chemistry, built lazily from
-    ``resolver(chemistry)``, and splits every vectorized observation
-    across them — so :class:`~repro.serve.engine.FleetEngine` (and the
-    workers behind it) keep calling the exact single-monitor surface
-    (``track`` / ``observe_soc`` / ``observe_residuals`` / ``events``).
-
-    Parameters
-    ----------
-    resolver:
-        ``resolver(chemistry) -> dict | DriftMonitor | None``.  A dict
-        goes through :meth:`DriftMonitor.from_spec`; ``None`` means
-        default configuration; a ready monitor is adopted as-is.
-        ``chemistry`` is the cell's tag (``None`` for untagged cells).
-    metrics:
-        Shared :class:`~repro.monitor.metrics.MetricsRegistry` handed
-        to every constructed monitor (``drift_events_total`` counters
-        merge across chemistries, as one monitor would report).
-    max_events:
-        Per-chemistry ring depth for constructed monitors.
-
-    While only one chemistry has appeared the router forwards straight
-    through (global and per-monitor slots coincide), so a uniform fleet
-    pays one extra attribute hop, not a regrouping pass.
-    """
-
-    def __init__(self, resolver, metrics: MetricsRegistry | None = None, max_events: int = 1024):
-        self.resolver = resolver
-        self.metrics = metrics
-        self.max_events = max_events
-        self._monitors: list[DriftMonitor] = []
-        self._by_chem: dict[str | None, int] = {}
-        self._cell_mon: dict[str, int] = {}
-        # global slot -> (monitor id, local slot in that monitor)
-        self._index: dict[str, int] = {}
-        self._ids: list[str] = []
-        self._slot_mon: list[int] = []
-        self._slot_local: list[int] = []
-        self._bounds_cache: tuple[int, PhysicsBounds | None] | None = None
-
-    # -- membership ------------------------------------------------------
-    def resolve_cell(self, cell_id: str, chemistry: str | None) -> DriftMonitor:
-        """Bind ``cell_id`` to its chemistry's monitor (idempotent).
-
-        The engine calls this from ``register_cell`` (and state
-        adoption), so by the time observations arrive every cell routes
-        to the right detector bank.  Cells observed without a prior
-        binding fall back to the ``None``-chemistry monitor.
-        """
-        mid = self._monitor_id(chemistry)
-        self._cell_mon[cell_id] = mid
-        return self._monitors[mid]
-
-    def monitor_for(self, chemistry: str | None) -> DriftMonitor:
-        """The (lazily built) monitor serving one chemistry."""
-        return self._monitors[self._monitor_id(chemistry)]
-
-    def monitors(self) -> dict[str | None, DriftMonitor]:
-        """All built monitors, keyed by chemistry."""
-        return {chem: self._monitors[mid] for chem, mid in self._by_chem.items()}
-
-    def track(self, cell_ids: Sequence[str]) -> np.ndarray:
-        """Global slot indices (see :meth:`DriftMonitor.track`)."""
-        index = self._index
-        for cid in cell_ids:
-            if cid in index:
-                continue
-            mid = self._mid_of(cid)
-            local = int(self._monitors[mid].track([cid])[0])
-            index[cid] = len(self._ids)
-            self._ids.append(cid)
-            self._slot_mon.append(mid)
-            self._slot_local.append(local)
-        return np.fromiter((index[cid] for cid in cell_ids), dtype=np.intp, count=len(cell_ids))
-
-    @property
-    def n_tracked(self) -> int:
-        return len(self._ids)
-
-    # -- observation -----------------------------------------------------
-    def observe_residuals(
-        self, indices: np.ndarray, residuals: np.ndarray, window: int | None = None
-    ) -> int:
-        """Split the batch per chemistry monitor; returns events emitted."""
-        if len(self._monitors) == 1:
-            # single chemistry so far: global slots == the monitor's own
-            return self._monitors[0].observe_residuals(indices, residuals, window=window)
-        mons = np.fromiter(
-            (self._slot_mon[int(i)] for i in indices), dtype=np.intp, count=len(indices)
-        )
-        emitted = 0
-        for mid in np.unique(mons):
-            rows = np.flatnonzero(mons == mid)
-            local = np.fromiter(
-                (self._slot_local[int(indices[r])] for r in rows), dtype=np.intp, count=len(rows)
-            )
-            emitted += self._monitors[mid].observe_residuals(
-                local, residuals[rows], window=window
-            )
-        return emitted
-
-    def observe_soc(
-        self,
-        cell_ids: Sequence[str],
-        soc: np.ndarray,
-        delta: np.ndarray | None = None,
-        horizon_s: np.ndarray | float | None = None,
-        window: int | None = None,
-        positions: np.ndarray | None = None,
-    ) -> int:
-        """Bounds check per chemistry monitor (see :meth:`DriftMonitor.observe_soc`)."""
-        if not self._monitors:
-            self._monitor_id(None)
-        if len(self._monitors) == 1:
-            return self._monitors[0].observe_soc(
-                cell_ids, soc, delta=delta, horizon_s=horizon_s, window=window, positions=positions
-            )
-        n = len(soc)
-        mons = np.fromiter(
-            (
-                self._mid_of(cell_ids[int(positions[k])] if positions is not None else cell_ids[k])
-                for k in range(n)
-            ),
-            dtype=np.intp,
-            count=n,
-        )
-        h_arr = None
-        if horizon_s is not None and np.ndim(horizon_s) != 0:
-            h_arr = np.asarray(horizon_s, dtype=np.float64)
-        emitted = 0
-        for mid in np.unique(mons):
-            rows = np.flatnonzero(mons == mid)
-            emitted += self._monitors[mid].observe_soc(
-                cell_ids,
-                soc[rows],
-                delta=None if delta is None else delta[rows],
-                horizon_s=horizon_s if h_arr is None else h_arr[rows],
-                window=window,
-                positions=rows if positions is None else positions[rows],
-            )
-        return emitted
-
-    # -- readout ---------------------------------------------------------
-    @property
-    def bounds(self) -> PhysicsBounds | None:
-        """Tightest envelope over the built monitors' bounds.
-
-        The engine's scalar fast-path guard *skips* the monitor when a
-        batch sits inside these limits, so the envelope must be at
-        least as strict as every per-chemistry monitor — a SoC that
-        violates its own chemistry's bounds always violates the
-        envelope too.  In-envelope batches from chemistries with looser
-        limits take the slow path needlessly, which costs a vectorized
-        check, never a missed event (the per-monitor check inside
-        :meth:`observe_soc` applies each chemistry's own limits).
-        """
-        cached = self._bounds_cache
-        if cached is not None and cached[0] == len(self._monitors):
-            return cached[1]
-        per = [m.bounds for m in self._monitors if m.bounds is not None]
-        if not per:
-            envelope = PhysicsBounds() if not self._monitors else None
-        else:
-            envelope = PhysicsBounds(
-                soc_min=max(b.soc_min for b in per),
-                soc_max=min(b.soc_max for b in per),
-                max_rate_per_s=min(b.max_rate_per_s for b in per),
-            )
-        self._bounds_cache = (len(self._monitors), envelope)
-        return envelope
-
-    def events(self) -> list[DriftEvent]:
-        """Every monitor's ring contents (grouped by chemistry, oldest first)."""
-        merged: list[DriftEvent] = []
-        for monitor in self._monitors:
-            merged.extend(monitor.events())
-        return merged
-
-    def event_counts(self) -> dict[str, int]:
-        """Events ever emitted, by kind, summed across chemistries."""
-        counts: dict[str, int] = {}
-        for monitor in self._monitors:
-            for kind, n in monitor.event_counts().items():
-                counts[kind] = counts.get(kind, 0) + n
-        return counts
-
-    @property
-    def events_total(self) -> int:
-        return sum(m.events_total for m in self._monitors)
-
-    def clear(self) -> None:
-        for monitor in self._monitors:
-            monitor.clear()
-
-    def __len__(self) -> int:
-        return sum(len(m) for m in self._monitors)
-
-    # ----------------------------------------------------------------
-    def _mid_of(self, cell_id: str) -> int:
-        mid = self._cell_mon.get(cell_id)
-        if mid is None:
-            mid = self._monitor_id(None)
-            self._cell_mon[cell_id] = mid
-        return mid
-
-    def _monitor_id(self, chemistry: str | None) -> int:
-        mid = self._by_chem.get(chemistry)
-        if mid is not None:
-            return mid
-        resolved = self.resolver(chemistry)
-        if resolved is None:
-            monitor = DriftMonitor(metrics=self.metrics, max_events=self.max_events)
-        elif isinstance(resolved, DriftMonitor):
-            monitor = resolved
-        else:
-            monitor = DriftMonitor.from_spec(
-                resolved, metrics=self.metrics, max_events=self.max_events
-            )
-        mid = len(self._monitors)
-        self._monitors.append(monitor)
-        self._by_chem[chemistry] = mid
-        self._bounds_cache = None
-        return mid
-
-
 def residual_stream(
     soc_before: np.ndarray,
     soc_after: np.ndarray,
@@ -793,10 +521,3 @@ def residual_stream(
     np.abs(out, out=out)
     return out
 
-
-def iter_kinds(events: Iterable[DriftEvent]) -> dict[str, int]:
-    """Histogram a list of events by kind (test/reporting helper)."""
-    counts: dict[str, int] = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts

@@ -39,9 +39,6 @@ and versioned checkpoint rollout.
   control URL that clients and workers dial into;
 - :mod:`repro.serve.client` — :class:`SocClient`: the public
   by-URL client for a running daemon;
-- :mod:`repro.serve.driftconfig` — :func:`drift_resolver_from_registry`:
-  per-chemistry drift-detector specs read from published models'
-  registry metadata, consumed by ``FleetEngine(drift=...)``;
 - :mod:`repro.serve.archive` — :class:`DirectoryArchiveStore` and
   :func:`restore_from_archive`: cold storage for sealed journal
   segments (rotation ships, restore replays);
@@ -66,7 +63,6 @@ from .archive import ArchiveError, DirectoryArchiveStore, MissingSegmentError, r
 from .canary import CanaryController, CanaryReport, in_canary_slice
 from .client import DaemonUnavailable, SocClient
 from .daemon import SocDaemon
-from .driftconfig import drift_resolver_from_registry
 from .engine import CellState, FleetEngine
 from .fleet_sim import FleetMember, FleetScenario, generate_fleet
 from .gateway import GatewayOverloaded, SocGateway
@@ -94,7 +90,6 @@ __all__ = [
     "SocClient",
     "SocDaemon",
     "DaemonUnavailable",
-    "drift_resolver_from_registry",
     "ArchiveError",
     "MissingSegmentError",
     "DirectoryArchiveStore",

@@ -182,14 +182,8 @@ class FleetEngine:
         and predictions get physics-bounds checks, and fleet rollouts
         stream the per-cell ``|coulomb ΔSoC − predicted ΔSoC|``
         residual (the Branch 2 correction magnitude over Eq. 1) into
-        its Page–Hinkley/CUSUM banks.  A *callable* is treated as a
-        per-chemistry config resolver — ``resolver(chemistry) -> spec
-        dict | DriftMonitor | None`` — and wrapped in a
-        :class:`~repro.monitor.drift.ChemistryDriftRouter`, so mixed
-        fleets get chemistry-specific detector tuning (e.g. from
-        registry metadata, see
-        :func:`repro.serve.driftconfig.drift_resolver_from_registry`)
-        while the plain single-monitor path keeps working unchanged.
+        its Page–Hinkley/CUSUM banks.  One monitor watches every
+        chemistry with one tuning.
 
     At least one of ``default_model`` / ``registry`` must be provided.
 
@@ -225,10 +219,6 @@ class FleetEngine:
             from ..monitor.resources import install_process_metrics
 
             install_process_metrics(metrics)
-        if drift is not None and not hasattr(drift, "observe_soc") and callable(drift):
-            from ..monitor.drift import ChemistryDriftRouter
-
-            drift = ChemistryDriftRouter(drift, metrics=metrics)
         self.drift = drift
         self._models: dict[str, TwoBranchSoCNet] = {}
         self._kernels: dict[str, CompiledTwoBranchKernel] = {}
@@ -309,9 +299,6 @@ class FleetEngine:
         new = cell_id not in self._cells
         state = CellState(cell_id=cell_id, chemistry=chemistry, model_key=key)
         self._cells[cell_id] = state
-        resolve = getattr(self.drift, "resolve_cell", None)
-        if resolve is not None:
-            resolve(cell_id, chemistry)
         self._record(state)
         if new:
             self._track_size(1)
@@ -841,9 +828,6 @@ class FleetEngine:
         """
         new = state.cell_id not in self._cells
         self._cells[state.cell_id] = state
-        resolve = getattr(self.drift, "resolve_cell", None)
-        if resolve is not None:
-            resolve(state.cell_id, state.chemistry)
         if new:
             self._track_size(1)
 

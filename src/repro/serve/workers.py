@@ -684,10 +684,13 @@ class WorkerSpec:
         Give each engine its own
         :class:`~repro.monitor.metrics.MetricsRegistry` and
         :class:`~repro.monitor.drift.DriftMonitor` (default
-        configurations).  The parent reads a worker's registry over the
-        wire (:meth:`ShardWorker.metrics_snapshot`), and
-        :meth:`ShardedFleet.metrics
-        <repro.serve.sharding.ShardedFleet.metrics>` merges the
+        configurations; one tuning watches every chemistry).  The
+        parent reads a worker's registry and drift events over the wire
+        (:meth:`ShardWorker.metrics_snapshot`,
+        :meth:`ShardWorker.drift_events`), and :meth:`ShardedFleet.metrics
+        <repro.serve.sharding.ShardedFleet.metrics>` and
+        :meth:`ShardedFleet.drift_events
+        <repro.serve.sharding.ShardedFleet.drift_events>` merge the
         topology.
     trace:
         Distributed tracing in the worker: requests whose frame carries
@@ -697,12 +700,6 @@ class WorkerSpec:
     archive_root, journal_segment_bytes:
         Cold-store directory and segment size for the worker journal
         (see :mod:`repro.serve.archive`).
-    drift_from_registry:
-        Resolve per-chemistry drift-detector specs from the registry's
-        published-model metadata
-        (:func:`~repro.serve.driftconfig.drift_resolver_from_registry`)
-        instead of the uniform defaults ``monitor=True`` builds; needs
-        a ``registry``.
     spawn:
         Socket schemes only: launch :func:`run_worker` on the URL
         first instead of dialing a worker that is already listening.
@@ -722,7 +719,6 @@ class WorkerSpec:
     trace: bool = False
     archive_root: str | Path | None = None
     journal_segment_bytes: int = 0
-    drift_from_registry: bool = False
     spawn: bool = False
     name: str = "shard{shard}"
     connect_timeout_s: float = 10.0
@@ -732,8 +728,6 @@ class WorkerSpec:
         self.url_for(0)  # refuses an unknown scheme
         if self.model is None and self.registry is None and self.url is not None:
             raise ValueError("need a default model, a registry root, or both")
-        if self.drift_from_registry and self.registry is None:
-            raise ValueError("drift_from_registry needs a registry to resolve specs from")
 
     @property
     def scheme(self) -> str | None:
@@ -753,7 +747,7 @@ class WorkerSpec:
         registry = self.registry
         if registry is not None and not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
-        return FleetEngine(**_engine_kwargs(self.model, registry, self.monitor, self.drift_from_registry))
+        return FleetEngine(**_engine_kwargs(self.model, registry, self.monitor))
 
     def init_payload(self, shard: int | str) -> dict:
         """The ``init`` message a worker for ``shard`` builds its engine from."""
@@ -766,7 +760,6 @@ class WorkerSpec:
             "trace": bool(self.trace),
             "archive_root": None if self.archive_root is None else str(self.archive_root),
             "journal_segment_bytes": int(self.journal_segment_bytes),
-            "drift_from_registry": bool(self.drift_from_registry),
         }
 
     def _journal_path(self, shard: int | str) -> str | None:
@@ -793,12 +786,7 @@ WORKER_ANNOUNCE = "worker listening on "
 _INIT_KEYS = frozenset(WorkerSpec().init_payload(0)) | {"shm"}
 
 
-def _engine_kwargs(
-    model: TwoBranchSoCNet | None,
-    registry: ModelRegistry | None,
-    monitor: bool,
-    drift_from_registry: bool,
-) -> dict:
+def _engine_kwargs(model: TwoBranchSoCNet | None, registry: ModelRegistry | None, monitor: bool) -> dict:
     """``FleetEngine`` kwargs for one shard: its own registry and monitor, if any."""
     metrics = drift = None
     if monitor:
@@ -807,11 +795,6 @@ def _engine_kwargs(
 
         metrics = MetricsRegistry()
         drift = DriftMonitor(metrics=metrics)
-    if drift_from_registry and registry is not None:
-        from .driftconfig import drift_resolver_from_registry
-
-        # the engine wraps the resolver in a ChemistryDriftRouter
-        drift = drift_resolver_from_registry(registry)
     return dict(default_model=model, registry=registry, metrics=metrics, drift=drift)
 
 
@@ -821,7 +804,7 @@ def _build_engine(spec: dict) -> FleetEngine:
         raise ValueError(f"init spec has unexpected keys: {', '.join(unexpected)}")
     model = _build_model(spec["model"])
     registry = None if spec["registry_root"] is None else ModelRegistry(spec["registry_root"])
-    kwargs = _engine_kwargs(model, registry, bool(spec.get("monitor")), bool(spec.get("drift_from_registry")))
+    kwargs = _engine_kwargs(model, registry, bool(spec.get("monitor")))
     journal_path = spec["journal_path"]
     if journal_path is None:
         return FleetEngine(**kwargs)

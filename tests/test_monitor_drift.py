@@ -1,5 +1,7 @@
 """Tests for the drift detectors (:mod:`repro.monitor.drift`)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from repro.monitor.drift import (
     PageHinkley,
     PageHinkleyConfig,
     PhysicsBounds,
-    iter_kinds,
     residual_stream,
 )
 from repro.monitor.metrics import MetricsRegistry
@@ -115,7 +116,7 @@ class TestPhysicsBounds:
         soc = np.array([0.5, 1.2, -0.2, 0.4])
         emitted = monitor.observe_soc(["a", "b", "c", "d"], soc, window=3)
         assert emitted == 2
-        kinds = iter_kinds(monitor.events())
+        kinds = Counter(e.kind for e in monitor.events())
         assert kinds == {"soc_bounds": 2}
         assert {e.cell_id for e in monitor.events()} == {"b", "c"}
         assert all(e.window == 3 for e in monitor.events())
@@ -123,6 +124,10 @@ class TestPhysicsBounds:
         emitted = monitor.observe_soc(["a"], np.array([0.5]), delta=np.array([-0.2]), horizon_s=60.0)
         assert emitted == 1
         assert monitor.events()[-1].kind == "soc_rate"
+        # a NaN row must not hide a real violation in the same batch
+        emitted = monitor.observe_soc(["n", "e"], np.array([np.nan, 2.0]))
+        assert emitted == 1
+        assert monitor.events()[-1].cell_id == "e"
 
     def test_positions_map_rows_back_to_cell_ids(self):
         monitor = DriftMonitor(page_hinkley=None, cusum=None, bounds=PhysicsBounds())
@@ -136,6 +141,7 @@ class TestPhysicsBounds:
         for w in range(20):
             assert monitor.observe_residuals(idx, np.full(8, 0.002), window=w) == 0
             assert monitor.observe_soc([f"c{k}" for k in range(8)], np.full(8, 0.5)) == 0
+        assert monitor.observe_soc([], np.empty(0), delta=np.empty(0), horizon_s=60.0) == 0
         assert len(monitor) == 0 and monitor.events_total == 0
 
 
@@ -330,162 +336,14 @@ class TestEngineIntegration:
 
 
 # ----------------------------------------------------------------------
-class TestDriftMonitorFromSpec:
-    def test_empty_spec_takes_the_defaults(self):
-        monitor = DriftMonitor.from_spec(None)
-        assert monitor.bounds == PhysicsBounds()
-        assert monitor._ph is not None and monitor._cusum is not None
-
-    def test_explicit_null_disables_a_detector(self):
-        monitor = DriftMonitor.from_spec({"page_hinkley": None, "cusum": None, "bounds": None})
-        assert monitor.bounds is None
-        assert monitor._ph is None and monitor._cusum is None
-        assert monitor.observe_soc(["a"], np.array([5.0])) == 0
-
-    def test_tuned_thresholds_apply(self):
-        monitor = DriftMonitor.from_spec(
-            {"cusum": {"slack": 0.01, "threshold": 0.2}, "max_events": 7}
-        )
-        assert monitor._cusum.config.threshold == 0.2
-        assert monitor._events.maxlen == 7
-
-    def test_max_discharge_c_routes_through_for_c_rate(self):
-        monitor = DriftMonitor.from_spec({"bounds": {"max_discharge_c": 3.0, "margin": 2.0}})
-        assert monitor.bounds == PhysicsBounds.for_c_rate(3.0, margin=2.0)
-
-    def test_raw_bounds_fields_pass_through(self):
-        monitor = DriftMonitor.from_spec({"bounds": {"soc_min": 0.0, "soc_max": 1.0}})
-        assert monitor.bounds.soc_min == 0.0 and monitor.bounds.soc_max == 1.0
-
-
-# ----------------------------------------------------------------------
-class TestChemistryDriftRouter:
-    """Per-chemistry detector banks behind the single-monitor surface."""
-
-    @staticmethod
-    def resolver(chemistry):
-        from repro.monitor.drift import ChemistryDriftRouter  # noqa: F401 (import check)
-
-        return {
-            "strict": {"bounds": {"soc_min": 0.49, "soc_max": 0.51}},
-            "loose": {"bounds": None},
-        }.get(chemistry)
-
-    def _router(self, metrics=None):
-        from repro.monitor.drift import ChemistryDriftRouter
-
-        return ChemistryDriftRouter(self.resolver, metrics=metrics)
-
-    def test_cells_route_to_their_chemistry_monitor(self):
-        router = self._router()
-        router.resolve_cell("a", "strict")
-        router.resolve_cell("b", "loose")
-        soc = np.array([0.9, 0.9])  # violates strict's bounds only
-        assert router.observe_soc(["a", "b"], soc) == 1
-        events = router.events()
-        assert [e.cell_id for e in events] == ["a"]
-        assert events[0].kind == "soc_bounds"
-
-    def test_unknown_chemistry_falls_back_to_defaults(self):
-        router = self._router()
-        router.resolve_cell("x", "na-ion")  # resolver returns None
-        assert router.observe_soc(["x"], np.array([0.9])) == 0  # default bounds: fine
-        assert router.observe_soc(["x"], np.array([2.0])) == 1  # default bounds: violated
-
-    def test_unbound_cells_use_the_none_monitor(self):
-        router = self._router()
-        assert router.observe_soc(["ghost"], np.array([2.0])) == 1
-        assert router.monitors().keys() == {None}
-
-    def test_resolver_may_hand_over_a_ready_monitor(self):
-        from repro.monitor.drift import ChemistryDriftRouter
-
-        mine = DriftMonitor(page_hinkley=None, cusum=None, bounds=PhysicsBounds())
-        router = ChemistryDriftRouter(lambda chem: mine)
-        assert router.resolve_cell("a", "nmc") is mine
-        router.observe_soc(["a"], np.array([2.0]))
-        assert mine.event_counts() == {"soc_bounds": 1}
-
-    def test_residual_batches_split_per_monitor(self):
-        from repro.monitor.drift import ChemistryDriftRouter
-
-        def resolver(chemistry):
-            if chemistry == "twitchy":
-                return {
-                    "page_hinkley": None, "bounds": None,
-                    "cusum": {"slack": 0.005, "threshold": 0.05, "min_samples": 5},
-                }
-            return {"page_hinkley": None, "cusum": None, "bounds": None}
-
-        router = ChemistryDriftRouter(resolver)
-        router.resolve_cell("t", "twitchy")
-        router.resolve_cell("calm", "stone")
-        idx = router.track(["t", "calm"])
-        for w in range(60):  # a drift *step*, not a constant offset
-            level = 0.01 if w < 30 else 0.3
-            router.observe_residuals(idx, np.array([level, level]), window=w)
-        assert {e.cell_id for e in router.events()} == {"t"}
-        assert router.n_tracked == 2
-
-    def test_readout_merges_across_monitors(self):
-        metrics = MetricsRegistry()
-        router = self._router(metrics=metrics)
-        router.resolve_cell("a", "strict")
-        router.resolve_cell("b", "na-ion")
-        router.observe_soc(["a", "b"], np.array([0.9, 2.0]))  # one event each
-        assert router.events_total == 2
-        assert router.event_counts() == {"soc_bounds": 2}
-        assert len(router) == 2
-        assert metrics.counter_value("drift_events_total", kind="soc_bounds") == 2.0
-        router.clear()
-        assert len(router) == 0 and router.events_total == 2
-
-    def test_bounds_envelope_is_the_tightest_over_built_monitors(self):
-        """The engine skips the monitor for batches inside the envelope,
-        so it must be at least as strict as every chemistry's bounds —
-        a violation of any per-chemistry limit always escapes it."""
-        router = self._router()
-        router.resolve_cell("x", "na-ion")  # default bounds
-        assert router.bounds == PhysicsBounds()
-        router.resolve_cell("a", "strict")  # [0.49, 0.51] narrows it
-        assert router.bounds == PhysicsBounds(
-            soc_min=0.49, soc_max=0.51, max_rate_per_s=PhysicsBounds().max_rate_per_s
-        )
-        # a bounds-less monitor never loosens the envelope (its cells
-        # are simply exempt from the per-monitor check)
-        router.resolve_cell("b", "loose")
-        assert router.bounds.soc_min == 0.49 and router.bounds.soc_max == 0.51
-        # ... but a router whose every monitor disabled bounds has none
-        only_loose = self._router()
-        only_loose.resolve_cell("b", "loose")
-        assert only_loose.bounds is None
-
-
-# ----------------------------------------------------------------------
 class TestEngineChemistryRouting:
-    """FleetEngine(drift=<resolver>) wraps the callable in a router."""
+    """One monitor watches every chemistry: the engine holds it as given."""
 
     @pytest.fixture()
     def model(self):
         from repro.core import TwoBranchSoCNet
 
         return TwoBranchSoCNet(rng=np.random.default_rng(0))
-
-    def test_engine_routes_detectors_per_chemistry(self, model):
-        from repro.serve import FleetEngine
-
-        def resolver(chemistry):
-            if chemistry == "strict":
-                return {"bounds": {"soc_min": 0.49, "soc_max": 0.51}}
-            return {"page_hinkley": None, "cusum": None, "bounds": None}
-
-        engine = FleetEngine(default_model=model, drift=resolver)
-        engine.register_cell("a", chemistry="strict")
-        engine.register_cell("b", chemistry="lfp")
-        engine.estimate(["a", "b"], 3.7, 1.0, 25.0)
-        events = engine.drift_events()
-        assert [e.cell_id for e in events] == ["a"]
-        assert events[0].kind == "soc_bounds"
 
     def test_uniform_monitor_path_is_unchanged(self, model):
         from repro.serve import FleetEngine
@@ -494,7 +352,7 @@ class TestEngineChemistryRouting:
             page_hinkley=None, cusum=None, bounds=PhysicsBounds(soc_min=0.49, soc_max=0.51)
         )
         engine = FleetEngine(default_model=model, drift=monitor)
-        assert engine.drift is monitor  # no router wrapping
+        assert engine.drift is monitor
         engine.register_cell("a")
         engine.estimate(["a"], 3.7, 1.0, 25.0)
         assert [e.cell_id for e in engine.drift_events()] == ["a"]
@@ -503,3 +361,11 @@ class TestEngineChemistryRouting:
         from repro.serve import FleetEngine
 
         assert FleetEngine(default_model=model).drift_events() == []
+
+    def test_empty_batches_are_served_with_a_monitor(self, model):
+        from repro.serve import FleetEngine
+
+        for drift in (None, DriftMonitor()):
+            engine = FleetEngine(default_model=model, drift=drift)
+            assert engine.estimate([], [], [], []).shape == (0,)
+            assert engine.predict([], [], [], [], soc_now=[]).shape == (0,)

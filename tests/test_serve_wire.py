@@ -478,12 +478,18 @@ class TestWorkerInterop:
 
     def test_init_with_unknown_spec_keys_gets_a_typed_err(self, model):
         """A spec carrying settings this worker does not have (here the
-        float32 tier and the Tensor path) is refused, not served as float64."""
+        float32 tier, the Tensor path and registry drift specs) is
+        refused, not served without them."""
         with ShardWorker(WorkerSpec(url="pipe://", model=model, name="oldspec")) as worker:
-            spec = {**worker.spec.init_payload(0), "dtype": "float32", "use_kernel": False}
+            spec = {
+                **worker.spec.init_payload(0),
+                "dtype": "float32",
+                "use_kernel": False,
+                "drift_from_registry": True,
+            }
             reply = worker._transport.request("init", wire.call_meta((spec,)))
             assert reply.kind == "err" and reply.meta["type"] == "ValueError"
-            assert "unexpected keys: dtype, use_kernel" in reply.meta["message"]
+            assert "unexpected keys: drift_from_registry, dtype, use_kernel" in reply.meta["message"]
             assert worker._transport.request("ping", wire.call_meta()).meta["value"] == "pong"
 
     def test_scalar_broadcast_ships_one_element_and_results_are_writable(self, model, small_fleet):

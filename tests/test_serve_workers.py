@@ -16,7 +16,6 @@ from repro.serve import (
     generate_fleet,
 )
 from repro.serve import workers
-from repro.serve.driftconfig import drift_resolver_from_registry
 
 FAST_FLEET = dict(
     ambient_temps_c=(25.0,),
@@ -388,70 +387,30 @@ class TestWorkerMetrics:
 
 
 # ----------------------------------------------------------------------
-# an impossible SoC band: every estimate violates it, so tests can tell
-# "registry spec applied" from "default detectors" in one call
-_ALARM_SPEC = {"page_hinkley": None, "cusum": None, "bounds": {"soc_min": 1.5, "soc_max": 2.0}}
+class TestWorkerDriftEvents:
+    """``WorkerSpec(monitor=True)`` workers report their drift monitor's
+    events over the wire, and the fleet merges every shard's."""
 
+    # SoC 5.0 is out of bounds, and any prediction that comes back inside
+    # them moved at least 3.95 in one second: past the rate ceiling
+    VIOLATION = dict(current_avg=1.0, temp_avg_c=25.0, horizon_s=1.0, soc_now=5.0)
 
-class TestDriftFromRegistry:
-    """Per-chemistry drift configs resolved from registry metadata
-    (``WorkerSpec(drift_from_registry=True)`` /
-    :func:`drift_resolver_from_registry`)."""
-
-    def _registry(self, tmp_path, model):
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.publish("lfp_net", model, chemistry="lfp", extra={"drift": _ALARM_SPEC})
-        registry.publish("generic", model)  # no chemistry, no drift spec
-        return registry
-
-    def test_resolver_returns_the_published_spec(self, tmp_path, model):
-        resolver = drift_resolver_from_registry(self._registry(tmp_path, model))
-        assert resolver("lfp") == _ALARM_SPEC
-        # chemistries served by a spec-less model fall back to defaults
-        assert resolver("nmc") is None
-        assert resolver(None) is None
-
-    def test_resolver_survives_an_empty_registry(self, tmp_path):
-        resolver = drift_resolver_from_registry(ModelRegistry(tmp_path / "empty"))
-        assert resolver("lfp") is None
-
-    def test_resolver_rejects_a_non_dict_spec(self, tmp_path, model):
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.publish("m", model, chemistry="lfp", extra={"drift": "loose"})
-        resolver = drift_resolver_from_registry(registry)
-        with pytest.raises(TypeError, match="non-dict 'drift' spec"):
-            resolver("lfp")
-
-    def test_spec_requires_a_registry(self, model):
-        with pytest.raises(ValueError, match="needs a registry"):
-            WorkerSpec(url="pipe://", model=model, drift_from_registry=True)
-
-    def test_worker_routes_drift_per_chemistry_from_the_registry(self, tmp_path, model):
-        registry = self._registry(tmp_path, model)
-        worker = ShardWorker(
-            WorkerSpec(url="pipe://", registry=registry.root, name="driftcfg", drift_from_registry=True)
-        )
-        with worker:
-            worker.register_cell("hot", chemistry="lfp")
-            worker.register_cell("calm", chemistry="nmc")
+    def test_worker_reports_drift_events(self, model):
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, monitor=True)) as worker:
+            worker.register_cell("hot")
             assert worker.drift_events() == []
-            worker.estimate(["hot", "calm"], [3.7, 3.7], [1.0, 1.0], 25.0)
+            worker.predict(["hot"], **self.VIOLATION)
             events = worker.drift_events()
-            # only the lfp cell trips its registry-declared bounds; the
-            # nmc cell runs default detectors, which stay quiet here
             assert events and {event.cell_id for event in events} == {"hot"}
-            assert {event.kind for event in events} == {"soc_bounds"}
+            assert {event.kind for event in events} <= {"soc_bounds", "soc_rate"}
 
-    def test_sharded_fleet_merges_worker_drift_events(self, tmp_path, model):
-        registry = self._registry(tmp_path, model)
-        spec = WorkerSpec(
-            url="pipe://", registry=registry.root, name="dr{shard}", drift_from_registry=True
-        )
+    def test_sharded_fleet_merges_worker_drift_events(self, model):
+        spec = WorkerSpec(url="pipe://", model=model, name="dr{shard}", monitor=True)
         with ShardedFleet(2, spec=spec) as fleet:
             ids = [f"c{k}" for k in range(8)]
             for cid in ids:
-                fleet.register_cell(cid, chemistry="lfp")
+                fleet.register_cell(cid)
             assert all(size > 0 for size in fleet.shard_sizes())
-            fleet.estimate(ids, 3.7, 1.0, 25.0)
+            fleet.predict(ids, **self.VIOLATION)
             events = fleet.drift_events()
             assert {event.cell_id for event in events} == set(ids)
