@@ -22,7 +22,15 @@ from .kernels import (
 )
 from .model import TwoBranchSoCNet
 from .physics import CollocationBatch, CollocationSampler
-from .rollout import RolloutResult, WindowPlan, cycle_windows, model_rollout, rollout_cycle
+from .rollout import (
+    RolloutResult,
+    WindowPlan,
+    WindowStack,
+    cycle_windows,
+    model_rollout,
+    plan_windows,
+    rollout_cycle,
+)
 from .trainer import SplitTrainer, train_two_branch
 
 __all__ = [
@@ -43,7 +51,9 @@ __all__ = [
     "train_two_branch",
     "RolloutResult",
     "WindowPlan",
+    "WindowStack",
     "cycle_windows",
+    "plan_windows",
     "rollout_cycle",
     "model_rollout",
     "ComplexityReport",

@@ -9,16 +9,16 @@ highlights in Sec. V-D.
 
 The rollout driver is predictor-agnostic so the Physics-Only baseline
 (pure Coulomb counting) and the neural models share one code path.
-The window-averaging itself lives in :func:`cycle_windows` so the
-per-cell loop here and the batched fleet path
-(:meth:`repro.serve.FleetEngine.rollout_fleet`) consume *identical*
-workload numbers.
+The window-averaging itself lives in :func:`plan_windows` (one cycle:
+:func:`cycle_windows`) so the per-cell loop here and the batched fleet
+path (:meth:`repro.serve.FleetEngine.rollout_fleet`) consume
+*identical* workload numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -30,7 +30,9 @@ __all__ = [
     "StepHook",
     "StepPredictor",
     "WindowPlan",
+    "WindowStack",
     "cycle_windows",
+    "plan_windows",
     "rollout_cycle",
     "model_rollout",
 ]
@@ -132,69 +134,196 @@ class WindowPlan:
         return len(self.i_avg)
 
 
-def cycle_windows(cycle: CycleRecord, step_s: float, include_tail: bool = True) -> WindowPlan:
-    """Split a recorded cycle into rollout windows with averaged workloads.
+@dataclasses.dataclass(frozen=True)
+class WindowStack:
+    """Window plans of many cycles at one step, stacked into padded matrices.
+
+    Cycle ``u`` of the planned sequence owns column ``u`` of the
+    window-major workload matrices and row ``u`` of the boundary
+    matrices; every entry past its last window is NaN.  :meth:`plan`
+    cuts one cycle's :class:`WindowPlan` back out.
+
+    Attributes
+    ----------
+    steps, n_windows:
+        Full-window length in samples and window count (incl. any
+        partial tail) per cycle, ``(cycles,)``.
+    i_avg, t_avg, horizon_s:
+        Per-window workloads, window-major ``(max windows, cycles)``.
+    time_s, soc_true:
+        Window-boundary series, ``(cycles, max windows + 1)``.
+    step_s, tail_s:
+        Full-window and trailing partial-window duration in seconds per
+        cycle (``tail_s`` is 0.0 when a cycle has no tail).
+    """
+
+    steps: np.ndarray
+    n_windows: np.ndarray
+    i_avg: np.ndarray
+    t_avg: np.ndarray
+    horizon_s: np.ndarray
+    time_s: np.ndarray
+    soc_true: np.ndarray
+    step_s: np.ndarray
+    tail_s: np.ndarray
+
+    def plan(self, u: int) -> WindowPlan:
+        """Cycle ``u``'s plan, as arrays of its own."""
+        n = int(self.n_windows[u])
+        return WindowPlan(
+            steps=int(self.steps[u]),
+            i_avg=self.i_avg[:n, u].copy(),
+            t_avg=self.t_avg[:n, u].copy(),
+            horizon_s=self.horizon_s[:n, u].copy(),
+            time_s=self.time_s[u, : n + 1].copy(),
+            soc_true=self.soc_true[u, : n + 1].copy(),
+            tail_s=float(self.tail_s[u]),
+        )
+
+
+def plan_windows(cycles: Sequence[CycleRecord], step_s: float, include_tail: bool = True) -> WindowStack:
+    """Split many recorded cycles into rollout windows with averaged workloads.
 
     This is the single source of the per-window ``(i_avg, t_avg,
-    horizon)`` numbers: the scalar loop (:func:`rollout_cycle`) and the
-    batched fleet path both consume its output, which is what makes
-    their trajectories bit-for-bit comparable.
+    horizon)`` numbers: the scalar loop (:func:`rollout_cycle`, through
+    :func:`cycle_windows`) and the batched fleet path both consume its
+    output, which is what makes their trajectories bit-for-bit
+    comparable.
 
-    The full windows are averaged in one row-wise mean over the samples
-    reshaped to ``(n_full, steps)``; the trailing partial window is
-    averaged on its own.  Each row is reduced by the same pairwise sum
-    and divide as ``np.mean`` over that window's slice, so every average
-    is bit-identical to a per-window ``np.mean``.
+    Cycles are averaged together when they share a sampling period (so a
+    window length) and a channel dtype: a float32 channel is averaged in
+    float32, as ``np.mean`` over its slice would be.  All full windows
+    of such a group are gathered into one padded ``(cycles, windows,
+    steps)`` matrix and reduced by one row-wise mean; the trailing
+    partial windows get one row-wise mean per distinct remainder length.
+    Each row is reduced by the same pairwise sum and divide as
+    ``np.mean`` over that window's slice, so every average is
+    bit-identical to a per-window ``np.mean``.
 
     Parameters
     ----------
-    cycle:
-        The recorded cycle supplying measured I/T and ground-truth SoC.
+    cycles:
+        The recorded cycles supplying measured I/T and ground-truth SoC.
     step_s:
         Full autoregressive step in seconds (rounded to samples).
     include_tail:
-        Score the trailing partial window (shortened final step) when
-        the cycle length is not a multiple of the step.
+        Score the trailing partial window (shortened final step) when a
+        cycle's length is not a multiple of the step.
 
     Raises
     ------
     ValueError
-        When the step is below one sampling period or the cycle is
-        shorter than a single full step.
+        Naming the first cycle whose sampling period exceeds the step
+        or which is shorter than a single full step.
     """
-    d = cycle.data
-    steps = int(round(step_s / cycle.sampling_period_s))
-    if steps < 1:
-        raise ValueError("step must be at least one sampling period")
-    n_full = (len(d) - 1) // steps
-    if n_full < 1:
-        raise ValueError("cycle shorter than a single rollout step")
-    rem = (len(d) - 1) % steps
-    end = n_full * steps  # sample index closing the last full window
-    tail = bool(include_tail and rem)
+    n = len(cycles)
+    period = np.array([c.sampling_period_s for c in cycles], dtype=np.float64)
+    length = np.array([len(c.data) for c in cycles], dtype=np.intp)
+    steps = np.rint(step_s / period).astype(np.intp)
+    n_full = (length - 1) // np.maximum(steps, 1)
+    bad = (steps < 1) | (n_full < 1)
+    if bad.any():
+        u = int(bad.argmax())
+        cycle = cycles[u]
+        if steps[u] < 1:
+            raise ValueError(
+                f"cycle {cycle.name!r}: step must be at least one sampling period "
+                f"({step_s:g} s < {cycle.sampling_period_s:g} s)"
+            )
+        raise ValueError(
+            f"cycle {cycle.name!r} is shorter than a single rollout step "
+            f"({length[u]} samples, {steps[u]} per step)"
+        )
+    rem = length - 1 - n_full * steps
+    tail = (rem > 0) & include_tail
     n_windows = n_full + tail
-    i_avg = np.empty(n_windows)
-    t_avg = np.empty(n_windows)
-    i_avg[:n_full] = d.current[1 : end + 1].reshape(n_full, steps).mean(axis=1)
-    t_avg[:n_full] = d.temp_c[1 : end + 1].reshape(n_full, steps).mean(axis=1)
-    horizon_s = np.full(n_windows, steps * cycle.sampling_period_s)
-    boundary = np.arange(n_windows + 1) * steps
-    tail_s = 0.0
-    if tail:
-        i_avg[-1] = np.mean(d.current[end + 1 :])
-        t_avg[-1] = np.mean(d.temp_c[end + 1 :])
-        tail_s = rem * cycle.sampling_period_s
-        horizon_s[-1] = tail_s
-        boundary[-1] = len(d) - 1
-    return WindowPlan(
+    max_w = int(n_windows.max(initial=0))
+    tail_s = np.where(tail, rem * period, 0.0)
+    horizon_s = np.where(np.arange(max_w)[:, None] < n_full, steps * period, np.nan)
+    cols = tail.nonzero()[0]
+    horizon_s[n_full[cols], cols] = tail_s[cols]
+    avg = np.full((2, max_w, n), np.nan)  # I then T
+    groups: dict[tuple, list[int]] = {}
+    for u, cycle in enumerate(cycles):
+        d = cycle.data
+        groups.setdefault((cycle.sampling_period_s, d.current.dtype, d.temp_c.dtype), []).append(u)
+    for (_, i_dtype, t_dtype), members in groups.items():
+        # channels of one dtype are averaged together, as one stack
+        for channels in [slice(0, 2)] if i_dtype == t_dtype else [slice(0, 1), slice(1, 2)]:
+            names = ("current", "temp_c")[channels]
+            samples = np.array(
+                [np.concatenate([getattr(cycles[u].data, name) for u in members]) for name in names]
+            )
+            _average_windows(samples, np.asarray(members), steps, length, n_full, tail, rem, avg[channels])
+    # boundary sample of every window: multiples of the step, the last
+    # one clipped to the cycle's final sample (a partial tail's end)
+    boundary = np.minimum(np.arange(max_w + 1) * steps[:, None], (length - 1)[:, None])
+    boundary += (np.cumsum(length) - length)[:, None]
+    series = np.array(
+        [np.concatenate([c.data.time_s for c in cycles] or [[]], dtype=np.float64),
+         np.concatenate([c.data.soc for c in cycles] or [[]], dtype=np.float64)]
+    ).take(boundary, axis=1)
+    series[:, np.arange(max_w + 1) > n_windows[:, None]] = np.nan
+    return WindowStack(
         steps=steps,
-        i_avg=i_avg,
-        t_avg=t_avg,
+        n_windows=n_windows,
+        i_avg=avg[0],
+        t_avg=avg[1],
         horizon_s=horizon_s,
-        time_s=d.time_s[boundary].astype(np.float64, copy=True),
-        soc_true=d.soc[boundary].astype(np.float64, copy=True),
+        time_s=series[0],
+        soc_true=series[1],
+        step_s=steps * period,
         tail_s=tail_s,
     )
+
+
+def _average_windows(
+    samples: np.ndarray,
+    cols: np.ndarray,
+    steps: np.ndarray,
+    length: np.ndarray,
+    n_full: np.ndarray,
+    tail: np.ndarray,
+    rem: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write the window means of cycles ``cols`` into ``out[:, :, cols]``.
+
+    ``samples`` is ``(channels, samples)``: row ``c`` holds channel
+    ``c`` of every cycle in ``cols`` end to end, and ``out[c]`` is that
+    channel's window-major matrix.  The cycles share one window length.
+    Every reduced row is a C-contiguous row of a ``take`` gather, which
+    is what makes its mean the pairwise sum of a 1-D ``np.mean``.
+    """
+    s = int(steps[cols[0]])
+    length, n_full, tail, rem = length[cols], n_full[cols], tail[cols], rem[cols]
+    end = np.cumsum(length)
+    w_max = int(n_full.max())
+    first = (end - length + 1)[:, None] + np.arange(w_max) * s
+    # (channels, cycles, windows, steps); windows past a cycle's last
+    # full one read clipped indices and are blanked
+    means = samples.take(first[:, :, None] + np.arange(s), axis=1, mode="clip").mean(axis=-1)
+    means[:, np.arange(w_max) >= n_full[:, None]] = np.nan
+    out[:, :w_max, cols] = means.transpose(0, 2, 1)
+    # partial tails, shortest remainder first: one mean per remainder
+    rows = tail.nonzero()[0]
+    if not rows.size:
+        return
+    rows = rows[rem[rows].argsort()]
+    r_of = rem[rows].tolist()
+    index = (end[rows] - rem[rows])[:, None] + np.arange(r_of[-1])
+    cuts = [0, *(k for k in range(1, len(r_of)) if r_of[k] != r_of[k - 1]), len(r_of)]
+    means = [samples.take(index[a:b, : r_of[a]], axis=1).mean(axis=-1) for a, b in zip(cuts, cuts[1:])]
+    out[:, n_full[rows], cols[rows]] = np.concatenate(means, axis=1)
+
+
+def cycle_windows(cycle: CycleRecord, step_s: float, include_tail: bool = True) -> WindowPlan:
+    """Split one recorded cycle into rollout windows with averaged workloads.
+
+    The one-cycle case of :func:`plan_windows`, which documents the
+    parameters, the bit-exactness of every average and the errors.
+    """
+    return plan_windows([cycle], step_s, include_tail=include_tail).plan(0)
 
 
 def rollout_cycle(

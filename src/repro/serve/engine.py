@@ -16,13 +16,14 @@ and batches every operation across all cells that share a model:
 - :meth:`rollout_fleet` — autoregressive rollout advancing N cells per
   step in one matrix op, numerically identical to looping
   :func:`repro.core.rollout.model_rollout` cell by cell (both paths
-  consume :func:`repro.core.rollout.cycle_windows` workloads).
+  consume :func:`repro.core.rollout.plan_windows` workloads).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..core.kernels import CompiledTwoBranchKernel, FusedTwoBranchKernel
 from ..core.model import TwoBranchSoCNet
-from ..core.rollout import RolloutResult, cycle_windows
+from ..core.rollout import RolloutResult, WindowStack, plan_windows
 from ..datasets.base import CycleRecord
 from ..monitor.tracing import current_context
 from ..monitor.tracing import stage as trace_stage
@@ -81,14 +82,6 @@ class CellState:
     n_requests: int = 0
 
 
-def _pad_rows(rows: list[np.ndarray], width: int) -> np.ndarray:
-    """Stack ragged 1-D rows into a NaN-padded ``(len(rows), width)`` matrix."""
-    out = np.full((len(rows), width), np.nan)
-    for u, row in enumerate(rows):
-        out[u, : len(row)] = row
-    return out
-
-
 def _block_rows(mat: np.ndarray, blocks: list[tuple[int, int, int]]) -> Iterator[np.ndarray]:
     """Row views of ``mat``, rows ``a:b`` of each ``(a, b, width)`` block cut to ``width``."""
     return itertools.chain.from_iterable(mat[a:b, :width] for a, b, width in blocks)
@@ -96,60 +89,53 @@ def _block_rows(mat: np.ndarray, blocks: list[tuple[int, int, int]]) -> Iterator
 
 @dataclasses.dataclass(frozen=True)
 class _FleetPlan:
-    """Window plans of one fleet rollout, stacked once per unique trace.
+    """The plan of one fleet rollout, built before any state changes.
 
-    Cells that follow the same recorded cycle share one trace:
-    ``trace[k]`` is assignment ``k``'s.  The per-window workloads are
-    window-major, ``(windows, traces)``, so a model group's column
-    gather is a C-contiguous ``(windows, cells)`` matrix in which each
-    window is one contiguous row.  The boundary series stay trace-major,
-    ``(traces, boundaries)``, because results are row views of their
-    row gathers.  Every matrix is NaN-padded past each trace's end.
+    ``ids[k]`` and ``trace[k]`` are assignment ``k``'s cell and trace.
+    Cells that follow the same recorded cycle share one trace, and one
+    :func:`~repro.core.rollout.plan_windows` call plans every unique
+    trace as a column of ``windows``.  Its workloads are window-major,
+    ``(windows, traces)``, so a model group's column gather is a
+    C-contiguous ``(windows, cells)`` matrix in which each window is one
+    contiguous row; its boundary series are trace-major, ``(traces,
+    boundaries)``, because results are row views of their row gather.
     """
 
+    ids: tuple[str, ...]  # cell id of each assignment
     trace: np.ndarray  # (cells,) trace of each assignment
-    n_windows: np.ndarray  # (traces,)
-    i_avg: np.ndarray  # (max windows, traces)
-    t_avg: np.ndarray
-    horizon_s: np.ndarray
-    time_s: np.ndarray  # (traces, max windows + 1)
-    soc_true: np.ndarray
+    windows: WindowStack
     first: np.ndarray  # (traces, 3) first sensor sample: V, I, T
     capacity_ah: np.ndarray  # (traces,)
-    step_s: list[float]  # full-window step per trace
-    tail_s: list[float]
 
     @classmethod
     def build(cls, pairs: list[tuple[str, CycleRecord]], step_s: float) -> _FleetPlan:
         """Plan every unique trace; raises before the caller changes any state.
 
-        Traces are told apart by object identity, which is safe here
-        because ``pairs`` keeps every cycle alive for the whole call.
+        A cell id may appear once per call: two trajectories cannot be
+        served, stored and journaled under one id.  Traces are told
+        apart by object identity, which is safe here because ``pairs``
+        keeps every cycle alive for the whole call.
         """
-        rows: dict[int, int] = {}
-        cycles: list[CycleRecord] = []
-        trace = np.empty(len(pairs), dtype=np.intp)
-        for k, (_, cycle) in enumerate(pairs):
-            u = rows.setdefault(id(cycle), len(cycles))
-            if u == len(cycles):
-                cycles.append(cycle)
-            trace[k] = u
-        plans = [cycle_windows(c, step_s) for c in cycles]
-        max_w = max((p.n_windows for p in plans), default=0)
+        ids, cycles = zip(*pairs) if pairs else ((), ())
+        if len(set(ids)) < len(ids):
+            seen: set[str] = set()
+            for cell_id in ids:
+                if cell_id in seen:
+                    raise ValueError(f"cell {cell_id!r} appears more than once in one rollout")
+                seen.add(cell_id)
+        # unique traces (in id order; any order serves) and each
+        # assignment's trace
+        keys = np.fromiter(map(id, cycles), dtype=np.uintp, count=len(cycles))
+        _, index, trace = np.unique(keys, return_index=True, return_inverse=True)
+        cycles = [cycles[k] for k in index.tolist()]
         return cls(
+            ids=ids,
             trace=trace,
-            n_windows=np.array([p.n_windows for p in plans], dtype=np.intp),
-            i_avg=_pad_rows([p.i_avg for p in plans], max_w).T.copy(),
-            t_avg=_pad_rows([p.t_avg for p in plans], max_w).T.copy(),
-            horizon_s=_pad_rows([p.horizon_s for p in plans], max_w).T.copy(),
-            time_s=_pad_rows([p.time_s for p in plans], max_w + 1),
-            soc_true=_pad_rows([p.soc_true for p in plans], max_w + 1),
+            windows=plan_windows(cycles, step_s),
             first=np.array(
                 [[c.data.voltage[0], c.data.current[0], c.data.temp_c[0]] for c in cycles]
             ).reshape(len(cycles), 3),
             capacity_ah=np.array([c.capacity_ah for c in cycles], dtype=np.float64),
-            step_s=[p.steps * c.sampling_period_s for p, c in zip(plans, cycles)],
-            tail_s=[p.tail_s for p in plans],
         )
 
 
@@ -222,6 +208,11 @@ class FleetEngine:
         self.drift = drift
         self._models: dict[str, TwoBranchSoCNet] = {}
         self._kernels: dict[str, CompiledTwoBranchKernel] = {}
+        # model keys whose kernel was checked against the registry at
+        # registry generation `_generation`; a new generation (publish,
+        # promote, out-of-process channels rewrite) clears it
+        self._checked: set[str] = set()
+        self._generation: int | None = None
         # fused cross-model kernels per sorted model-key set; each entry
         # remembers the member kernels it was built from so a recompile
         # of any member (registry promote) invalidates it, and caches
@@ -374,6 +365,7 @@ class FleetEngine:
         v = np.broadcast_to(np.asarray(voltage, dtype=np.float64), (len(cell_ids),))
         i = np.broadcast_to(np.asarray(current, dtype=np.float64), (len(cell_ids),))
         t = np.broadcast_to(np.asarray(temp_c, dtype=np.float64), (len(cell_ids),))
+        self._follow_registry()
         groups = self._group_by_model(cell_ids)
         fused = self._fused_for(groups, len(cell_ids))
         if fused is not None:
@@ -450,6 +442,7 @@ class FleetEngine:
         i_avg = np.broadcast_to(np.asarray(current_avg, dtype=np.float64), (len(cell_ids),))
         t_avg = np.broadcast_to(np.asarray(temp_avg_c, dtype=np.float64), (len(cell_ids),))
         horizon = np.broadcast_to(np.asarray(horizon_s, dtype=np.float64), (len(cell_ids),))
+        self._follow_registry()
         groups = self._group_by_model(cell_ids)
         fused = self._fused_for(groups, len(cell_ids))
         if fused is not None:
@@ -496,11 +489,11 @@ class FleetEngine:
         are ordered longest cycle first against window-major workload
         matrices, so the active cells are always a prefix and each step
         reads and writes contiguous slices; cells whose cycles end early
-        drop off the end of the batch.  Workloads come
-        from :func:`repro.core.rollout.cycle_windows` — the same
-        numbers the scalar loop uses — so each returned trajectory is
-        numerically identical to ``model_rollout(model, cycle, step_s)``
-        for that cell.
+        drop off the end of the batch.  Workloads come from one
+        :func:`repro.core.rollout.plan_windows` call over every unique
+        trace — the same numbers the scalar loop uses — so each
+        returned trajectory is numerically identical to
+        ``model_rollout(model, cycle, step_s)`` for that cell.
 
         With a journal attached, the engine writes a rollout marker,
         then every cell's SoC after every committed window, so a crash
@@ -510,8 +503,9 @@ class FleetEngine:
         Parameters
         ----------
         assignments:
-            ``(cell_id, cycle)`` pairs; cells not yet registered are
-            auto-registered with the cycle's ``chemistry`` tag.
+            ``(cell_id, cycle)`` pairs, one per cell; cells not yet
+            registered are auto-registered with the cycle's
+            ``chemistry`` tag.
         step_s:
             Full autoregressive step in seconds (shared by the fleet).
         step_hook:
@@ -530,10 +524,10 @@ class FleetEngine:
         ------
         ValueError
             When any cycle cannot be planned at ``step_s`` (see
-            :func:`~repro.core.rollout.cycle_windows`).  Every plan is
-            built before the first cell is registered, state changes or
-            the journal is written, so a bad cycle leaves the engine and
-            its journal untouched.
+            :func:`~repro.core.rollout.plan_windows`), or a cell id is
+            assigned twice.  The plan is built before the first cell is
+            registered, state changes or the journal is written, so a
+            bad call leaves the engine and its journal untouched.
         """
         pairs = list(assignments)
         plan = _FleetPlan.build(pairs, step_s)
@@ -562,7 +556,9 @@ class FleetEngine:
         inside the fleet's 1e-9 equivalence budget.)
 
         Requires an attached journal whose last rollout used the same
-        ``step_s``.
+        ``step_s``; a cycle that cannot be planned or a cell id assigned
+        twice raises ``ValueError`` before anything changes, as in
+        :meth:`rollout_fleet`.
         """
         if self.journal is None:
             raise ValueError("resume requires an engine with a journal attached")
@@ -582,115 +578,142 @@ class FleetEngine:
         prefix: dict[str, dict[int, float]],
         step_hook: Callable[[int], None] | None,
     ) -> dict[str, RolloutResult]:
-        # one pass over the assignments registers unknown cells and
-        # collects each model group's assignment indices, ids and states
-        by_model: dict[str, tuple[list[int], list[str], list[CellState]]] = {}
-        for k, (cell_id, cycle) in enumerate(pairs):
-            state = self._cells.get(cell_id)
-            if state is None:
-                state = self.register_cell(cell_id, chemistry=cycle.tags.get("chemistry"))
-            members, ids, states = by_model.setdefault(state.model_key, ([], [], []))
-            members.append(k)
-            ids.append(cell_id)
-            states.append(state)
-
-        results: dict[str, RolloutResult] = {}
+        self._follow_registry()
+        # resolve every cell's state once; unknown cells are registered
+        # in assignment order
+        states: list[CellState | None] = list(map(self._cells.get, plan.ids))
+        if None in states:
+            for k, (cell_id, cycle) in enumerate(pairs):
+                if states[k] is None:
+                    states[k] = self.register_cell(cell_id, chemistry=cycle.tags.get("chemistry"))
+        n = len(states)
+        # one stable sort of the whole fleet: model groups in order of
+        # first appearance, longest cycle first inside each.  Every group
+        # is then a contiguous column range, and the cells it still runs
+        # at window w are the prefix [:active[w]] of that range, so each
+        # window is one contiguous slice
+        keys = list(map(operator.attrgetter("model_key"), states))
+        group_of = {key: g for g, key in enumerate(dict.fromkeys(keys))}
+        group = np.fromiter(map(group_of.__getitem__, keys), dtype=np.intp, count=n)
+        n_w = plan.windows.n_windows[plan.trace]
+        order = np.lexsort((-n_w, group))
+        trace, n_w = plan.trace[order], n_w[order]
+        bounds = np.searchsorted(group[order], np.arange(len(group_of) + 1)).tolist()
+        ids = list(map(plan.ids.__getitem__, order.tolist()))
+        states = list(map(states.__getitem__, order.tolist()))
+        max_w = int(n_w.max(initial=0))
+        # the trace-major result storage (boundary series and
+        # predictions) and the seed rows, once for the fleet; each group
+        # works on its row range of them
+        windows = plan.windows
+        time_mat = windows.time_s[trace, : max_w + 1]
+        true_mat = windows.soc_true[trace, : max_w + 1]
+        pred_rows = np.empty((n, max_w + 1))
+        first = plan.first[trace]
+        step_s, tail_s = windows.step_s.tolist(), windows.tail_s.tolist()
         monitored = self.metrics is not None or self.drift is not None
+        if monitored or self.journal is not None:
+            # the harvester needs per-row capacities too (Eq. 1
+            # recomputation from journaled workloads)
+            cap_row = plan.capacity_ah[trace]
+        if monitored:
+            # two scratch rows reused by every window's residual
+            delta = np.empty(n)
+            resid = np.empty(n)
+            if self.drift is not None:
+                slot = self.drift.track(ids)
+        # replay journaled windows: start_w[r] is the last window whose
+        # SoC is already known (its value seeds the recursion); the
+        # known values are staged in the row's result storage
+        start_w = np.zeros(n, dtype=np.intp)
+        fresh = np.ones(n, dtype=bool)  # a fresh rollout: nothing journaled to replay
+        if prefix:
+            for r, (cid, w_end) in enumerate(zip(ids, n_w.tolist())):
+                done = prefix.get(cid, {})
+                k_done = -1
+                while k_done + 1 in done and k_done + 1 <= w_end:
+                    k_done += 1
+                if k_done < 0:
+                    continue
+                pred_rows[r, : k_done + 1] = [done[w] for w in range(k_done + 1)]
+                start_w[r] = k_done
+                fresh[r] = False
+
+        results: list[RolloutResult] = []  # in sorted order
         # trace attribution without re-indenting the group body: record
         # one explicit engine.rollout span per model group (the kernel's
         # own spans still parent under the ambient context)
         trace_ctx = current_context()
-        for key, (members, ids, states) in by_model.items():
+        for key, a, b in zip(group_of, bounds, bounds[1:]):
             t_group = time.perf_counter() if trace_ctx is not None else 0.0
             infer = self._infer(key)
-            n = len(ids)
-            # longest-first rows: after one stable sort on the window
-            # count, the cells still running at window w are the prefix
-            # [:active[w]], so each window is one contiguous slice
-            trace = plan.trace[members]
-            n_w = plan.n_windows[trace]
-            order = np.argsort(-n_w, kind="stable")
-            trace, n_w, order = trace[order], n_w[order], order.tolist()
-            ids = [ids[r] for r in order]
-            states = [states[r] for r in order]
-            max_w = int(n_w[0])
-            active = np.searchsorted(-n_w, -np.arange(max_w)).tolist()
-            # window-major gathers: fresh C-contiguous (windows, cells)
-            i_mat = plan.i_avg[:max_w].take(trace, axis=1)
-            t_mat = plan.t_avg[:max_w].take(trace, axis=1)
-            h_mat = plan.horizon_s[:max_w].take(trace, axis=1)
-            pred = np.empty((max_w + 1, n))
+            m_all = b - a
+            g_ids = ids[a:b]
+            g_nw = n_w[a:b]
+            g_max = int(g_nw[0])
+            active = np.searchsorted(-g_nw, -np.arange(g_max)).tolist()
+            # window-major workload gathers, fresh C-contiguous (windows,
+            # cells) matrices: made per group, since fleet-wide ones would
+            # stay alive for the whole call and raise peak RSS for no
+            # measurable speed
+            g_trace = trace[a:b]
+            g_i = windows.i_avg[:g_max].take(g_trace, axis=1)
+            g_t = windows.t_avg[:g_max].take(g_trace, axis=1)
+            g_h = windows.horizon_s[:g_max].take(g_trace, axis=1)
+            # the group's predictions, window-major so that each window
+            # reads and writes one contiguous row (a resume staged its
+            # journaled prefixes in the result rows)
+            g_pred = pred_rows[a:b, : g_max + 1].T.copy() if prefix else np.empty((g_max + 1, m_all))
             if monitored or self.journal is not None:
-                # the harvester needs per-row capacities too (Eq. 1
-                # recomputation from journaled workloads)
-                cap_row = plan.capacity_ah[trace]
+                g_cap = cap_row[a:b]
             if monitored:
                 # the per-window physics residual |predicted ΔSoC −
                 # coulomb ΔSoC| (the Branch 2 correction magnitude over
-                # Eq. 1): the coulomb term of every window at once, then
-                # two scratch rows reused by every window
-                coulomb = np.multiply(i_mat, h_mat)
-                coulomb /= cap_row
-                coulomb /= -3600.0
-                delta = np.empty(n)
-                resid = np.empty(n)
+                # Eq. 1): the coulomb term of every window at once
+                g_coulomb = np.multiply(g_i, g_h)
+                g_coulomb /= g_cap
+                g_coulomb /= -3600.0
                 if self.metrics is not None:
-                    self._op_counter("rollout", key).inc(n)
+                    self._op_counter("rollout", key).inc(m_all)
                     resid_hist = self._residual_hist(key)
                     windows_counter = self.metrics.counter("engine_rollout_windows_total", model=key)
                 if self.drift is not None:
-                    gidx = self.drift.track(ids)
-            # replay journaled windows: start_w[r] is the last window
-            # whose SoC is already known (its value seeds the recursion)
-            start_w = np.zeros(n, dtype=np.intp)
-            fresh = range(n)  # a fresh rollout: nothing journaled to replay
-            if prefix:
-                fresh = []
-                for r, (cid, w_end) in enumerate(zip(ids, n_w.tolist())):
-                    done = prefix.get(cid, {})
-                    k_done = -1
-                    while k_done + 1 in done and k_done + 1 <= w_end:
-                        k_done += 1
-                    if k_done < 0:
-                        fresh.append(r)
-                        continue
-                    pred[: k_done + 1, r] = [done[w] for w in range(k_done + 1)]
-                    start_w[r] = k_done
-            if fresh:
-                # one Branch 1 forward seeds all not-yet-started cells;
-                # the sensor rows come from the stacked per-trace array
-                idx = np.asarray(fresh)
-                v, i, t = plan.first[trace[idx]].T
+                    gidx = slot[a:b]
+            g_start = start_w[a:b]
+            idx = np.flatnonzero(fresh[a:b])
+            if idx.size:
+                # one Branch 1 forward seeds all not-yet-started cells
+                v, i, t = first[a:b][idx].T
                 seed = infer.estimate_soc(v, i, t)
-                pred[0, idx] = seed
+                g_pred[0, idx] = seed
                 if self.drift is not None:
-                    self.drift.observe_soc(ids, seed, positions=idx, window=0)
+                    self.drift.observe_soc(g_ids, seed, positions=idx, window=0)
                 if self.journal is not None:
                     self.journal.append_windows(
-                        (ids[r], 0, soc) for r, soc in zip(fresh, pred[0, idx].tolist())
+                        (g_ids[r], 0, soc) for r, soc in zip(idx.tolist(), g_pred[0, idx].tolist())
                     )
             # windows below `replaying` may still have rows whose next
             # value is journaled; those windows select their rows by mask
-            replaying = int(start_w.max())
-            for w in range(max_w):
+            replaying = int(g_start.max())
+            for w in range(g_max):
                 m = active[w]
                 if w < replaying:
-                    rows = positions = np.flatnonzero(start_w[:m] <= w)
+                    rows = positions = np.flatnonzero(g_start[:m] <= w)
                     count = len(rows)
                 else:
                     rows, count, positions = slice(0, m), m, None
                 if count:
-                    prev = pred[w, rows]
-                    out = infer.predict_soc(prev, i_mat[w, rows], t_mat[w, rows], h_mat[w, rows])
-                    pred[w + 1, rows] = out
+                    prev = g_pred[w, rows]
+                    out = infer.predict_soc(prev, g_i[w, rows], g_t[w, rows], g_h[w, rows])
+                    g_pred[w + 1, rows] = out
                     if monitored:
                         np.subtract(out, prev, out=delta[:count])  # predicted ΔSoC
                         if self.drift is not None:
                             self.drift.observe_soc(
-                                ids, out, delta=delta[:count], horizon_s=h_mat[w, rows],
+                                g_ids, out, delta=delta[:count], horizon_s=g_h[w, rows],
                                 positions=positions, window=w + 1,
                             )
-                        np.subtract(delta[:count], coulomb[w, rows], out=resid[:count])
+                        np.subtract(delta[:count], g_coulomb[w, rows], out=resid[:count])
                         np.abs(resid[:count], out=resid[:count])
                         if self.metrics is not None:
                             resid_hist.observe_batch(resid[:count])
@@ -702,13 +725,13 @@ class FleetEngine:
                         # window rides along for the offline learner
                         self.journal.append_windows(
                             zip(
-                                ids[:m] if positions is None else [ids[r] for r in positions.tolist()],
+                                g_ids[:m] if positions is None else [g_ids[r] for r in positions.tolist()],
                                 itertools.repeat(w + 1),
-                                pred[w + 1, rows].tolist(),
-                                i_mat[w, rows].tolist(),
-                                t_mat[w, rows].tolist(),
-                                h_mat[w, rows].tolist(),
-                                cap_row[rows].tolist(),
+                                g_pred[w + 1, rows].tolist(),
+                                g_i[w, rows].tolist(),
+                                g_t[w, rows].tolist(),
+                                g_h[w, rows].tolist(),
+                                g_cap[rows].tolist(),
                             )
                         )
                 if step_hook is not None:
@@ -719,34 +742,25 @@ class FleetEngine:
             # Rows with one window count are one block of the sorted
             # order, so one 2-D slice per block cuts every row to length
             # (three 1-D slices per cell cost ~0.9 ms of a 1024-cell call)
-            cuts = [0, *(np.flatnonzero(np.diff(n_w)) + 1).tolist(), n]
-            blocks = [(a, b, int(n_w[a]) + 1) for a, b in zip(cuts, cuts[1:])]
-            pred_rows = pred.T.copy()
-            time_mat = plan.time_s[trace, : max_w + 1]
-            true_mat = plan.soc_true[trace, : max_w + 1]
-            initial = pred[0].tolist()
-            final = pred[n_w, np.arange(n)].tolist()
-            for cid, state, time_s, soc_pred, soc_true, soc0, soc, u in zip(
-                ids,
-                states,
-                _block_rows(time_mat, blocks),
-                _block_rows(pred_rows, blocks),
-                _block_rows(true_mat, blocks),
-                initial,
-                final,
-                trace.tolist(),
-            ):
-                results[cid] = RolloutResult(
-                    time_s=time_s,
-                    soc_pred=soc_pred,
-                    soc_true=soc_true,
-                    initial_soc=soc0,
-                    step_s=plan.step_s[u],
-                    tail_s=plan.tail_s[u],
+            cuts = [0, *(np.flatnonzero(np.diff(g_nw)) + 1).tolist(), m_all]
+            blocks = [(a + x, a + y, int(g_nw[x]) + 1) for x, y in zip(cuts, cuts[1:])]
+            pred_rows[a:b, : g_max + 1] = g_pred.T
+            traces = g_trace.tolist()
+            results.extend(
+                map(
+                    RolloutResult,
+                    _block_rows(time_mat, blocks),
+                    _block_rows(pred_rows, blocks),
+                    _block_rows(true_mat, blocks),
+                    g_pred[0].tolist(),
+                    map(step_s.__getitem__, traces),
+                    map(tail_s.__getitem__, traces),
                 )
+            )
+            for state, soc in zip(states[a:b], g_pred[g_nw, np.arange(m_all)].tolist()):
                 state.soc = soc
                 state.n_requests += 1
-            self._record_many(states)
+            self._record_many(states[a:b])
             if trace_ctx is not None:
                 trace_ctx.tracer.record(
                     trace_ctx,
@@ -754,9 +768,12 @@ class FleetEngine:
                     t_group,
                     time.perf_counter(),
                     model=key,
-                    cells=n,
+                    cells=m_all,
                 )
-        return {cell_id: results[cell_id] for cell_id, _ in pairs}
+        # back to assignment order: assignment k is sorted row rank[k]
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        return dict(zip(plan.ids, map(results.__getitem__, rank.tolist())))
 
     # -- observability -------------------------------------------------
     def metrics_snapshot(self) -> dict | None:
@@ -857,31 +874,39 @@ class FleetEngine:
             raise ValueError("no default model and the registry cannot place this cell")
         return _DEFAULT_MODEL_KEY
 
-    def _model(self, key: str) -> TwoBranchSoCNet:
-        if key in self._models:
-            return self._models[key]
-        # registry keys stay uncached here: the registry re-resolves a
-        # bare name's channel pointer on every load (version files are
-        # immutable and cached by pinned ref), so a live engine follows
-        # publishes and promotes without a rebuild
-        return self.registry.load(key)
+    def _follow_registry(self) -> None:
+        """Read the registry's generation once per call (one ``stat``).
+
+        While it is unchanged every key keeps its checked kernel; a new
+        generation makes the next use of each key ask the registry
+        again, so a live engine follows publishes and promotes, made
+        in this process or another, from its next call on.
+        """
+        if self.registry is not None:
+            generation = self.registry.generation
+            if generation != self._generation:
+                self._generation = generation
+                self._checked.clear()
 
     def _infer(self, key: str) -> CompiledTwoBranchKernel:
         """The compiled kernel serving a model key.
 
         The model is compiled once into a
         :class:`~repro.core.kernels.CompiledTwoBranchKernel`, cached per
-        model key and invalidated by model-object identity —
-        a registry promote that loads a new checkpoint object triggers
-        a recompile on its next use (replacing the old entry, so the
-        cache stays bounded at one kernel per key) and a live engine
-        never serves stale weights.
+        model key and invalidated by model-object identity — a registry
+        promote that loads a new checkpoint object triggers a recompile
+        on the key's first use after the promote (replacing the old
+        entry, so the cache stays bounded at one kernel per key) and a
+        live engine never serves stale weights.
         """
-        model = self._model(key)
         kernel = self._kernels.get(key)
+        if kernel is not None and key in self._checked:
+            return kernel
+        model = self._models[key] if key in self._models else self.registry.load(key)
         if kernel is None or kernel.model is not model:
             kernel = CompiledTwoBranchKernel(model)
             self._kernels[key] = kernel
+        self._checked.add(key)
         return kernel
 
     def _fused_for(self, groups: dict[str, np.ndarray], n: int) -> FusedTwoBranchKernel | None:

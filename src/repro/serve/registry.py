@@ -123,12 +123,14 @@ class ModelRegistry:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._entries: dict[str, ModelEntry] = {}  # keyed by "name@vN"
+        self._versions: dict[str, set[int]] = {}  # name -> published versions
         self._channels: dict[str, dict[str, int]] = {}
         self._models: dict[str, TwoBranchSoCNet] = {}
         # (mtime_ns, size) of the channels file as last read; lets every
         # lookup cheaply notice out-of-process publishes/promotes (a
         # shard worker's registry follows the parent's channels.json)
         self._channels_sig: tuple[int, int] | None = None
+        self._generation = 0
         self.refresh()
 
     # -- publishing ----------------------------------------------------
@@ -234,13 +236,26 @@ class ModelRegistry:
         return self._channels[name]["stable"]
 
     # -- lookup --------------------------------------------------------
+    @property
+    def generation(self) -> int:
+        """Counter that changes whenever a reference may load another model.
+
+        Every publish, channel change and :meth:`refresh` bumps it, and
+        so does a rewrite of ``channels.json`` by another process, which
+        reading it notices with one ``stat``.  While it is unchanged,
+        every reference resolves to the same version, so a server may
+        keep what it built from :meth:`load`.
+        """
+        self._sync_channels()
+        return self._generation
+
     def names(self) -> list[str]:
         """All published model names, sorted."""
-        return sorted({e.name for e in self._entries.values()})
+        return sorted(self._versions)
 
     def versions(self, name: str) -> list[int]:
         """Published versions of one name, sorted (empty when unknown)."""
-        return sorted(e.version for e in self._entries.values() if e.name == name)
+        return sorted(self._versions.get(name, ()))
 
     def entries(self) -> list[ModelEntry]:
         """All index records, sorted by name then version."""
@@ -325,7 +340,9 @@ class ModelRegistry:
 
     def refresh(self) -> None:
         """Rebuild the index from the checkpoints on disk."""
+        self._generation += 1
         self._entries.clear()
+        self._versions.clear()
         self._channels.clear()
         if not self.root.is_dir():
             return
@@ -386,13 +403,13 @@ class ModelRegistry:
 
     def _parse_ref_once(self, ref: str) -> tuple[str, int]:
         name, sep, tag = ref.partition("@")
-        if name not in {e.name for e in self._entries.values()}:
+        if name not in self._versions:
             raise KeyError(f"no model named {name!r}; have {self.names()}")
         if not sep:
             tag = "stable"
         if tag.startswith("v") and tag[1:].isdigit():
             version = int(tag[1:])
-            if version not in self.versions(name):
+            if version not in self._versions[name]:
                 raise KeyError(
                     f"model {name!r} has no version {version}; have {self.versions(name)}"
                 )
@@ -423,6 +440,7 @@ class ModelRegistry:
         if signature == self._channels_sig:
             return
         self._channels_sig = signature
+        self._generation += 1
         raw = json.loads(path.read_text(encoding="utf-8"))
         if any(
             int(version) not in self.versions(name)
@@ -457,9 +475,11 @@ class ModelRegistry:
             extra={k: v for k, v in meta.items() if k not in _RESERVED},
         )
         self._entries[entry.ref] = entry
+        self._versions.setdefault(entry.name, set()).add(entry.version)
         return entry
 
     def _save_channels(self) -> None:
+        self._generation += 1
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = self.root / (_CHANNELS_FILE + ".tmp")
         tmp.write_text(json.dumps(self._channels, indent=2, sort_keys=True), encoding="utf-8")

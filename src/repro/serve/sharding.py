@@ -45,11 +45,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.rollout import RolloutResult, cycle_windows
+from ..core.rollout import RolloutResult
 from ..datasets.base import CycleRecord
 from ..monitor.tracing import stage
 from . import wire
-from .engine import CellState, FleetEngine
+from .engine import CellState, FleetEngine, _FleetPlan
 from .registry import ModelRegistry
 from .workers import WorkerCrashError, WorkerSpec
 
@@ -80,16 +80,17 @@ def shard_for(cell_id: str, n_shards: int) -> int:
 
 
 def _plan_cycles(pairs: list[tuple[str, CycleRecord]], step_s: float) -> None:
-    """Plan every unique cycle once; raises before any shard is called.
+    """Plan the whole rollout once; raises before any shard is called.
 
-    Shards plan their own slices again, but a later shard's bad cycle
-    must not surface after earlier shards committed state and journal
-    windows.  The same holds for cycle tags the wire codec cannot
-    carry: they are refused here for every topology, in-process shards
-    included, so a fleet accepts the same cycles whatever its workers.
+    Shards plan their own slices again, but a later shard's bad cycle,
+    or a cell id assigned twice, must not surface after earlier shards
+    committed state and journal windows.  The same holds for cycle tags
+    the wire codec cannot carry: they are refused here for every
+    topology, in-process shards included, so a fleet accepts the same
+    cycles whatever its workers.
     """
+    _FleetPlan.build(pairs, step_s)
     for cycle in {id(cycle): cycle for _, cycle in pairs}.values():
-        cycle_windows(cycle, step_s)
         wire.check_encodable(cycle.tags, f"tags of cycle {cycle.name!r}")
 
 
@@ -261,8 +262,9 @@ class ShardedFleet:
         :meth:`FleetEngine.rollout_fleet`), and a durable worker
         journals its own slice.  Every cycle is planned and its tags
         checked before the first shard call, so one that cannot be
-        planned, or whose tags cannot cross the wire, raises
-        ``ValueError`` with no shard state or journal changed.
+        planned, or whose tags cannot cross the wire, or a cell id
+        assigned twice, raises ``ValueError`` with no shard state or
+        journal changed.
         """
         pairs = list(assignments)
         _plan_cycles(pairs, step_s)

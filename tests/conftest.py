@@ -40,3 +40,54 @@ def small_sandia():
 def small_lg():
     """Two train + two test cycle LG campaign at 0.5 s sampling."""
     return generate_lg(SMALL_LG)
+
+
+def _every_kth(cycle, k: int, dtype=None):
+    """``cycle`` keeping every ``k``-th sample, its I/T channels stored as ``dtype``."""
+    import dataclasses
+
+    import numpy as np
+
+    d = cycle.data
+    channels = {
+        f.name: np.ascontiguousarray(getattr(d, f.name)[::k])
+        for f in dataclasses.fields(d)
+        if isinstance(getattr(d, f.name), np.ndarray)
+    }
+    if dtype is not None:
+        channels["current"] = channels["current"].astype(dtype)
+        channels["temp_c"] = channels["temp_c"].astype(dtype)
+    return dataclasses.replace(
+        cycle,
+        name=f"{cycle.name}-every{k}",
+        sampling_period_s=cycle.sampling_period_s * k,
+        data=dataclasses.replace(d, **channels),
+    )
+
+
+@pytest.fixture(scope="session")
+def mixed_period_pairs():
+    """Rollout assignments over 8, 16 and 24 s sampling periods: the
+    benchmark fleet's shape with every second or third sample kept (the
+    24 s traces stored as float32), some cells sharing one trace."""
+    import numpy as np
+
+    from repro.serve import generate_fleet
+
+    fleet = generate_fleet(
+        16,
+        seed=0,
+        cell_names=("sandia-nca", "sandia-nmc", "sandia-lfp", "lg-hg2"),
+        protocols=("discharge",),
+        max_time_s=1800.0,
+    )
+    traces = {}
+    pairs = []
+    for k, (cell_id, cycle) in enumerate(fleet.assignments()):
+        every = 1 + k % 3
+        key = (id(cycle), every)
+        if key not in traces:
+            dtype = np.float32 if every == 3 else None
+            traces[key] = cycle if every == 1 else _every_kth(cycle, every, dtype)
+        pairs.append((cell_id, traces[key]))
+    return pairs

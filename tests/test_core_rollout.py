@@ -9,6 +9,7 @@ from repro.core import (
     TwoBranchSoCNet,
     cycle_windows,
     model_rollout,
+    plan_windows,
     rollout_cycle,
 )
 from repro.datasets import CycleRecord
@@ -166,14 +167,15 @@ class TestPartialTail:
         assert len(result) == 4
 
 
-def _random_cycle(n_samples: int, dtype=np.float64) -> CycleRecord:
-    """A 1 s-period trace of noisy I/T channels stored as ``dtype``."""
+def _random_cycle(n_samples: int, dtype=np.float64, period_s: float = 1.0, temp_dtype=None) -> CycleRecord:
+    """A ``period_s`` trace of noisy I/T channels stored as ``dtype``
+    (temperature as ``temp_dtype`` when given)."""
     rng = np.random.default_rng(n_samples)
     current = rng.normal(2.0, 0.7, n_samples).astype(dtype)
-    temp_c = rng.normal(25.0, 3.0, n_samples).astype(dtype)
+    temp_c = rng.normal(25.0, 3.0, n_samples).astype(temp_dtype or dtype)
     voltage = rng.normal(3.7, 0.2, n_samples)
     data = SimulationResult(
-        time_s=np.arange(n_samples, dtype=np.float64),
+        time_s=np.arange(n_samples, dtype=np.float64) * period_s,
         voltage=voltage,
         current=current,
         temp_c=temp_c,
@@ -182,7 +184,7 @@ def _random_cycle(n_samples: int, dtype=np.float64) -> CycleRecord:
         current_true=current,
         temp_true=temp_c,
     )
-    return CycleRecord("random", "test", 25.0, 1.0, 3.0, data)
+    return CycleRecord(f"random-{n_samples}", "test", 25.0, period_s, 3.0, data)
 
 
 def _reference_windows(cycle, step_s: float, include_tail: bool):
@@ -204,12 +206,24 @@ def _reference_windows(cycle, step_s: float, include_tail: bool):
     return i_avg, t_avg, horizon_s, d.time_s[boundary], d.soc[boundary]
 
 
+# planned in one call with the parametrized cycle: other lengths,
+# remainders, sampling periods and dtypes, one with mixed channel dtypes
+_COMPANIONS = [
+    (2501, np.float32, 0.5),
+    (1700, np.float64, 1.0),
+    (1500, np.float32, 1.0),
+    (4500, np.float64, 0.25),
+    (1234, np.float32, 1.0, np.float64),
+]
+
+
 class TestCycleWindowsExact:
     """The row-wise plan equals a per-window ``np.mean`` bit for bit.
 
     Steps above 128 samples exercise numpy's pairwise-summation blocks,
     which a row-wise reduction must reproduce for the fleet path to stay
-    bit-for-bit with the scalar loop and the journal replay.
+    bit-for-bit with the scalar loop and the journal replay.  Planning
+    many cycles in one call must not change any of their rows.
     """
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -237,6 +251,23 @@ class TestCycleWindowsExact:
         rem = (n_samples - 1) % steps
         assert plan.tail_s == (float(rem) if include_tail else 0.0)
 
+        cycles = [_random_cycle(*spec) for spec in _COMPANIONS]
+        cycles.insert(2, cycle)
+        stack = plan_windows(cycles, step_s, include_tail=include_tail)
+        for u, c in enumerate(cycles):
+            expected = _reference_windows(c, step_s, include_tail)
+            assert stack.n_windows[u] == len(expected[0])
+            rows = (
+                stack.i_avg[:, u], stack.t_avg[:, u], stack.horizon_s[:, u], stack.time_s[u], stack.soc_true[u]
+            )
+            names = ("i_avg", "t_avg", "horizon_s", "time_s", "soc_true")
+            for name, row, want in zip(names, rows, expected):
+                assert np.array_equal(row[: len(want)], want), (c.name, name)
+                assert np.isnan(row[len(want) :]).all(), (c.name, name)
+            one = stack.plan(u)
+            rem = (len(c.data) - 1) % one.steps
+            assert one.tail_s == stack.tail_s[u] == rem * c.sampling_period_s * include_tail
+
     def test_step_below_one_sample_raises(self):
         with pytest.raises(ValueError, match="at least one sampling period"):
             cycle_windows(_random_cycle(100), step_s=0.4)
@@ -244,6 +275,13 @@ class TestCycleWindowsExact:
     def test_cycle_shorter_than_one_step_raises(self):
         with pytest.raises(ValueError, match="shorter than a single rollout step"):
             cycle_windows(_random_cycle(100), step_s=100.0)
+
+    def test_errors_name_the_first_offending_cycle(self):
+        cycles = [_random_cycle(300), _random_cycle(100), _random_cycle(90, period_s=2.0)]
+        with pytest.raises(ValueError, match="cycle 'random-100' is shorter than a single rollout step"):
+            plan_windows(cycles, step_s=150.0)
+        with pytest.raises(ValueError, match="cycle 'random-90': step must be at least one sampling period"):
+            plan_windows(cycles, step_s=0.9)
 
 
 class TestModelRollout:

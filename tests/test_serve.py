@@ -149,6 +149,66 @@ class TestFleetEngine:
         second = float(engine.estimate(["a"], 3.7, 1.0, 25.0)[0])
         assert first != second
 
+    def test_promote_between_calls_served_on_next_call(self, tmp_path):
+        """A promote, made through this registry or another process's
+        copy of it, is served from the engine's next call on."""
+        import os
+
+        registry = ModelRegistry(tmp_path)
+        models = [TwoBranchSoCNet(rng=np.random.default_rng(k)) for k in range(3)]
+        registry.publish("m", models[0])
+        engine = FleetEngine(registry=registry)
+        engine.register_cell("a")
+        expected = [float(m.estimate_soc(3.7, 1.0, 25.0)[0]) for m in models]
+        assert engine.estimate(["a"], 3.7, 1.0, 25.0)[0] == pytest.approx(expected[0], abs=1e-12)
+        registry.publish("m", models[1], channel="canary")
+        assert engine.estimate(["a"], 3.7, 1.0, 25.0)[0] == pytest.approx(expected[0], abs=1e-12)
+        registry.promote("m")
+        assert engine.estimate(["a"], 3.7, 1.0, 25.0)[0] == pytest.approx(expected[1], abs=1e-12)
+
+        other = ModelRegistry(tmp_path)
+        other.publish("m", models[2])
+        # step the file's mtime so the rewrite cannot share the previous
+        # one's (mtime, size) signature within one filesystem tick
+        path = tmp_path / "channels.json"
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        assert engine.estimate(["a"], 3.7, 1.0, 25.0)[0] == pytest.approx(expected[2], abs=1e-12)
+
+    def test_registry_checked_once_per_call(self, tmp_path, monkeypatch):
+        """One generation read per call; a model is loaded only when the
+        generation changed since the engine last served its key."""
+        registry = ModelRegistry(tmp_path)
+        for k in range(4):
+            registry.publish(f"m{k}", TwoBranchSoCNet(rng=np.random.default_rng(k)))
+        engine = FleetEngine(registry=registry)
+        ids = [f"c{k}" for k in range(64)]
+        for k, cid in enumerate(ids):
+            engine.register_cell(cid, model_name=f"m{k % 4}")
+        calls = {"sync": 0, "load": 0}
+        sync, load = registry._sync_channels, registry.load
+
+        def counting_sync():
+            calls["sync"] += 1
+            return sync()
+
+        def counting_load(ref):
+            calls["load"] += 1
+            return load(ref)
+
+        first = engine.estimate(ids, 3.7, 1.0, 25.0)
+        monkeypatch.setattr(registry, "_sync_channels", counting_sync)
+        monkeypatch.setattr(registry, "load", counting_load)
+        np.testing.assert_array_equal(engine.estimate(ids, 3.7, 1.0, 25.0), first)
+        assert calls == {"sync": 1, "load": 0}
+        engine.predict(ids, 2.0, 25.0, 120.0)
+        assert calls == {"sync": 2, "load": 0}
+        registry.publish("m1", TwoBranchSoCNet(rng=np.random.default_rng(9)))
+        again = engine.estimate(ids, 3.7, 1.0, 25.0)
+        assert calls["load"] == 4  # every key asks once after the publish
+        changed = np.flatnonzero(again != first)
+        np.testing.assert_array_equal(changed, np.arange(1, 64, 4))
+
     def test_rollout_fleet_matches_per_cell_loop(self, model, mixed_fleet):
         """The acceptance property: batched == loop to 1e-9, per cell,
         across heterogeneous cycle lengths (partial tails included)."""
@@ -228,6 +288,23 @@ class TestFleetEngine:
             assert (got.step_s, got.tail_s) == (ref.step_s, ref.tail_s)
             assert got.initial_soc == got.soc_pred[0]
             assert engine.cell(cid).soc == got.soc_pred[-1]
+
+    def test_rollout_mixed_sampling_periods(self, model, mixed_period_pairs):
+        """Traces sampled every 8, 16 and 24 s (float32) in one rollout:
+        one plan averages them all, and every trajectory matches the
+        scalar loop."""
+        assert {cycle.sampling_period_s for _, cycle in mixed_period_pairs} == {8.0, 16.0, 24.0}
+        engine = FleetEngine(default_model=model)
+        results = engine.rollout_fleet(mixed_period_pairs, step_s=60.0)
+        # 60 s rounds to 8, 4 and 2 samples
+        assert {r.step_s for r in results.values()} == {64.0, 48.0}
+        for cid, cycle in mixed_period_pairs:
+            ref = model_rollout(model, cycle, 60.0)
+            got = results[cid]
+            np.testing.assert_allclose(got.soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
+            np.testing.assert_array_equal(got.time_s, ref.time_s)
+            np.testing.assert_array_equal(got.soc_true, ref.soc_true)
+            assert (got.step_s, got.tail_s) == (ref.step_s, ref.tail_s)
 
     def test_rollout_updates_cell_state(self, model, small_fleet):
         engine = FleetEngine(default_model=model)

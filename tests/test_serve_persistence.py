@@ -493,6 +493,33 @@ class TestCrashRestore:
             np.testing.assert_array_equal(resumed[cid].soc_true, reference[cid].soc_true)
         reopened.close()
 
+    def test_resume_is_exact_over_mixed_sampling_periods(self, model, mixed_period_pairs, tmp_path):
+        """Traces sampled every 8, 16 and 24 s (float32) in one group:
+        a crash mid-rollout resumes every cell bit for bit."""
+        pairs = mixed_period_pairs
+        reference = FleetEngine(default_model=model).rollout_fleet(pairs, step_s=60.0)
+        path = tmp_path / "fleet.journal"
+        journal = StateJournal(path)
+        engine = FleetEngine(default_model=model, journal=journal)
+
+        def bomb(window):
+            if window >= 20:
+                raise Crash
+
+        with pytest.raises(Crash):
+            engine.rollout_fleet(pairs, step_s=60.0, step_hook=bomb)
+        journal.close()
+
+        reopened = StateJournal(path)
+        restored = FleetEngine.restore(reopened, default_model=model)
+        resumed = restored.resume_rollout_fleet(pairs, step_s=60.0)
+        for cid, _ in pairs:
+            np.testing.assert_array_equal(resumed[cid].soc_pred, reference[cid].soc_pred)
+            np.testing.assert_array_equal(resumed[cid].time_s, reference[cid].time_s)
+            np.testing.assert_array_equal(resumed[cid].soc_true, reference[cid].soc_true)
+            assert restored.cell(cid).soc == float(reference[cid].soc_pred[-1])
+        reopened.close()
+
     def test_resume_rejects_mismatched_step(self, model, fleet, tmp_path):
         path = tmp_path / "fleet.journal"
         journal = StateJournal(path)
@@ -541,5 +568,31 @@ class TestBadCycleLeavesNoTrace:
         assert {cid: (engine.cell(cid).soc, engine.cell(cid).n_requests) for cid, _ in pairs} == before
         assert "newcomer" not in engine
         assert journal.snapshot().windows == windows
+        assert journal.size_bytes() == size
+        journal.close()
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_duplicate_cell_id_refused(self, model, tmp_path, resume):
+        """A cell id assigned twice in one rollout is refused, in either
+        order and naming the id, before any cell is registered, any
+        state changes or the journal is written."""
+        cycles = {len(m.cycle.data): m.cycle for m in generate_fleet(
+            16, seed=0, cell_names=("sandia-nca", "sandia-nmc", "sandia-lfp", "lg-hg2"),
+            protocols=("discharge",), max_time_s=1800.0,
+        ).members}
+        long, short = cycles[max(cycles)], cycles[min(cycles)]
+        assert len(long.data) != len(short.data)
+        path = tmp_path / "fleet.journal"
+        journal = StateJournal(path)
+        engine = FleetEngine(default_model=model, journal=journal)
+        engine.rollout_fleet([("x", long)], step_s=60.0)
+        before = dataclasses.astuple(engine.cell("x"))
+        size = journal.size_bytes()
+        run = engine.resume_rollout_fleet if resume else engine.rollout_fleet
+        for first, second in ((long, short), (short, long)):
+            with pytest.raises(ValueError, match="cell 'x' appears more than once in one rollout"):
+                run([("newcomer", long), ("x", first), ("x", second)], step_s=60.0)
+        assert "newcomer" not in engine
+        assert dataclasses.astuple(engine.cell("x")) == before
         assert journal.size_bytes() == size
         journal.close()

@@ -242,3 +242,31 @@ class TestBadCycleTouchesNoShard:
 
             assert [dataclasses.astuple(sharded.cell(cid)) for cid, _ in pairs] == before
             assert [p.read_bytes() for p in journal_files] == journals
+
+    @pytest.mark.parametrize("resume, topology", [(False, "inproc"), (False, "pipe"), (True, "pipe")])
+    def test_duplicate_cell_id_touches_no_shard(self, model, fleet, tmp_path, topology, resume):
+        """A cell id assigned twice fails the fleet rollout in the parent,
+        naming the id: no shard registers a newcomer or changes a cell
+        or its journal."""
+        if topology == "inproc":
+            sharded = ShardedFleet(2, spec=WorkerSpec(model=model))
+            journal_files = []
+        else:
+            spec = WorkerSpec(url="pipe://", model=model, journal=str(tmp_path / "s{shard}.journal"))
+            sharded = ShardedFleet(2, spec=spec)
+            journal_files = [tmp_path / "s0.journal", tmp_path / "s1.journal"]
+        with sharded:
+            pairs = fleet.assignments()[:8]
+            sharded.rollout_fleet(pairs, step_s=120.0)
+            before = [dataclasses.astuple(sharded.cell(cid)) for cid, _ in pairs]
+            journals = [Path(p).read_bytes() for p in journal_files]
+
+            dup = pairs[-1][0]
+            bad = [("newcomer", pairs[0][1]), *pairs, (dup, pairs[0][1])]
+            run = sharded.resume_rollout_fleet if resume else sharded.rollout_fleet
+            with pytest.raises(ValueError, match=f"cell '{dup}' appears more than once"):
+                run(bad, step_s=120.0)
+
+            assert "newcomer" not in sharded
+            assert [dataclasses.astuple(sharded.cell(cid)) for cid, _ in pairs] == before
+            assert [Path(p).read_bytes() for p in journal_files] == journals
