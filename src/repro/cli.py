@@ -588,10 +588,23 @@ def _report_gateway(gateway, engine, completions, traffic_s, args) -> int:
             json.dump(record, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.soak_json}")
-    if args.fail_on_error and (n_err or n_shed or dead):
+    # the books after stop(): every request answered exactly once, and
+    # nothing left admitted or queued
+    books = []
+    if len(completions) != args.requests:
+        books.append(f"{len(completions)} completions for {args.requests} requests")
+    for endpoint in ("estimate", "predict", "rollout"):
+        ep = stats[endpoint]
+        if ep["requests"] != ep["completed"] + ep["shed"]:
+            books.append(
+                f"{endpoint}: {ep['requests']} requests != {ep['completed']} completed + {ep['shed']} shed"
+            )
+    if gateway.in_flight or gateway.batcher.pending:
+        books.append(f"in_flight={gateway.in_flight} pending={gateway.batcher.pending} after stop")
+    if args.fail_on_error and (n_err or n_shed or dead or books):
         print(
             f"FAIL: gateway soak saw errors={n_err} shed={n_shed} dead_workers={dead} "
-            f"(--fail-on-error)"
+            f"unbalanced={books} (--fail-on-error)"
         )
         return 1
     return 0
@@ -1098,7 +1111,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_sim.add_argument("--soak-json", default=None,
                            help="write gateway soak results (counts, latency percentiles) here")
     serve_sim.add_argument("--fail-on-error", action="store_true",
-                           help="exit 1 on any errored/shed completion or dead worker")
+                           help="exit 1 on any errored/shed completion, dead worker, or "
+                                "unbalanced request books after the gateway stops")
     serve_sim.set_defaults(func=_cmd_serve_sim)
 
     serve = sub.add_parser(

@@ -31,8 +31,9 @@ Design constraints, in order:
 
 Context propagation is explicit.  A :class:`TraceContext` names
 ``(tracer, trace_id, parent span_id)``; it travels in function
-arguments (``Request.trace``), thread-locally via :func:`activate` /
-span handles (executor threads, the batcher's flush), and across the
+arguments and in the micro-batcher's queued row (``submit(...,
+trace=)``), thread-locally via :func:`activate` / span handles
+(executor threads, the batcher's flush), and across the
 worker process boundary as a compact ``[trace_id, span_id, flags]``
 triple in the v2 wire frame's meta block
 (:data:`repro.serve.wire.TRACE_META_KEY`).  Child processes record

@@ -68,7 +68,7 @@ from .fleet_sim import FleetMember, FleetScenario, generate_fleet
 from .gateway import GatewayOverloaded, SocGateway
 from .persistence import JournalSnapshot, StateJournal
 from .registry import ModelEntry, ModelRegistry
-from .scheduler import BatchStats, Completion, MicroBatcher, Request
+from .scheduler import BatchStats, Completion, MicroBatcher
 from .sharding import ShardedFleet, shard_for
 from .transport import PeerGone, Transport, TransportError, TransportTimeout
 from .workers import ShardWorker, WorkerCrashError, WorkerSpec
@@ -104,7 +104,6 @@ __all__ = [
     "BatchStats",
     "Completion",
     "MicroBatcher",
-    "Request",
     "FleetMember",
     "FleetScenario",
     "generate_fleet",

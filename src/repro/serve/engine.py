@@ -366,7 +366,7 @@ class FleetEngine:
         i = np.broadcast_to(np.asarray(current, dtype=np.float64), (len(cell_ids),))
         t = np.broadcast_to(np.asarray(temp_c, dtype=np.float64), (len(cell_ids),))
         self._follow_registry()
-        groups = self._group_by_model(cell_ids)
+        states, groups = self._states_by_model(cell_ids)
         fused = self._fused_for(groups, len(cell_ids))
         if fused is not None:
             member = self._member_vector(groups, len(cell_ids))
@@ -388,14 +388,10 @@ class FleetEngine:
         # vectorized monitor only runs when a violation actually exists
         bounds = self.drift.bounds if self.drift is not None else None
         in_bounds = True
-        states = []
-        for k, cid in enumerate(cell_ids):
-            state = self._cells[cid]
-            soc = float(out[k])
+        for state, soc in zip(states, out.tolist()):
             state.soc = soc
             state.n_requests += 1
             state.last_seen_s = now_s
-            states.append(state)
             if bounds is not None and (soc < bounds.soc_min or soc > bounds.soc_max):
                 in_bounds = False
         if not in_bounds:
@@ -430,20 +426,19 @@ class FleetEngine:
         now_s:
             Optional clock reading recorded as ``last_seen_s``.
         """
+        states, groups = self._states_by_model(cell_ids)
         if soc_now is None:
-            soc = np.empty(len(cell_ids))
-            for k, cid in enumerate(cell_ids):
-                stored = self.cell(cid).soc
-                if stored is None:
-                    raise ValueError(f"cell {cid!r} has no stored SoC; estimate first or pass soc_now")
-                soc[k] = stored
+            stored = [state.soc for state in states]
+            if None in stored:
+                cid = cell_ids[stored.index(None)]
+                raise ValueError(f"cell {cid!r} has no stored SoC; estimate first or pass soc_now")
+            soc = np.array(stored, dtype=np.float64)
         else:
             soc = np.broadcast_to(np.asarray(soc_now, dtype=np.float64), (len(cell_ids),))
         i_avg = np.broadcast_to(np.asarray(current_avg, dtype=np.float64), (len(cell_ids),))
         t_avg = np.broadcast_to(np.asarray(temp_avg_c, dtype=np.float64), (len(cell_ids),))
         horizon = np.broadcast_to(np.asarray(horizon_s, dtype=np.float64), (len(cell_ids),))
         self._follow_registry()
-        groups = self._group_by_model(cell_ids)
         fused = self._fused_for(groups, len(cell_ids))
         if fused is not None:
             member = self._member_vector(groups, len(cell_ids))
@@ -463,14 +458,11 @@ class FleetEngine:
                     self._op_counter("predict", key).inc(len(idx))
         if self.drift is not None:
             self.drift.observe_soc(cell_ids, out, delta=out - soc, horizon_s=horizon)
-        states = []
-        for k, cid in enumerate(cell_ids):
-            state = self._cells[cid]
+        for state, value in zip(states, out.tolist()):
             if commit:
-                state.soc = float(out[k])
+                state.soc = value
             state.n_requests += 1
             state.last_seen_s = now_s
-            states.append(state)
         self._record_many(states)
         return out
 
@@ -581,8 +573,10 @@ class FleetEngine:
         self._follow_registry()
         # resolve every cell's state once; unknown cells are registered
         # in assignment order
-        states: list[CellState | None] = list(map(self._cells.get, plan.ids))
-        if None in states:
+        try:
+            states = list(map(self._cells.__getitem__, plan.ids))
+        except KeyError:
+            states = list(map(self._cells.get, plan.ids))
             for k, (cell_id, cycle) in enumerate(pairs):
                 if states[k] is None:
                     states[k] = self.register_cell(cell_id, chemistry=cycle.tags.get("chemistry"))
@@ -947,8 +941,14 @@ class FleetEngine:
             member[groups[key]] = u
         return member
 
-    def _group_by_model(self, cell_ids: Sequence[str]) -> dict[str, np.ndarray]:
+    def _states_by_model(self, cell_ids: Sequence[str]) -> tuple[list[CellState], dict[str, np.ndarray]]:
+        """Every row's state record, and the rows of each model key, in one pass."""
+        cells = self._cells
+        try:
+            states = list(map(cells.__getitem__, cell_ids))
+        except KeyError as exc:
+            raise KeyError(f"unknown cell {exc.args[0]!r}; {len(cells)} cells registered") from None
         groups: dict[str, list[int]] = {}
-        for k, cid in enumerate(cell_ids):
-            groups.setdefault(self.cell(cid).model_key, []).append(k)
-        return {key: np.asarray(idx) for key, idx in groups.items()}
+        for k, state in enumerate(states):
+            groups.setdefault(state.model_key, []).append(k)
+        return states, {key: np.asarray(idx) for key, idx in groups.items()}

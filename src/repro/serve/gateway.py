@@ -7,8 +7,7 @@ regime calls for: an asyncio server surface that accepts ``estimate`` /
 ``predict`` / ``rollout`` requests *concurrently*, funnels the
 request/response kinds through the
 :class:`~repro.serve.scheduler.MicroBatcher` (size/deadline coalescing,
-one batched engine call per flush, a future per request), and applies
-**admission control**:
+one batched engine call per flush), and applies **admission control**:
 
 - at most ``max_in_flight`` requests may be waiting on completions;
 - a request arriving beyond that is **shed** — it immediately gets an
@@ -21,25 +20,31 @@ one batched engine call per flush, a future per request), and applies
   :class:`GatewayOverloaded` (they return trajectory dicts, not
   completions).
 
-A background *flusher* task releases deadline-expired batches, so a
-lone request is never stranded waiting for batchmates.  Heavy
-``rollout`` calls run on the thread-pool executor holding the
-batcher's lock; the event loop only ever takes that lock
-*non-blocking* — when it is free (normal traffic) submissions and
-flushes run inline at full speed, and when a rollout holds it they
-fall back to the executor, so a multi-second rollout can never freeze
-the loop: it keeps accepting and shedding throughout, and queued
-batches flush as soon as the engine frees up.
+Each caller's future rides its queued row as the batcher's token, so
+there is no waiter map: the flush that serves a row hands back its
+future beside its completion, the gateway resolves a whole flush in one
+pass and moves that endpoint's completed/error counters once per flush.
+A cancelled caller's future is simply skipped.
+
+One *deadline timer* task releases due batches, so a lone request is
+never stranded waiting for batchmates: it sleeps until the oldest
+queued request's deadline and, with nothing queued, waits for the next
+enqueue to wake it — an idle gateway costs no CPU.  Heavy ``rollout``
+calls run on the thread-pool executor holding the batcher's lock; the
+event loop only ever takes that lock *non-blocking* — when it is free
+(normal traffic) submissions and flushes run inline at full speed, and
+when a rollout holds it they fall back to the executor, so a
+multi-second rollout can never freeze the loop: it keeps accepting and
+shedding throughout, and queued batches flush as soon as the engine
+frees up.
 
 Per-endpoint accounting (:meth:`SocGateway.stats_dict`) reports
 request/ok/error/shed counts, latency percentiles, and sustained
 throughput — the numbers the CI soak lane and
-``benchmarks/bench_fleet_throughput.py`` gate.  Since the monitor PR
-those series live in a :class:`~repro.monitor.metrics.MetricsRegistry`
-(pass one in to share it with the engine and drift monitors): counters
-per endpoint plus a streaming-quantile latency histogram — the old
-``EndpointStats`` reservoir (262k floats per endpoint) is retired in
-favor of ~45 floats of P² sketch state, and the same numbers become
+``benchmarks/bench_fleet_throughput.py`` gate.  The series live in a
+:class:`~repro.monitor.metrics.MetricsRegistry` (pass one in to share
+it with the engine and drift monitors): counters per endpoint plus a
+P² streaming-quantile latency histogram (~45 floats of state), also
 available as Prometheus text and mergeable JSON snapshots.
 
 The gateway is also where **crash retry** lands: when a batched engine
@@ -76,14 +81,8 @@ class GatewayOverloaded(RuntimeError):
 
 
 class _Endpoint:
-    """Registry-backed accounting for one gateway endpoint.
-
-    Replaces the retired ``EndpointStats`` reservoir: the four
-    counters and the latency histogram are plain registry series (so
-    they ship in snapshots and merge across processes), and the
-    instrument objects are cached here because ``observe`` runs once
-    per completion on the hot path.
-    """
+    """One endpoint's registry series — four counters and a latency
+    histogram — cached here because the hot path touches them."""
 
     __slots__ = ("requests", "completed", "errors", "shed", "latency")
 
@@ -93,13 +92,6 @@ class _Endpoint:
         self.errors = metrics.counter("gateway_errors_total", endpoint=endpoint)
         self.shed = metrics.counter("gateway_shed_total", endpoint=endpoint)
         self.latency = metrics.histogram("gateway_latency_seconds", endpoint=endpoint)
-
-    def observe(self, latency_s: float, ok: bool) -> None:
-        """Record one completion's end-to-end latency."""
-        self.completed.inc()
-        if not ok:
-            self.errors.inc()
-        self.latency.observe(latency_s)
 
     def percentile_ms(self, q: float) -> float:
         """Streaming latency quantile (milliseconds); 0 before any sample."""
@@ -142,8 +134,9 @@ class SocGateway:
         request.  ``None`` (default) keeps the request path trace-free.
 
     Use as an async context manager (``async with SocGateway(...)``) so
-    the deadline flusher runs; without it, call :meth:`pump`
-    explicitly from the serving loop.
+    the deadline timer runs; without it, call :meth:`pump` explicitly
+    from the serving loop.  The internal batcher belongs to the
+    gateway: every row it queues carries a caller's future.
     """
 
     def __init__(
@@ -175,15 +168,12 @@ class SocGateway:
         self.stats: dict[str, _Endpoint] = {name: _Endpoint(self.metrics, name) for name in _ENDPOINTS}
         self._retries = self.metrics.counter("gateway_retries_total")
         self._started_s = clock()
-        self._in_flight = 0
-        self._waiters: dict[int, asyncio.Future] = {}
-        # completions drained (by another task's executor round-trip)
-        # before their submitter registered a waiter — claimed on return
-        self._orphans: dict[int, Completion] = {}
-        # requests whose submitter was cancelled mid-enqueue; their
-        # eventual completions are dropped instead of parked forever
-        self._abandoned: set[int] = set()
+        # admitted estimates/predicts whose caller has not resumed yet: a
+        # resolved future still holds its caller until the loop runs it
+        self._waiting = 0
+        self._rollouts = 0
         self._flusher: asyncio.Task | None = None
+        self._idle: asyncio.Future | None = None  # what the deadline timer awaits with nothing queued
         self._next_shed_id = -1  # shed requests never reach the batcher; give them distinct ids
 
     # -- lifecycle -----------------------------------------------------
@@ -195,87 +185,73 @@ class SocGateway:
         await self.stop()
 
     def start(self) -> None:
-        """Start the background deadline flusher (idempotent)."""
+        """Start the background deadline timer (idempotent)."""
         if self._flusher is None or self._flusher.done():
             self._flusher = asyncio.get_running_loop().create_task(self._flush_loop())
 
     async def stop(self) -> None:
-        """Stop the flusher and force out any queued batches.
+        """Stop the deadline timer and force out any queued batches.
 
         Every admitted request is completed before this returns — the
-        gateway never strands a waiter on shutdown.  (An admitted
+        gateway never strands a caller on shutdown.  (An admitted
         request may still be crossing the executor when the first
-        flush runs, so this drains until no waiter is left.)
+        flush runs, so this flushes until every caller has resumed.)
         """
         if self._flusher is not None:
             self._flusher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._flusher
             self._flusher = None
-        loop = asyncio.get_running_loop()
-        self._dispatch(await loop.run_in_executor(None, self.batcher.flush))
-        while self._waiters:
-            await asyncio.sleep(0)  # let submitters finish registering
-            self._dispatch(await loop.run_in_executor(None, self.batcher.flush))
+        await self._off_loop(self.batcher.release, "forced")
+        while self._waiting:
+            await asyncio.sleep(0)  # let resolved callers resume
+            await self._off_loop(self.batcher.release, "forced")
 
     async def _flush_loop(self) -> None:
-        # poll well inside the deadline so a deadline flush fires at most
-        # ~25% late; the size trigger needs no polling at all
-        interval = max(self.batcher.max_delay_s / 4.0, 0.001)
+        # one deadline timer: sleep until the oldest queued request is
+        # due, or — nothing queued — until the next enqueue wakes this
+        # task; the size trigger needs no timer at all
         loop = asyncio.get_running_loop()
+        batcher = self.batcher
         while True:
-            await asyncio.sleep(interval)
-            if self.batcher.lock.acquire(blocking=False):
+            due_in = batcher.due_in()
+            if due_in is None:
+                self._idle = loop.create_future()
                 try:
-                    completions = self.batcher.poll()
+                    await self._idle
                 finally:
-                    self.batcher.lock.release()
-                self._dispatch(completions)
+                    self._idle = None
+            elif due_in > 0:
+                await asyncio.sleep(due_in)
+            elif (flushes := self._locked(batcher.release, "deadline", blocking=False)) is not None:
+                self._dispatch(flushes)
             else:
                 # a rollout holds the lock; poll on the executor so the
                 # flush fires the moment the engine frees up — without
-                # blocking the event loop in the meantime.  stop() may
-                # cancel this task while the poll blocks, but the thread
-                # still drains the outbox — dispatch from a callback that
-                # runs regardless of this task's fate, so those
-                # completions cannot be lost
-                poll_future = loop.run_in_executor(None, self.batcher.poll)
-                poll_future.add_done_callback(
-                    lambda f: None if f.cancelled() or f.exception() else self._dispatch(f.result())
-                )
-                await poll_future
+                # blocking the event loop in the meantime
+                await self._off_loop(batcher.release, "deadline")
 
     def pump(self) -> int:
         """Synchronously poll the batcher and resolve due completions.
 
         Returns the number of completions dispatched.  Only for
-        gateways running without the flusher task (deterministic
-        tests, externally-driven serving loops) — unlike the flusher
-        this blocks on the batcher lock, so never call it with a
-        rollout in flight.
+        gateways running without the deadline timer (deterministic
+        tests, externally-driven serving loops) — unlike the timer this
+        blocks on the batcher lock, so never call it with a rollout in
+        flight.
         """
-        return self._dispatch(self.batcher.poll())
+        return self._dispatch(self._locked(self.batcher.release, "deadline"))
 
     # -- endpoints -----------------------------------------------------
     async def estimate(self, cell_id: str, voltage: float, current: float, temp_c: float) -> Completion:
         """Branch 1 estimate for one cell; resolves when its batch fires."""
-        return await self._submit(
-            "estimate",
-            cell_id,
-            lambda trace: self.batcher.submit_estimate(cell_id, voltage, current, temp_c, trace=trace),
-        )
+        return await self._submit("estimate", cell_id, voltage, current, temp_c)
 
     async def predict(
         self, cell_id: str, current_avg: float, temp_avg_c: float, horizon_s: float
     ) -> Completion:
         """Branch 2 what-if for one cell; resolves when its batch fires."""
-        return await self._submit(
-            "predict",
-            cell_id,
-            lambda trace: self.batcher.submit_predict(
-                cell_id, current_avg, temp_avg_c, horizon_s, trace=trace
-            ),
-        )
+        return await self._submit("predict", cell_id, current_avg, temp_avg_c, horizon_s)
 
     async def rollout(
         self, assignments: Iterable[tuple[str, CycleRecord]], step_s: float
@@ -294,10 +270,10 @@ class SocGateway:
 
         stats = self.stats["rollout"]
         stats.requests.inc()
-        if self._in_flight >= self.max_in_flight:
+        if self.in_flight >= self.max_in_flight:
             stats.shed.inc()
             raise GatewayOverloaded(f"shed: gateway at capacity ({self.max_in_flight} requests in flight)")
-        self._in_flight += 1
+        self._rollouts += 1
         t_start = self.clock()
         pairs = list(assignments)
         root = None if self.tracer is None else self.tracer.start_trace("gateway.rollout", cells=len(pairs))
@@ -321,15 +297,20 @@ class SocGateway:
                 # loop) may already have healed the fleet for us
                 self._recover_workers()
                 result = await loop.run_in_executor(None, _run)
-        except Exception as exc:
-            self._in_flight -= 1
+        except BaseException as exc:
+            # a cancelled caller (CancelledError is no Exception) is
+            # booked as an errored completion too, so requests always
+            # equal completed + shed
             stats.completed.inc()
             stats.errors.inc()
             if root is not None:
-                root.finish(error=type(exc).__name__)
+                cancelled = isinstance(exc, asyncio.CancelledError)
+                root.finish(error="cancelled" if cancelled else type(exc).__name__)
             raise
-        self._in_flight -= 1
-        stats.observe(self.clock() - t_start, ok=True)
+        finally:
+            self._rollouts -= 1
+        stats.completed.inc()
+        stats.latency.observe(self.clock() - t_start)
         if root is not None:
             root.finish()
         return result
@@ -338,7 +319,7 @@ class SocGateway:
     @property
     def in_flight(self) -> int:
         """Requests currently admitted and awaiting completions."""
-        return self._in_flight
+        return self._waiting + self._rollouts
 
     def stats_dict(self) -> dict:
         """Per-endpoint counters, latency percentiles and throughput.
@@ -391,97 +372,98 @@ class SocGateway:
         return bool(restarted)
 
     # ------------------------------------------------------------------
-    async def _submit(self, kind: str, cell_id: str, enqueue: Callable[[object], int]) -> Completion:
+    async def _submit(self, kind: str, cell_id: str, a: float, b: float, c: float) -> Completion:
         stats = self.stats[kind]
         stats.requests.inc()
-        if self._in_flight >= self.max_in_flight:
+        if self._waiting + self._rollouts >= self.max_in_flight:
             stats.shed.inc()
             shed_id, self._next_shed_id = self._next_shed_id, self._next_shed_id - 1
-            return Completion(
-                req_id=shed_id,
-                cell_id=cell_id,
-                kind=kind,
-                value=float("nan"),
-                wait_s=0.0,
-                batch_size=0,
-                error=f"shed: gateway at capacity ({self.max_in_flight} requests in flight)",
-            )
-        self._in_flight += 1
+            error = f"shed: gateway at capacity ({self.max_in_flight} requests in flight)"
+            return Completion(shed_id, cell_id, kind, float("nan"), 0.0, 0, error)
+        self._waiting += 1
         t_start = self.clock()
         # root span opens after admission (shed requests record nothing);
-        # its context rides on the queued Request so the batcher, shards
-        # and workers can attribute their stages to this trace
+        # its context rides on the queued row so the batcher, shards and
+        # workers can attribute their stages to this trace
         root = None if self.tracer is None else self.tracer.start_trace(f"gateway.{kind}", cell_id=cell_id)
-        trace_ctx = None if root is None else root.ctx
-        completion: Completion | None = None
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        trace = None if root is None else root.ctx
+        # the caller's future is the row's token: the flush that serves
+        # the row resolves it
+        future = asyncio.get_running_loop().create_future()
+        batcher = self.batcher
         try:
             # the enqueue takes the batcher lock (and a size trigger runs
             # the engine inline).  Uncontended — the common case — that
             # is microseconds, so do it inline; when a rollout holds the
             # lock for seconds, fall back to the executor rather than
             # blocking the event loop on it
-            if self.batcher.lock.acquire(blocking=False):
-                try:
-                    req_id, ready = enqueue(trace_ctx), self.batcher.drain()
-                finally:
-                    self.batcher.lock.release()
+            flushes = self._locked(batcher.submit, kind, cell_id, a, b, c, trace, future, blocking=False)
+            if flushes is None:
+                await self._off_loop(batcher.submit, kind, cell_id, a, b, c, trace, future)
             else:
-                enq_future = loop.run_in_executor(
-                    None, lambda: (enqueue(trace_ctx), self.batcher.drain())
-                )
-                try:
-                    # shielded: if the caller is cancelled (a client
-                    # timeout) the enqueue still lands on the executor —
-                    # mark its request abandoned so the eventual
-                    # completion is dropped, not parked forever
-                    req_id, ready = await asyncio.shield(enq_future)
-                except asyncio.CancelledError:
-                    enq_future.add_done_callback(self._abandon_enqueued)
-                    raise
-            orphan = self._orphans.pop(req_id, None)
-            if orphan is not None:
-                # another task's drain beat us to our own completion
-                future.set_result(orphan)
-            else:
-                self._waiters[req_id] = future
-            # the enqueue may have size-triggered a flush (for this
-            # request and/or earlier waiters) — resolve those now
-            self._dispatch(ready)
+                self._dispatch(flushes)
+            self._wake()
             completion = await future
-        finally:
-            self._in_flight -= 1
+        except BaseException:
+            # a cancelled caller's row is queued (or landing from the
+            # executor); the flush that serves it skips this future
+            future.cancel()
             if root is not None:
-                if completion is None:  # cancelled before its batch fired
-                    root.finish(error="cancelled")
-                else:
-                    root.finish(ok=completion.ok, batch_size=completion.batch_size)
-        stats.observe(self.clock() - t_start, ok=completion.ok)
+                root.finish(error="cancelled")
+            raise
+        finally:
+            self._waiting -= 1
+        stats.latency.observe(self.clock() - t_start)
+        if root is not None:
+            root.finish(ok=completion.ok, batch_size=completion.batch_size)
         return completion
 
-    def _abandon_enqueued(self, future) -> None:
-        if future.cancelled() or future.exception():
-            return
-        req_id, ready = future.result()
-        self._waiters.pop(req_id, None)
-        if self._orphans.pop(req_id, None) is None:
-            self._abandoned.add(req_id)
-        self._dispatch(ready)
+    async def _off_loop(self, op: Callable, *args) -> None:
+        """Run a batcher operation under its lock on the executor.
 
-    def _dispatch(self, completions: list[Completion]) -> int:
-        for completion in completions:
-            if completion.req_id in self._abandoned:
-                self._abandoned.discard(completion.req_id)
-                continue
-            waiter = self._waiters.pop(completion.req_id, None)
-            if waiter is not None:
-                if not waiter.done():
-                    waiter.set_result(completion)
-            else:
-                # drained before its submitter resumed from the executor;
-                # parked until that task claims it (shed ids never enter
-                # the batcher, so every unclaimed completion belongs to a
-                # submitter still in flight or just abandoned)
-                self._orphans[completion.req_id] = completion
-        return len(completions)
+        The job's flushes are dispatched from its done callback, and the
+        job is shielded: a caller cancelled meanwhile (a client timeout,
+        :meth:`stop` cancelling the deadline timer) cannot lose the
+        completions the job took from the outbox.
+        """
+        job = asyncio.get_running_loop().run_in_executor(None, self._locked, op, *args)
+        job.add_done_callback(self._job_done)
+        await asyncio.shield(job)
+
+    def _locked(self, op: Callable, *args, blocking: bool = True) -> list | None:
+        """Run a batcher operation under its lock; returns the flushes it took.
+
+        ``None`` when ``blocking=False`` and a rollout holds the lock.
+        """
+        lock = self.batcher.lock
+        if not lock.acquire(blocking):
+            return None
+        try:
+            op(*args)
+            return self.batcher.take()
+        finally:
+            lock.release()
+
+    def _job_done(self, job: asyncio.Future) -> None:
+        if not job.cancelled() and job.exception() is None:
+            self._dispatch(job.result())
+        self._wake()  # an executor-side enqueue may have queued the only row
+
+    def _wake(self) -> None:
+        """Wake the idle deadline timer: a row may have been queued."""
+        if self._idle is not None and not self._idle.done():
+            self._idle.set_result(None)
+
+    def _dispatch(self, flushes: list) -> int:
+        """Resolve every flush's futures; each endpoint's counters move once per flush."""
+        served = 0
+        for kind, done, futures, errors in flushes:
+            ep = self.stats[kind]
+            ep.completed.inc(len(done))
+            if errors:
+                ep.errors.inc(errors)
+            for future, completion in zip(futures, done):
+                if not future.done():  # a cancelled caller's future stays cancelled
+                    future.set_result(completion)
+            served += len(done)
+        return served

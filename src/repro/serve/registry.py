@@ -483,4 +483,9 @@ class ModelRegistry:
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = self.root / (_CHANNELS_FILE + ".tmp")
         tmp.write_text(json.dumps(self._channels, indent=2, sort_keys=True), encoding="utf-8")
+        # the rename keeps the inode, so this is the signature of the
+        # file that lands: recording it keeps _sync_channels from taking
+        # this process's own write for another process's rewrite
+        stat = tmp.stat()
         os.replace(tmp, self.root / _CHANNELS_FILE)
+        self._channels_sig = (stat.st_mtime_ns, stat.st_size)

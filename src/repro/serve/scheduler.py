@@ -8,6 +8,14 @@ either fills up (**size trigger**, ``max_batch``) or its oldest request
 has waited long enough (**deadline trigger**, ``max_delay_s``) — the
 classic latency/throughput knob of serving systems.
 
+A queued request is one plain tuple row carrying the submitter's
+opaque ``token``; everything else is per-flush work.  A flush
+transposes its rows once, makes one engine call, builds its
+:class:`Completion` objects in one pass and lands in the outbox as one
+record with the tokens beside them (:meth:`MicroBatcher.take`), so a
+front-end resolves its callers in bulk — the gateway's tokens are its
+callers' futures.
+
 Time is injected (``clock``) so schedules are exactly reproducible in
 tests and simulations; production callers pass ``time.monotonic``.
 Every completion carries its queueing latency and the size of the
@@ -27,40 +35,23 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from itertools import repeat
 from typing import Callable
 
 from .engine import FleetEngine
 
-__all__ = ["Request", "Completion", "BatchStats", "MicroBatcher"]
+__all__ = ["Completion", "BatchStats", "MicroBatcher"]
 
 _KINDS = ("estimate", "predict")
+_NAN = float("nan")
+_SUBMITTED = 5  # column of a queued row holding its submit time
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Request:
-    """One queued inference request.
-
-    ``payload`` holds the kind-specific operands: ``(V, I, T)`` for an
-    estimate, ``(I_avg, T_avg, N)`` for a prediction.
-
-    ``trace`` optionally carries the submitter's
-    :class:`~repro.monitor.tracing.TraceContext` so the batcher can
-    attribute queue-wait and batch-serve time to the originating
-    request's trace (``None`` — the common case — costs nothing).
-
-    Slotted: at gateway rates (~10k req/s) one of these is allocated
-    per request, and ``__slots__`` drops the per-instance ``__dict__``.
-    """
-
-    req_id: int
-    kind: str
-    cell_id: str
-    payload: tuple[float, ...]
-    submitted_s: float
-    trace: object | None = None
+def _unknown(cell_id: str) -> str:
+    return f"unknown cell {cell_id!r}: not registered with the engine"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)
 class Completion:
     """Outcome of one request after its batch was served.
 
@@ -160,39 +151,38 @@ class MicroBatcher:
         # guards queues, outbox and stats against concurrent submitters;
         # re-entrant because a size-triggered submit flushes inline
         self.lock = threading.RLock()
-        self._queues: dict[str, list[Request]] = {kind: [] for kind in _KINDS}
-        self._outbox: list[Completion] = []
+        # rows: (req_id, cell_id, a, b, c, submitted_s, token, trace)
+        self._queues: dict[str, list[tuple]] = {kind: [] for kind in _KINDS}
+        # one record per flush: (kind, completions, tokens, error count)
+        self._outbox: list[tuple[str, list[Completion], tuple, int]] = []
         self._next_id = 0
 
     # -- submission ----------------------------------------------------
     def submit_estimate(self, cell_id: str, voltage: float, current: float, temp_c: float, trace=None) -> int:
-        """Queue a Branch 1 request; returns its request id.
-
-        Fires the ``estimate`` queue immediately if this submission
-        fills it.  ``trace`` optionally attaches the submitter's trace
-        context (see :class:`Request`).
-        """
-        return self._submit("estimate", cell_id, (voltage, current, temp_c), trace)
+        """Queue a Branch 1 request; returns its request id (see :meth:`submit`)."""
+        return self.submit("estimate", cell_id, voltage, current, temp_c, trace)
 
     def submit_predict(
         self, cell_id: str, current_avg: float, temp_avg_c: float, horizon_s: float, trace=None
     ) -> int:
-        """Queue a Branch 2 what-if request; returns its request id.
+        """Queue a Branch 2 what-if request (its cell needs a stored SoC when the batch fires)."""
+        return self.submit("predict", cell_id, current_avg, temp_avg_c, horizon_s, trace)
 
-        The cell needs a stored SoC by the time the batch fires (i.e.
-        an earlier estimate completed); otherwise its completion comes
-        back with :attr:`Completion.error` set.
+    def submit(self, kind: str, cell_id: str, a: float, b: float, c: float, trace=None, token=None) -> int:
+        """Queue one request: ``(V, I, T)`` for an estimate, ``(I_avg, T_avg, N)`` for a predict.
+
+        Fires the kind's queue at once if this row fills it.  ``trace``
+        attributes queue-wait and batch-serve time to the submitter's
+        trace; ``token`` comes back beside the completion in :meth:`take`.
         """
-        return self._submit("predict", cell_id, (current_avg, temp_avg_c, horizon_s), trace)
-
-    def _submit(self, kind: str, cell_id: str, payload: tuple[float, ...], trace=None) -> int:
         with self.lock:
-            req = Request(self._next_id, kind, cell_id, payload, self.clock(), trace)
-            self._next_id += 1
-            self._queues[kind].append(req)
-            if len(self._queues[kind]) >= self.max_batch:
+            req_id = self._next_id
+            self._next_id = req_id + 1
+            queue = self._queues[kind]
+            queue.append((req_id, cell_id, a, b, c, self.clock(), token, trace))
+            if len(queue) >= self.max_batch:
                 self._flush_kind(kind, "size")
-            return req.req_id
+            return req_id
 
     # -- release -------------------------------------------------------
     def poll(self) -> list[Completion]:
@@ -202,26 +192,44 @@ class MicroBatcher:
         produced so far (including earlier size-triggered ones).
         """
         with self.lock:
-            now = self.clock()
-            for kind in _KINDS:
-                queue = self._queues[kind]
-                if queue and now - queue[0].submitted_s >= self.max_delay_s:
-                    self._flush_kind(kind, "deadline")
+            self.release("deadline")
             return self.drain()
 
     def flush(self) -> list[Completion]:
         """Force every queue out now and return all completions."""
         with self.lock:
-            for kind in _KINDS:
-                if self._queues[kind]:
-                    self._flush_kind(kind, "forced")
+            self.release("forced")
             return self.drain()
+
+    def release(self, trigger: str) -> None:
+        """Flush due queues (``"deadline"``) or every queue (``"forced"``) into the outbox."""
+        with self.lock:
+            now = self.clock()
+            for kind in _KINDS:
+                queue = self._queues[kind]
+                if queue and (trigger == "forced" or now - queue[0][_SUBMITTED] >= self.max_delay_s):
+                    self._flush_kind(kind, trigger)
+
+    def take(self) -> list[tuple[str, list[Completion], tuple, int]]:
+        """Flush records since the last take: ``(kind, completions, tokens, n_errors)`` each."""
+        with self.lock:
+            flushes, self._outbox = self._outbox, []
+            return flushes
 
     def drain(self) -> list[Completion]:
         """Return completions accumulated since the last drain."""
-        with self.lock:
-            out, self._outbox = self._outbox, []
-            return out
+        return [completion for _, done, _, _ in self.take() for completion in done]
+
+    def due_in(self) -> float | None:
+        """Seconds until the oldest queued request is due (``<= 0``: now; ``None``: nothing queued).
+
+        Lock-free — a flush swaps a queue for a fresh list and never
+        empties the old one — so an event loop can time its next poll
+        while another thread holds the lock.
+        """
+        now = self.clock()
+        ages = [now - queue[0][_SUBMITTED] for queue in self._queues.values() if queue]
+        return self.max_delay_s - max(ages) if ages else None
 
     @property
     def pending(self) -> int:
@@ -231,64 +239,73 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _flush_kind(self, kind: str, trigger: str) -> None:
-        queue = self._queues[kind]
-        if not queue:
-            return
-        batch, self._queues[kind] = queue, []
+        batch, self._queues[kind] = self._queues[kind], []
+        n = len(batch)
         now = self.clock()
-        # trace attribution: every traced request gets a queue-wait span;
-        # the engine call itself runs under ONE representative context
-        # (the first traced request), so engine/shard/wire/kernel child
-        # spans nest in that trace — the others record a flat batch.serve
-        # span with the same timing, which is the honest picture: one
-        # engine call served them all.
-        rep = next((r.trace for r in batch if r.trace is not None), None)
-        if rep is None:
-            outcomes = self._serve_batch(kind, batch, now)
+        req_ids, cells, a, b, c, submitted, tokens, traces = zip(*batch)
+        cols = (a, b, c)
+        if traces.count(None) == n:
+            values, errors = self._serve_batch(kind, cells, cols, now)
         else:
-            with rep.tracer.span(rep, "batch.serve", batch_size=len(batch), trigger=trigger):
-                outcomes = self._serve_batch(kind, batch, now)
+            # trace attribution: every traced request gets a queue-wait
+            # span; the engine call itself runs under ONE representative
+            # context (the first traced request), so engine/shard/wire/
+            # kernel child spans nest in that trace — the others record a
+            # flat batch.serve span with the same timing, which is the
+            # honest picture: one engine call served them all.
+            rep = next(t for t in traces if t is not None)
+            with rep.tracer.span(rep, "batch.serve", batch_size=n, trigger=trigger):
+                values, errors = self._serve_batch(kind, cells, cols, now)
             t_done = self.clock()
-            for r in batch:
-                if r.trace is None:
+            for trace, submitted_s in zip(traces, submitted):
+                if trace is None:
                     continue
-                r.trace.tracer.record(r.trace, "batch.queue_wait", r.submitted_s, now)
-                if r.trace is not rep:
-                    r.trace.tracer.record(
-                        r.trace, "batch.serve", now, t_done, batch_size=len(batch), trigger=trigger
-                    )
-        for r, value, error in outcomes:
-            wait = now - r.submitted_s
-            self._outbox.append(Completion(r.req_id, r.cell_id, kind, value, wait, len(batch), error))
-            self.stats.requests += 1
-            self.stats.errors += error is not None
-            self.stats.total_wait_s += wait
-            self.stats.max_wait_s = max(self.stats.max_wait_s, wait)
-        self.stats.flushes += 1
-        setattr(self.stats, f"{trigger}_flushes", getattr(self.stats, f"{trigger}_flushes") + 1)
+                trace.tracer.record(trace, "batch.queue_wait", submitted_s, now)
+                if trace is not rep:
+                    trace.tracer.record(trace, "batch.serve", now, t_done, batch_size=n, trigger=trigger)
+        waits = [now - s for s in submitted]
+        n_err = 0 if errors is None else n - errors.count(None)
+        errs = repeat(None) if errors is None else errors
+        done = list(map(Completion, req_ids, cells, repeat(kind), values, waits, repeat(n), errs))
+        self._outbox.append((kind, done, tokens, n_err))
+        stats = self.stats
+        stats.requests += n
+        stats.errors += n_err
+        stats.total_wait_s += sum(waits)
+        stats.max_wait_s = max(stats.max_wait_s, max(waits))
+        stats.flushes += 1
+        setattr(stats, f"{trigger}_flushes", getattr(stats, f"{trigger}_flushes") + 1)
 
-    def _attempt_batch(self, kind: str, batch: list[Request], now: float):
+    def _attempt_batch(self, kind: str, cells: tuple, cols: tuple, now: float):
         """Pre-flight the batch and serve the registered slice in one call.
 
-        Requests for unregistered cells get their own error completions
-        up front, so one bad cell id neither sinks its batchmates nor
-        degrades them to per-request engine calls.  The membership
+        Returns ``(values, errors)`` aligned with ``cells`` (``errors``
+        is ``None`` when all were served).  Unregistered cells get their
+        errors up front, so one bad cell id neither sinks its batchmates
+        nor degrades them to per-request engine calls.  The membership
         probes themselves touch the engine (an RPC per shard on a
         process-backed fleet), which is why this whole attempt — not
         just the batched run — sits under the caller's crash-recovery
         umbrella.
         """
-        rejected = [r for r in batch if r.cell_id not in self.engine]
-        served = [r for r in batch if r.cell_id in self.engine]
-        outcomes = [
-            (r, float("nan"), f"unknown cell {r.cell_id!r}: not registered with the engine")
-            for r in rejected
-        ]
+        engine = self.engine
+        # two probes per request; the benchmark pins the resulting RPC
+        # count until a parent-side cell directory replaces the probes
+        rejected = [k for k, cid in enumerate(cells) if cid not in engine]
+        served = [k for k, cid in enumerate(cells) if cid in engine]
+        if not rejected:
+            return self._run(kind, cells, cols, now).tolist(), None
+        values = [_NAN] * len(cells)
+        errors: list[str | None] = [None] * len(cells)
+        for k in rejected:
+            errors[k] = _unknown(cells[k])
         if served:
-            outcomes += [(r, float(v), None) for r, v in zip(served, self._run(kind, served, now))]
-        return outcomes
+            out = self._run(kind, [cells[k] for k in served], [[col[k] for k in served] for col in cols], now)
+            for k, value in zip(served, out.tolist()):
+                values[k] = value
+        return values, errors
 
-    def _serve_batch(self, kind: str, batch: list[Request], now: float):
+    def _serve_batch(self, kind: str, cells: tuple, cols: tuple, now: float):
         """Serve one flushed batch, surviving crashes and poison requests.
 
         A :class:`~repro.serve.workers.WorkerCrashError` anywhere in the
@@ -298,15 +315,15 @@ class MicroBatcher:
         healed fleet.  Any other failure — or a retry that fails again —
         falls back to per-request isolation, where every request is
         individually wrapped so this method can never raise: a flush
-        that threw would kill the gateway's flusher task and strand
-        every queued waiter.  (Cells on surviving shards are served
+        that threw would kill the gateway's deadline timer and strand
+        every queued caller.  (Cells on surviving shards are served
         twice by a batch retry; estimates/predictions are idempotent
         reads, so only their request counters notice.)
         """
         from .workers import WorkerCrashError  # late: workers imports this module's engine types
 
         try:
-            return self._attempt_batch(kind, batch, now)
+            return self._attempt_batch(kind, cells, cols, now)
         except WorkerCrashError:
             # the hook itself touches the fleet (respawn + init), so a
             # persistently-crashing worker can raise right here — treat
@@ -317,29 +334,25 @@ class MicroBatcher:
                 recovered = False
             if recovered:
                 try:
-                    return self._attempt_batch(kind, batch, now)
+                    return self._attempt_batch(kind, cells, cols, now)
                 except Exception:
                     pass
         except Exception:
             pass
         # one poisoned request must not sink the batch: retry each
-        # request alone and report failures on their own completions
-        outcomes = []
-        for r in batch:
+        # request alone and report failures on their own errors
+        values = [_NAN] * len(cells)
+        errors: list[str | None] = [None] * len(cells)
+        for k, cid in enumerate(cells):
             try:
-                if r.cell_id not in self.engine:
-                    outcomes.append(
-                        (r, float("nan"), f"unknown cell {r.cell_id!r}: not registered with the engine")
-                    )
+                if cid not in self.engine:
+                    errors[k] = _unknown(cid)
                 else:
-                    outcomes.append((r, float(self._run(kind, [r], now)[0]), None))
+                    values[k] = float(self._run(kind, [cid], [[col[k]] for col in cols], now)[0])
             except Exception as exc:
-                outcomes.append((r, float("nan"), f"{type(exc).__name__}: {exc}"))
-        return outcomes
+                errors[k] = f"{type(exc).__name__}: {exc}"
+        return values, errors
 
-    def _run(self, kind: str, batch: list[Request], now: float):
-        cell_ids = [r.cell_id for r in batch]
-        cols = list(zip(*(r.payload for r in batch)))
-        if kind == "estimate":
-            return self.engine.estimate(cell_ids, cols[0], cols[1], cols[2], now_s=now)
-        return self.engine.predict(cell_ids, cols[0], cols[1], cols[2], now_s=now)
+    def _run(self, kind: str, cells, cols, now: float):
+        call = self.engine.estimate if kind == "estimate" else self.engine.predict
+        return call(cells, cols[0], cols[1], cols[2], now_s=now)

@@ -185,12 +185,31 @@ class TestServeSim:
         code = main([
             "serve-sim", "--untrained", "--cells", "4", "--fast", "--step", "120",
             "--async", "--requests", "10", "--clients", "4", "--soak-json", str(soak),
+            "--fail-on-error",  # also checks the books after stop()
         ])
         assert code == 0
         capsys.readouterr()
         record = json.loads(soak.read_text())
         assert record["requests"] == 10
         assert record["errors"] == 0
+
+    def test_async_soak_fails_on_unbalanced_books(self, capsys, monkeypatch):
+        from repro.serve import SocGateway
+
+        stats_dict = SocGateway.stats_dict
+
+        def lost_request(gateway):
+            report = stats_dict(gateway)
+            report["estimate"]["requests"] += 1  # a request that was never answered
+            return report
+
+        monkeypatch.setattr(SocGateway, "stats_dict", lost_request)
+        code = main([
+            "serve-sim", "--untrained", "--cells", "4", "--fast", "--step", "120",
+            "--async", "--requests", "10", "--clients", "4", "--fail-on-error",
+        ])
+        assert code == 1
+        assert "estimate: " in capsys.readouterr().out
 
 
 class TestRegistryCommand:

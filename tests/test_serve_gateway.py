@@ -223,9 +223,33 @@ class TestSocGateway:
         assert len(results) == 4
         assert completion.ok  # queued behind the rollout, then served
 
+    def test_cancelled_rollout_is_booked_and_its_trace_closed(self, model):
+        from repro.monitor import SpanTracer
+
+        fleet = generate_fleet(4, seed=3, **FAST_FLEET)
+        tracer = SpanTracer(sample_rate=1.0)
+        gateway = SocGateway(SlowRollout(make_engine(model), delay_s=0.3), tracer=tracer)
+
+        async def drive():
+            async with gateway:
+                rollout_task = asyncio.ensure_future(gateway.rollout(fleet.assignments(), 120.0))
+                await asyncio.sleep(0.05)  # rollout is computing on the executor
+                rollout_task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await rollout_task
+                return gateway.in_flight
+
+        assert asyncio.run(drive()) == 0
+        stats = gateway.stats_dict()["rollout"]
+        assert stats["requests"] == stats["completed"] + stats["shed"] == 1
+        assert stats["errors"] == 1
+        (tree,) = tracer.trace_trees()
+        assert tree["root"]["attrs"]["error"] == "cancelled"
+
     def test_cancelled_submitter_does_not_leak_orphans(self, model):
         """A client timeout while its submission is parked behind a
-        rollout must not leave an unclaimed completion behind."""
+        rollout leaves nothing behind: its row is still served and
+        accounted, and the gateway keeps serving."""
         fleet = generate_fleet(4, seed=3, **FAST_FLEET)
         engine = SlowRollout(make_engine(model), delay_s=0.3)
         gateway = SocGateway(engine, max_batch=1000, max_delay_s=0.01, max_in_flight=64)
@@ -240,13 +264,91 @@ class TestSocGateway:
                 with pytest.raises(asyncio.CancelledError):
                     await victim
                 await rollout_task
-                return await asyncio.wait_for(gateway.estimate("c1", 3.7, 1.0, 25.0), timeout=5.0)
+                survivor = await asyncio.wait_for(gateway.estimate("c1", 3.7, 1.0, 25.0), timeout=5.0)
+                deadline = time.monotonic() + 5.0
+                while (gateway.in_flight or gateway.batcher.pending) and time.monotonic() < deadline:
+                    await asyncio.sleep(0.005)
+                # checked before stop(), whose forced flush would hide a leak
+                return survivor, gateway.in_flight, gateway.batcher.pending
 
-        survivor = asyncio.run(drive())
+        survivor, in_flight, pending = asyncio.run(drive())
         assert survivor.ok  # the gateway still serves after the cancellation
-        assert gateway._orphans == {}  # the victim's completion was not parked forever
-        assert gateway._abandoned == set()
-        assert gateway.in_flight == 0
+        assert in_flight == 0
+        assert pending == 0
+        assert gateway.stats_dict()["estimate"]["completed"] == 2  # the victim's row was served too
+
+    def test_idle_deadline_timer_sleeps_until_the_next_enqueue(self, model):
+        """With nothing queued the deadline timer makes no batcher call;
+        a lone request still flushes at its deadline."""
+        gateway = SocGateway(make_engine(model), max_batch=1000, max_delay_s=0.02)
+        batcher = gateway.batcher
+        calls = []
+        for name in ("poll", "release", "due_in"):
+            op = getattr(batcher, name)
+            setattr(batcher, name, lambda *args, _op=op, _name=name: (calls.append(_name), _op(*args))[1])
+
+        async def drive():
+            async with gateway:
+                await asyncio.sleep(0.2)
+                idle_calls = list(calls)
+                t0 = time.monotonic()
+                completion = await asyncio.wait_for(gateway.estimate("c0", 3.7, 1.0, 25.0), timeout=5.0)
+                return idle_calls, completion, time.monotonic() - t0
+
+        idle_calls, completion, elapsed = asyncio.run(drive())
+        assert idle_calls.count("poll") + idle_calls.count("release") <= 1
+        assert idle_calls.count("due_in") <= 1
+        assert completion.ok and completion.batch_size == 1
+        assert completion.wait_s >= 0.02  # released by the deadline
+        assert elapsed < 0.02 + 0.5
+
+    def test_concurrent_mixed_traffic_matches_direct_engine_calls(self, model):
+        """512 concurrent callers — estimates, predicts and one unknown
+        cell — get the values a direct engine call gives, and the
+        gateway's and batcher's books balance."""
+        rng = np.random.default_rng(7)
+        est_cells = [f"c{k}" for k in range(256)]
+        pred_cells = [f"c{k}" for k in range(256, 383)]
+        engine, reference = make_engine(model, 400), make_engine(model, 400)
+        for fleet_engine in (engine, reference):
+            fleet_engine.estimate(pred_cells, 3.6, 1.0, 25.0)
+        est_ids = est_cells + est_cells[:128]  # 384 estimates, some cells twice
+        est = [(cid, *rng.uniform((3.0, -4.0, 10.0), (4.1, 1.0, 40.0))) for cid in est_ids]
+        pred = [(cid, *rng.uniform((-4.0, 10.0, 30.0), (1.0, 40.0, 600.0))) for cid in pred_cells]
+        calls = [("estimate", row) for row in est] + [("predict", row) for row in pred]
+        calls.append(("estimate", ("ghost", 3.7, 1.0, 25.0)))
+        order = rng.permutation(len(calls))
+        gateway = SocGateway(engine, max_batch=64, max_delay_s=0.005)
+
+        async def drive():
+            async with gateway:
+                results = await asyncio.gather(*(getattr(gateway, calls[k][0])(*calls[k][1]) for k in order))
+                return results, gateway.in_flight, gateway.batcher.pending
+
+        results, in_flight, pending = asyncio.run(drive())
+        assert len(results) == 512 and in_flight == 0 and pending == 0
+        got = {k: completion for k, completion in zip(order.tolist(), results)}
+        ghost = got[len(calls) - 1]
+        assert not ghost.ok and np.isnan(ghost.value)
+        assert ghost.error == "unknown cell 'ghost': not registered with the engine"
+        cols = list(zip(*est))
+        want_est = reference.estimate(list(cols[0]), cols[1], cols[2], cols[3])
+        cols = list(zip(*pred))
+        want_pred = reference.predict(list(cols[0]), cols[1], cols[2], cols[3])
+        for k, want in enumerate(want_est.tolist() + want_pred.tolist()):
+            assert got[k].ok
+            assert got[k].value == pytest.approx(want, abs=1e-12)
+        stats = gateway.stats_dict()
+        for endpoint in ("estimate", "predict"):
+            ep = stats[endpoint]
+            assert ep["requests"] == ep["completed"] + ep["shed"]
+            assert ep["shed"] == 0
+        assert stats["estimate"]["errors"] == 1 and stats["predict"]["errors"] == 0
+        bstats = gateway.batcher.stats
+        ok = stats["estimate"]["ok"] + stats["predict"]["ok"]
+        errors = stats["estimate"]["errors"] + stats["predict"]["errors"]
+        assert bstats.requests == ok + errors == 512
+        assert bstats.errors == errors
 
     def test_stop_during_rollout_completes_queued_requests(self, model):
         """stop() while a rollout blocks the flusher mid executor-poll

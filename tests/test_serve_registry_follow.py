@@ -13,6 +13,7 @@ not re-read (or worse, half-apply) a file it has already indexed.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,3 +127,31 @@ class TestChannelsFileLiveFollow:
         _rewrite_same_signature(path, json.dumps({"m": {"stable": 2}}))
         after = path.stat()
         assert (after.st_mtime_ns, after.st_size) == (before.st_mtime_ns, before.st_size)
+
+
+class TestOwnWrites:
+    def test_publish_and_promote_move_generation_once(self, models, tmp_path, monkeypatch):
+        """A process's own channels.json write is not mistaken for an
+        out-of-process rewrite: one publish or promote moves the
+        generation by exactly 1 and the next lookup reads nothing."""
+        m1, m2 = models
+        registry = ModelRegistry(tmp_path)
+        registry.publish("m", m1)
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        generation = registry.generation
+        registry.publish("m", m2, channel="canary")
+        assert registry.generation == generation + 1
+        assert registry.resolve() == "m"
+        assert registry.generation == generation + 1
+        registry.promote("m")
+        assert registry.generation == generation + 2
+        assert registry.channels("m") == {"stable": 2}
+        assert registry.load("m") is not None
+        assert "channels.json" not in reads
