@@ -3,7 +3,7 @@
 Paper artifact: six configurations (No-PINN, Physics-Only, PINN-120s,
 PINN-240s, PINN-360s, PINN-All) evaluated at 120/240/360 s horizons.
 
-Expected shape (EXP-F3 in DESIGN.md): every useful PINN beats No-PINN
+Expected shape: every useful PINN beats No-PINN
 off-horizon with the gap growing with horizon; PINN-All is best or
 near-best everywhere.
 """

@@ -15,8 +15,9 @@ Package layout
 - :mod:`repro.eval` - metrics, multi-seed harness, experiment drivers
   for Fig. 3, Fig. 4, Table I and Fig. 5.
 
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md``
-for paper-vs-measured results.
+The serving system built around the model (:mod:`repro.serve`,
+:mod:`repro.monitor`, :mod:`repro.learn`) is described in each
+package's ``README.md``.
 """
 
 __version__ = "1.0.0"

@@ -180,7 +180,7 @@ def train_de_estimator(pairs: DEPairs, config: DEConfig | None = None) -> tuple[
         x_now, x_next, soc, delta_phys = x_now[idx], x_next[idx], soc[idx], delta_phys[idx]
 
     dataset = nn.TensorDataset(x_now, x_next, soc, delta_phys)
-    loader = nn.DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
+    loader = nn.DataLoader(dataset, batch_size=config.batch_size, rng=rng)
     optimizer = nn.Adam(model.net.parameters(), lr=config.lr)
     log = RunLogger()
     for epoch in range(config.epochs):

@@ -188,7 +188,7 @@ def train_lstm_estimator(
         idx = rng.choice(len(features), size=config.max_train_rows, replace=False)
         features, targets = features[idx], targets[idx]
     dataset = nn.TensorDataset(features, targets)
-    loader = nn.DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
+    loader = nn.DataLoader(dataset, batch_size=config.batch_size, rng=rng)
     optimizer = nn.Adam(model.net.parameters(), lr=config.lr)
     log = RunLogger()
     for epoch in range(config.epochs):

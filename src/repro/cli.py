@@ -39,12 +39,12 @@ Gives the library a deployable surface without writing Python:
   registry's stable checkpoint on them, and publish the candidate to
   the canary channel; ``--url`` runs against a live daemon instead
   (drift events fetched from, and the publish routed through, its
-  control URL);
-- ``repro-soc monitor`` — read metrics snapshots written by
-  ``serve-sim --metrics-json``: ``snapshot`` pretty-prints one,
-  ``watch`` polls a snapshot file as a run refreshes it, ``export``
-  converts to Prometheus text exposition, ``serve`` exposes a
-  snapshot file over HTTP (``/metrics``, ``/healthz``) for scrapers.
+  control URL).
+
+Live metrics are scraped from a running process: ``serve-sim
+--metrics-port`` and the ``serve`` daemon expose ``/metrics`` (Prometheus
+text), ``/traces`` and ``/healthz``; ``serve-sim --metrics-json`` writes
+the merged snapshot of a finished run.
 
 Installed as the ``repro-soc`` console script (see ``setup.py``); also
 reachable as ``python -m repro.cli``.
@@ -56,7 +56,7 @@ Usage examples::
     repro-soc predict model.npz --voltage 3.7 --current 3 \\
         --temp 25 --workload-current 6 --horizon 300
     repro-soc rollout model.npz --dataset lg --cycle us06-25C --step 30
-    repro-soc serve-sim model.npz --cells 512 --step 60 --compare-loop
+    repro-soc serve-sim model.npz --cells 512 --step 60
     repro-soc serve-sim model.npz --cells 100000 --workers 8 --journal fleet.journal
     repro-soc serve-sim --untrained --async --workers 2 --cells 96 --fast \\
         --clients 64 --requests 8000 --soak-json soak.json --fail-on-error
@@ -73,9 +73,6 @@ Usage examples::
     repro-soc serve-sim model.npz --cells 256 --metrics-json metrics.json --fail-on-drift
     repro-soc serve-sim --untrained --fast --cells 64 --async --workers 2 \\
         --metrics-port 9923 --trace-json traces.json --trace-sample 0.1
-    repro-soc monitor snapshot metrics.json
-    repro-soc monitor export metrics.json --out metrics.prom
-    repro-soc monitor serve metrics.json --port 9923
 """
 
 from __future__ import annotations
@@ -99,6 +96,10 @@ from .eval.reporting import format_rollout_summary, format_table
 from .nn.serialization import load_state, save_state
 
 __all__ = ["main", "build_parser"]
+
+# every 4th closed-loop client request of ``serve-sim --async`` is a
+# Branch 2 what-if, the rest are Branch 1 estimates
+_PREDICT_EVERY = 4
 
 _DATASET_DEFAULTS = {
     "sandia": {
@@ -270,7 +271,7 @@ def _gateway_traffic(engine, fleet, args, metrics=None, tracer=None):
             member = members[(k * 37 + j * 7) % len(members)]
             data = member.cycle.data
             idx = (k * 11 + j * 13) % len(member.cycle)
-            if args.predict_every and j % args.predict_every == args.predict_every - 1:
+            if j % _PREDICT_EVERY == _PREDICT_EVERY - 1:
                 completion = await gateway.predict(
                     member.cell_id, float(data.current[idx]), member.ambient_c, args.step
                 )
@@ -306,6 +307,18 @@ def _gateway_traffic(engine, fleet, args, metrics=None, tracer=None):
     return asyncio.run(drive())
 
 
+def _check_serve_flags(args) -> None:
+    """Reject flag values serve-sim and serve would otherwise ignore or crash on."""
+    if args.workers < 0:
+        raise SystemExit("--workers cannot be negative")
+    if not args.journal:
+        # both only act on a journal: without one nothing rotates or ships
+        if args.archive_dir:
+            raise SystemExit("--archive-dir needs --journal (there are no journal segments to archive)")
+        if args.journal_segment_kb:
+            raise SystemExit("--journal-segment-kb needs --journal (there is no journal to rotate)")
+
+
 def _resolve_serve_model(args):
     """Checkpoint or ``--untrained`` model, shared by serve-sim and serve."""
     if args.untrained:
@@ -325,9 +338,9 @@ def _worker_url_template(args) -> str | None:
     ``spawn`` stays off); otherwise ``--worker-transport`` picks the
     medium and the workers are spawned locally.
     """
-    if getattr(args, "worker_url", None):
+    if args.worker_url:
         return args.worker_url
-    transport = getattr(args, "worker_transport", "pipe")
+    transport = args.worker_transport
     if transport in ("pipe", "shm"):
         return f"{transport}://"
     if transport == "tcp":
@@ -350,18 +363,18 @@ def _fleet_spec(args, model, monitoring: bool, tracing: bool):
         journal=args.journal,
         monitor=monitoring,
         trace=tracing,
-        archive_root=getattr(args, "archive_dir", None),
+        archive_root=args.archive_dir,
         journal_segment_bytes=_segment_bytes(args),
-        spawn=not getattr(args, "worker_url", None),
+        spawn=not args.worker_url,
     )
 
 
 def _segment_bytes(args) -> int:
-    return int(getattr(args, "journal_segment_kb", 0) or 0) * 1024
+    return args.journal_segment_kb * 1024
 
 
 def _archive_store(args):
-    if not getattr(args, "archive_dir", None):
+    if not args.archive_dir:
         return None
     from .serve import DirectoryArchiveStore
 
@@ -371,13 +384,15 @@ def _archive_store(args):
 def _cmd_serve_sim(args) -> int:
     import time
 
-    from .core.rollout import model_rollout as _loop_rollout
     from .serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal, generate_fleet
 
     if args.cells < 1:
         raise SystemExit("--cells must be at least 1")
-    if args.workers < 0:
-        raise SystemExit("--workers cannot be negative")
+    if args.clients < 1:
+        raise SystemExit("--clients must be at least 1")
+    if args.requests < 0:
+        raise SystemExit("--requests cannot be negative")
+    _check_serve_flags(args)
     model, meta = _resolve_serve_model(args)
     sim_kwargs = dict(seed=args.seed)
     if args.fast:
@@ -480,22 +495,6 @@ def _cmd_serve_sim(args) -> int:
         values = [getattr(r, metric)() for r in trajectories]
         metric_rows.append([label, float(np.mean(values)), float(np.max(values))])
     print(format_table(["metric", "mean", "worst"], metric_rows))
-    if args.show:
-        print(format_rollout_summary(
-            {cid: results[cid] for cid, _ in assignments}, max_rows=args.show
-        ))
-    if args.compare_loop:
-        t0 = time.perf_counter()
-        loop_results = {cid: _loop_rollout(model, cycle, args.step) for cid, cycle in assignments}
-        loop_elapsed = time.perf_counter() - t0
-        worst = max(
-            float(np.max(np.abs(loop_results[cid].soc_pred - results[cid].soc_pred)))
-            for cid, _ in assignments
-        )
-        print(
-            f"per-cell loop: {loop_elapsed:.3f}s -> {len(fleet) / loop_elapsed:,.0f} cells/s; "
-            f"batched speedup {loop_elapsed / elapsed:.1f}x (max traj diff {worst:.2e})"
-        )
 
     rc = 0
     if args.async_:
@@ -671,8 +670,7 @@ def _cmd_serve(args) -> int:
     from .serve import FleetEngine, ModelRegistry, ShardedFleet, StateJournal
     from .serve.daemon import SocDaemon, run_daemon
 
-    if args.workers < 0:
-        raise SystemExit("--workers cannot be negative")
+    _check_serve_flags(args)
     model, meta = _resolve_serve_model(args)
     registry = None
     if args.registry:
@@ -734,103 +732,6 @@ def _cmd_worker(args) -> int:
         reconnect=not args.no_reconnect,
         connect_timeout_s=args.connect_timeout,
     )
-
-
-def _cmd_monitor(args) -> int:
-    """Read, pretty-print, watch or export a metrics snapshot file."""
-    import json
-    import time as _time
-
-    from .eval.reporting import format_table
-    from .monitor import prometheus_text
-
-    def load_snapshot():
-        with open(args.snapshot_file, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        # accept both a bare registry snapshot and a serve-sim report
-        return record.get("metrics", record), record
-
-    def render(snapshot, record) -> None:
-        counters = snapshot.get("counters", {})
-        gauges = snapshot.get("gauges", {})
-        if counters or gauges:
-            rows = [[key, f"{value:g}"] for key, value in sorted(counters.items())]
-            rows += [[key, f"{value:g}"] for key, value in sorted(gauges.items())]
-            print(format_table(["series", "value"], rows))
-        histograms = snapshot.get("histograms", {})
-        if histograms:
-            rows = []
-            for key, summary in sorted(histograms.items()):
-                quantiles = summary.get("quantiles") or {}
-                count = summary.get("count", 0)
-                rows.append([
-                    key,
-                    count,
-                    (summary.get("sum", 0.0) / count) if count else float("nan"),
-                    quantiles.get("0.5", float("nan")),
-                    quantiles.get("0.95", float("nan")),
-                    quantiles.get("0.99", float("nan")),
-                ])
-            print(format_table(["histogram", "count", "mean", "p50", "p95", "p99"], rows))
-        if "drift_event_total" in record:
-            print(f"drift events: {int(record['drift_event_total'])}")
-            for event in record.get("drift_events", [])[:10]:
-                print(
-                    f"  [{event['kind']}] cell {event['cell_id']}: value {event['value']:.4g} "
-                    f"vs threshold {event['threshold']:.4g} (window {event['window']})"
-                )
-
-    if args.monitor_command == "snapshot":
-        snapshot, record = load_snapshot()
-        if args.prometheus:
-            print(prometheus_text(snapshot), end="")
-        else:
-            render(snapshot, record)
-        return 0
-    if args.monitor_command == "export":
-        snapshot, _ = load_snapshot()
-        text = prometheus_text(snapshot)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({len(text.splitlines())} lines)")
-        return 0
-    if args.monitor_command == "serve":
-        from .monitor import ExpositionServer
-
-        def _snapshot_source():
-            # re-read on every scrape so a refreshing serve-sim run
-            # shows up live; unreadable file -> empty exposition
-            try:
-                return load_snapshot()[0]
-            except (OSError, json.JSONDecodeError):
-                return {}
-
-        server = ExpositionServer(
-            metrics=_snapshot_source, host=args.host, port=args.port
-        )
-        with server:
-            print(f"serving {args.snapshot_file} on {server.url} (GET /metrics, /healthz)")
-            try:
-                if args.duration is not None:
-                    _time.sleep(args.duration)
-                else:
-                    while True:
-                        _time.sleep(3600.0)
-            except KeyboardInterrupt:
-                pass
-        return 0
-    # watch: poll the snapshot file as a serving run refreshes it
-    for tick in range(args.count):
-        try:
-            snapshot, record = load_snapshot()
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"[watch {tick + 1}/{args.count}] snapshot unreadable: {exc}")
-        else:
-            print(f"[watch {tick + 1}/{args.count}] {args.snapshot_file}")
-            render(snapshot, record)
-        if tick + 1 < args.count:
-            _time.sleep(args.interval)
-    return 0
 
 
 def _cmd_registry(args) -> int:
@@ -995,7 +896,7 @@ def _flag_parents() -> dict[str, argparse.ArgumentParser]:
     g.add_argument("--metrics-json", default=None,
                    help="enable monitoring (metrics registry + drift detectors across "
                         "every layer, incl. subprocess workers) and write the merged "
-                        "snapshot here (read it with 'repro-soc monitor')")
+                        "snapshot here")
     g.add_argument("--fail-on-drift", action="store_true",
                    help="enable monitoring and exit 1 if any drift/physics-bounds "
                         "event fires (the detector false-positive gate)")
@@ -1021,9 +922,9 @@ def _flag_parents() -> dict[str, argparse.ArgumentParser]:
                         "'tcp://host:73{shard}'); overrides --worker-transport and "
                         "disables spawning")
     g.add_argument("--archive-dir", default=None,
-                   help="cold store for sealed journal segments: rotation ships "
-                        "segments here and unlinks them locally; restore replays "
-                        "them back (see repro.serve.archive)")
+                   help="cold store for sealed journal segments (needs --journal): "
+                        "rotation ships segments here and unlinks them locally; "
+                        "restore replays them back (see repro.serve.archive)")
     return {
         "fleet": fleet,
         "gateway": gateway,
@@ -1095,10 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_sim.add_argument("--step", type=float, default=60.0, help="rollout step (s)")
     serve_sim.add_argument("--seed", type=int, default=0)
     serve_sim.add_argument("--fast", action="store_true", help="scaled-down fleet simulation")
-    serve_sim.add_argument("--show", type=int, default=0,
-                           help="print per-cell trajectories for the first N cells")
-    serve_sim.add_argument("--compare-loop", action="store_true",
-                           help="also time the per-cell loop path and report the speedup")
     serve_sim.add_argument("--async", dest="async_", action="store_true",
                            help="serve through the asyncio SocGateway: fleet rollout plus "
                                 "concurrent client traffic with latency stats")
@@ -1106,8 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="concurrent closed-loop clients driving the gateway")
     serve_sim.add_argument("--requests", type=int, default=2000,
                            help="total gateway requests across all clients")
-    serve_sim.add_argument("--predict-every", type=int, default=4,
-                           help="every Nth client request is a Branch 2 what-if (0 disables)")
     serve_sim.add_argument("--soak-json", default=None,
                            help="write gateway soak results (counts, latency percentiles) here")
     serve_sim.add_argument("--fail-on-error", action="store_true",
@@ -1159,32 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--connect-timeout", type=float, default=10.0,
                    help="how long to retry a refused dial (seconds)")
     worker.set_defaults(func=_cmd_worker)
-
-    monitor = sub.add_parser("monitor", help="read metrics snapshots (serve-sim --metrics-json)")
-    monitor_sub = monitor.add_subparsers(dest="monitor_command", required=True)
-    mon_snapshot = monitor_sub.add_parser("snapshot", help="pretty-print one snapshot file")
-    mon_snapshot.add_argument("snapshot_file", help="metrics JSON written by serve-sim")
-    mon_snapshot.add_argument("--prometheus", action="store_true",
-                              help="print Prometheus text exposition instead of tables")
-    mon_snapshot.set_defaults(func=_cmd_monitor)
-    mon_watch = monitor_sub.add_parser("watch", help="poll a snapshot file as a run refreshes it")
-    mon_watch.add_argument("snapshot_file")
-    mon_watch.add_argument("--interval", type=float, default=2.0, help="seconds between polls")
-    mon_watch.add_argument("--count", type=int, default=5, help="number of polls")
-    mon_watch.set_defaults(func=_cmd_monitor)
-    mon_export = monitor_sub.add_parser("export", help="convert a snapshot to Prometheus text")
-    mon_export.add_argument("snapshot_file")
-    mon_export.add_argument("--out", required=True, help="write the exposition text here")
-    mon_export.set_defaults(func=_cmd_monitor)
-    mon_serve = monitor_sub.add_parser(
-        "serve", help="expose a snapshot file over HTTP for Prometheus scrapers"
-    )
-    mon_serve.add_argument("snapshot_file", help="metrics JSON written by serve-sim")
-    mon_serve.add_argument("--host", default="127.0.0.1")
-    mon_serve.add_argument("--port", type=int, default=0, help="listen port (0 = ephemeral)")
-    mon_serve.add_argument("--duration", type=float, default=None,
-                           help="serve for this many seconds then exit (default: forever)")
-    mon_serve.set_defaults(func=_cmd_monitor)
 
     registry = sub.add_parser("registry", help="inspect and manage a model registry")
     registry_sub = registry.add_subparsers(dest="registry_command", required=True)

@@ -63,9 +63,7 @@ def mlp_complexity(mlp: MLP) -> ComplexityReport:
     """Complexity of one forward pass through an MLP."""
     macs = sum(_linear_macs(layer) for layer in mlp.net.layers if isinstance(layer, Linear))
     act_ops = sum(mlp.hidden)  # one ReLU per hidden unit
-    bias_adds = sum(
-        layer.out_features for layer in mlp.net.layers if isinstance(layer, Linear) and layer.bias is not None
-    )
+    bias_adds = sum(layer.out_features for layer in mlp.net.layers if isinstance(layer, Linear))
     params = mlp.num_parameters()
     ops = 2 * macs + bias_adds + act_ops
     return ComplexityReport(

@@ -15,10 +15,10 @@ interpreter and allocator overhead, not arithmetic.
   transform** (``((x - o)/s) @ W + b == x @ (W/s) + (b - (o/s) @ W)``),
   so raw physical-unit inputs go straight into the first GEMM;
 - biases ride inside the GEMMs as an extra **bias row** driven by a
-  constant ones channel in the input buffer; ReLU-family activations
-  map 1 to 1 exactly, so the channel propagates through the hidden
-  stack and every ``out += bias`` ufunc call disappears (activations
-  that do not preserve the channel fall back to explicit bias adds);
+  constant ones channel in the input buffer; the exported chain holds
+  only ReLU hidden stages and an identity head, and ReLU maps 1 to 1
+  exactly, so the channel propagates through the whole hidden stack
+  and no stage needs a separate ``out += bias`` ufunc call;
 - each forward is a fixed chain of ``np.dot(..., out=...)`` calls with
   in-place activations over **preallocated buffers** that grow
   geometrically with the largest batch seen, with the sliced views for
@@ -75,43 +75,12 @@ __all__ = [
     "FusedTwoBranchKernel",
 ]
 
-# activations that map the constant 1.0 to exactly 1.0, so a ones
-# channel appended to a layer's output can keep driving bias rows
-_ONES_PRESERVING = ("relu", "identity")
+def _relu(out: np.ndarray) -> None:
+    np.maximum(out, 0.0, out=out)
 
 
-def _inplace_activation(tag: str) -> Callable[[np.ndarray], None] | None:
-    """In-place elementwise activation for one exported chain stage."""
-    if tag == "identity":
-        return None
-    if tag == "relu":
-        return lambda out: np.maximum(out, 0.0, out=out)
-    if tag == "tanh":
-        return lambda out: np.tanh(out, out=out)
-    if tag == "sigmoid":
-
-        def sigmoid(out: np.ndarray) -> None:
-            np.negative(out, out=out)
-            np.exp(out, out=out)
-            out += 1.0
-            np.reciprocal(out, out=out)
-
-        return sigmoid
-    if tag.startswith("leaky_relu:"):
-        slope = float(tag.split(":", 1)[1])
-
-        def leaky(out: np.ndarray) -> None:
-            neg = np.minimum(out, 0.0)
-            np.maximum(out, 0.0, out=out)
-            neg *= slope
-            out += neg
-
-        return leaky
-    raise ValueError(f"unsupported activation tag {tag!r}")
-
-
-def _preserves_ones(tag: str) -> bool:
-    return tag in _ONES_PRESERVING or tag.startswith("leaky_relu:")
+# in-place activation per exported tag (``None``: the identity head)
+_ACTIVATIONS: dict[str, Callable[[np.ndarray], None] | None] = {"relu": _relu, "identity": None}
 
 
 class CompiledBranchKernel:
@@ -120,8 +89,7 @@ class CompiledBranchKernel:
     Parameters
     ----------
     module:
-        The branch's :class:`~repro.nn.layers.MLP` (or any stack
-        :func:`~repro.nn.layers.export_affine_chain` accepts).
+        The branch's :class:`~repro.nn.layers.MLP`.
     scaler:
         The branch's fixed :class:`FeatureScaler`, fused into the first
         affine stage so the kernel consumes raw physical units.
@@ -135,36 +103,24 @@ class CompiledBranchKernel:
             )
         scales = np.asarray(scaler.scales, dtype=np.float64)
         offsets = np.asarray(scaler.offsets, dtype=np.float64)
-        # (weight block, explicit bias or None, in-place activation or None)
-        self._stages: list[tuple[np.ndarray, np.ndarray | None, Callable | None]] = []
+        # (weight block with its bias row, in-place activation or None)
+        self._stages: list[tuple[np.ndarray, Callable | None]] = []
         self._tags: list[str] = []  # activation tag per stage, for fused stacking
-        carry = True  # the stage's input carries a trailing ones channel
         for k, (weight, bias, tag) in enumerate(chain):
             if k == 0:
                 # scaler fusion: raw x in, first hidden pre-activation out
-                fused_bias = (0.0 if bias is None else bias) - (offsets / scales) @ weight
-                weight, bias = weight / scales[:, None], fused_bias
-            bias_vec = np.zeros(weight.shape[1]) if bias is None else np.array(bias, dtype=np.float64)
-            last = k == len(chain) - 1
-            out_ones = not last and carry and _preserves_ones(tag)
-            if carry:
-                # bias row: the input's ones channel turns the bias add
-                # into one more GEMM row
-                block = np.vstack([weight, bias_vec])
-                explicit_bias = None
-            else:
-                block, explicit_bias = weight, bias_vec
-            if out_ones:
+                weight, bias = weight / scales[:, None], bias - (offsets / scales) @ weight
+            # bias row: the input's ones channel turns the bias add into
+            # one more GEMM row
+            block = np.vstack([weight, bias])
+            if k < len(chain) - 1:
                 # extra column keeps the ones channel flowing: only the
                 # bias row feeds it, so it computes exactly 1.0
                 column = np.zeros((block.shape[0], 1))
                 column[-1, 0] = 1.0
                 block = np.hstack([block, column])
-            self._stages.append(
-                (np.ascontiguousarray(block, dtype=np.float64), explicit_bias, _inplace_activation(tag))
-            )
+            self._stages.append((np.ascontiguousarray(block, dtype=np.float64), _ACTIVATIONS[tag]))
             self._tags.append(tag)
-            carry = out_ones
         self.n_inputs = int(chain[0][0].shape[0])
         self.n_outputs = int(chain[-1][0].shape[1])
         self._capacity = 0
@@ -173,25 +129,22 @@ class CompiledBranchKernel:
         # sliced views for the active batch size, rebuilt only when it changes
         self._n_active = -1
         self._xv: np.ndarray | None = None
-        self._sv: list[tuple[np.ndarray, np.ndarray | None, Callable | None, np.ndarray]] = []
+        self._sv: list[tuple[np.ndarray, Callable | None, np.ndarray]] = []
 
     def num_bytes(self) -> int:
         """On-heap size of the flat weight blocks."""
-        return int(sum(block.nbytes for block, _, _ in self._stages))
+        return int(sum(block.nbytes for block, _ in self._stages))
 
     @property
     def chain_signature(self) -> tuple:
         """Stage-layout fingerprint: fused stacking requires equal signatures.
 
-        Two kernels with the same signature have identical block shapes,
-        activation tags, and bias-row vs explicit-bias placement in every
-        stage — exactly the conditions for their blocks to be stacked
-        block-diagonally into one chain (weights may differ freely).
+        Two kernels with the same signature have identical block shapes
+        and activation tags in every stage — exactly the conditions for
+        their blocks to be stacked into one batched chain (weights may
+        differ freely).
         """
-        return tuple(
-            (tag, block.shape, bias is not None)
-            for (block, bias, _), tag in zip(self._stages, self._tags)
-        )
+        return tuple((tag, block.shape) for (block, _), tag in zip(self._stages, self._tags))
 
     def _activate(self, n: int) -> None:
         """Point the cached views at ``n``-row slices, growing buffers as needed."""
@@ -199,10 +152,10 @@ class CompiledBranchKernel:
             cap = max(n, 2 * self._capacity)
             self._x = np.empty((cap, self.n_inputs + 1))
             self._x[:, -1] = 1.0  # the ones channel driving bias rows
-            self._bufs = [np.empty((cap, block.shape[1])) for block, _, _ in self._stages]
+            self._bufs = [np.empty((cap, block.shape[1])) for block, _ in self._stages]
             self._capacity = cap
         self._xv = self._x[:n]
-        self._sv = [(block, bias, act, buf[:n]) for (block, bias, act), buf in zip(self._stages, self._bufs)]
+        self._sv = [(block, act, buf[:n]) for (block, act), buf in zip(self._stages, self._bufs)]
         self._n_active = n
 
     def forward_columns(self, cols: Sequence) -> np.ndarray:
@@ -239,10 +192,8 @@ class CompiledBranchKernel:
         for j, col in enumerate(cols):
             x[:, j] = col
         h = x
-        for block, bias, act, out in self._sv:
+        for block, act, out in self._sv:
             np.dot(h, block, out=out)
-            if bias is not None:
-                out += bias
             if act is not None:
                 act(out)
             h = out
@@ -277,35 +228,30 @@ class FusedBranchKernel:
         self.n_inputs = head.n_inputs
         self.n_outputs = head.n_outputs
         self._in_stride = self.n_inputs + 1  # feature columns + the ones channel
-        self._stages: list[tuple[np.ndarray, np.ndarray | None, Callable | None]] = []
-        for k, tag in enumerate(head._tags):
-            blocks = np.stack([member._stages[k][0] for member in self.members])
-            biases = [member._stages[k][1] for member in self.members]
-            # (M, 1, p): broadcast over each member's rows in one add
-            explicit = None if biases[0] is None else np.stack(biases)[:, None, :]
-            self._stages.append((blocks, explicit, _inplace_activation(tag)))
+        self._stages: list[tuple[np.ndarray, Callable | None]] = [
+            (np.stack([member._stages[k][0] for member in self.members]), _ACTIVATIONS[tag])
+            for k, tag in enumerate(head._tags)
+        ]
         self._capacity = 0
         self._x: np.ndarray | None = None
         self._bufs: list[np.ndarray] = []
         self._n_active = -1
         self._xv: np.ndarray | None = None
-        self._sv: list[tuple[np.ndarray, np.ndarray | None, Callable | None, np.ndarray]] = []
+        self._sv: list[tuple[np.ndarray, Callable | None, np.ndarray]] = []
 
     def num_bytes(self) -> int:
         """On-heap size of the stacked weight blocks."""
-        return int(sum(block.nbytes for block, _, _ in self._stages))
+        return int(sum(block.nbytes for block, _ in self._stages))
 
     def _activate(self, n_max: int) -> None:
         """Point the cached views at ``n_max``-row group slices, growing as needed."""
         if n_max > self._capacity:
             cap = max(n_max, 2 * self._capacity)
             self._x = np.empty((self.n_members, cap, self._in_stride))
-            self._bufs = [np.empty((self.n_members, cap, block.shape[2])) for block, _, _ in self._stages]
+            self._bufs = [np.empty((self.n_members, cap, block.shape[2])) for block, _ in self._stages]
             self._capacity = cap
         self._xv = self._x[:, :n_max]
-        self._sv = [
-            (block, bias, act, buf[:, :n_max]) for (block, bias, act), buf in zip(self._stages, self._bufs)
-        ]
+        self._sv = [(block, act, buf[:, :n_max]) for (block, act), buf in zip(self._stages, self._bufs)]
         self._n_active = n_max
 
     def forward_columns(self, cols: Sequence, member: np.ndarray) -> np.ndarray:
@@ -347,10 +293,8 @@ class FusedBranchKernel:
             x[member, slot, j] = col
         x[member, slot, self.n_inputs] = 1.0  # the ones channel driving bias rows
         h = x
-        for block, bias, act, out in self._sv:
+        for block, act, out in self._sv:
             np.matmul(h, block, out=out)
-            if bias is not None:
-                out += bias
             if act is not None:
                 act(out)
             h = out

@@ -60,7 +60,7 @@ class SplitTrainer:
         targets = samples.soc.reshape(-1, 1)
         features, targets = _cap_rows(features, targets, cfg.max_train_rows, rng)
         dataset = nn.TensorDataset(features, targets)
-        loader = nn.DataLoader(dataset, batch_size=cfg.batch_size, shuffle=True, rng=rng)
+        loader = nn.DataLoader(dataset, batch_size=cfg.batch_size, rng=rng)
         optimizer = nn.Adam(self.model.branch1.parameters(), lr=cfg.lr)
         scheduler = (
             nn.CosineAnnealingLR(optimizer, t_max=cfg.epochs_branch1, eta_min=cfg.lr * 0.01)
@@ -96,7 +96,7 @@ class SplitTrainer:
         targets = samples.soc_target.reshape(-1, 1)
         features, targets = _cap_rows(features, targets, cfg.max_train_rows, rng)
         dataset = nn.TensorDataset(features, targets)
-        loader = nn.DataLoader(dataset, batch_size=cfg.batch_size, shuffle=True, rng=rng)
+        loader = nn.DataLoader(dataset, batch_size=cfg.batch_size, rng=rng)
         optimizer = nn.Adam(self.model.branch2.parameters(), lr=cfg.lr)
         scheduler = (
             nn.CosineAnnealingLR(optimizer, t_max=cfg.epochs_branch2, eta_min=cfg.lr * 0.01)

@@ -122,7 +122,6 @@ def fine_tune(
         ),
     )
     trainer.train_branch2(samples)
-    candidate.eval()
     return candidate
 
 

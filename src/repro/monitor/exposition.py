@@ -5,7 +5,7 @@ write to files at end of run:
 
 - ``/metrics``  — Prometheus text exposition (version 0.0.4) of a live
   :class:`~repro.monitor.metrics.MetricsRegistry` (or a callable
-  returning a snapshot dict — the ``monitor serve`` replay path).
+  returning a snapshot dict — the daemon's gateway view).
 - ``/traces``   — recent committed span trees from a
   :class:`~repro.monitor.tracing.SpanTracer` as JSON
   (``?limit=N``, ``?format=chrome`` for a chrome://tracing export).

@@ -5,47 +5,29 @@ LSTM baseline) with a conventional deep-learning stack.  This package
 provides equivalent building blocks implemented on numpy:
 
 - :mod:`repro.nn.tensor` — reverse-mode autograd tensors;
-- :mod:`repro.nn.layers` — modules (Linear, activations, MLP, ...);
+- :mod:`repro.nn.layers` — modules (Linear, ReLU, MLP) and the weight
+  export the compiled inference kernels consume;
 - :mod:`repro.nn.recurrent` — LSTM layers for the SoA baseline;
-- :mod:`repro.nn.losses` — MAE/MSE/Huber;
-- :mod:`repro.nn.optim` — SGD/Adam/AdamW + schedulers;
-- :mod:`repro.nn.data` — datasets and minibatch loaders;
+- :mod:`repro.nn.losses` — the MAE loss;
+- :mod:`repro.nn.optim` — Adam, cosine annealing, gradient clipping;
+- :mod:`repro.nn.data` — array datasets and shuffled minibatch loaders;
 - :mod:`repro.nn.serialization` — ``.npz`` checkpoints.
+
+It holds only what a model, baseline or trainer in the reproduction
+uses: every trainer runs Adam on MAE losses over ReLU MLPs (or the LSTM
+baseline).
 
 Gradients of every operation are validated against finite differences in
 ``tests/test_nn_tensor.py`` and ``tests/test_nn_gradcheck.py``.
 """
 
 from . import init
-from .data import DataLoader, Dataset, TensorDataset, train_val_split
-from .layers import (
-    MLP,
-    Dropout,
-    Identity,
-    LayerNorm,
-    LeakyReLU,
-    Linear,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-    export_affine_chain,
-)
-from .losses import HuberLoss, MAELoss, MSELoss, huber_loss, mae_loss, mse_loss
-from .optim import (
-    SGD,
-    Adam,
-    AdamW,
-    CosineAnnealingLR,
-    Optimizer,
-    ReduceLROnPlateau,
-    StepLR,
-    clip_grad_norm,
-)
+from .data import DataLoader, TensorDataset
+from .layers import MLP, Linear, Module, Parameter, ReLU, Sequential, export_affine_chain
+from .losses import mae_loss
+from .optim import Adam, CosineAnnealingLR, clip_grad_norm
 from .recurrent import LSTM, LSTMCell, LSTMRegressor
-from .serialization import load_model_into, load_state, peek_meta, save_model, save_state
+from .serialization import load_state, peek_meta, save_state
 from .tensor import (
     Tensor,
     arange,
@@ -85,12 +67,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Identity",
-    "Dropout",
-    "LayerNorm",
     "Sequential",
     "MLP",
     "export_affine_chain",
@@ -98,26 +74,12 @@ __all__ = [
     "LSTMCell",
     "LSTMRegressor",
     "mae_loss",
-    "mse_loss",
-    "huber_loss",
-    "MAELoss",
-    "MSELoss",
-    "HuberLoss",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "AdamW",
-    "StepLR",
     "CosineAnnealingLR",
-    "ReduceLROnPlateau",
     "clip_grad_norm",
-    "Dataset",
     "TensorDataset",
     "DataLoader",
-    "train_val_split",
     "save_state",
     "load_state",
     "peek_meta",
-    "save_model",
-    "load_model_into",
 ]

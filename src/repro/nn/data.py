@@ -1,9 +1,9 @@
-"""Minimal dataset / dataloader utilities for training loops.
+"""Minibatch utilities for training loops.
 
-Mirrors the familiar Dataset / DataLoader split: a :class:`TensorDataset`
-pairs feature and target arrays, and :class:`DataLoader` yields shuffled
-minibatches as numpy arrays (converted to tensors inside the training
-loop, where gradient tracking starts).
+A :class:`TensorDataset` pairs feature and target arrays, and
+:class:`DataLoader` yields them in minibatches reshuffled every epoch
+by the caller's generator (numpy arrays, converted to tensors inside the
+training loop, where gradient tracking starts).
 """
 
 from __future__ import annotations
@@ -12,20 +12,10 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Dataset", "TensorDataset", "DataLoader", "train_val_split"]
+__all__ = ["TensorDataset", "DataLoader"]
 
 
-class Dataset:
-    """Abstract random-access dataset."""
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __getitem__(self, index: int):
-        raise NotImplementedError
-
-
-class TensorDataset(Dataset):
+class TensorDataset:
     """Dataset wrapping equally-long arrays; indexing returns row tuples."""
 
     def __init__(self, *arrays: np.ndarray):
@@ -44,86 +34,33 @@ class TensorDataset(Dataset):
 
 
 class DataLoader:
-    """Iterate minibatches over a :class:`TensorDataset`.
+    """Iterate shuffled minibatches over a :class:`TensorDataset`.
 
     Parameters
     ----------
     dataset:
         The dataset to draw from.
     batch_size:
-        Number of rows per batch.
-    shuffle:
-        Reshuffle indices at the start of every epoch.
+        Number of rows per batch (the last batch may be shorter).
     rng:
-        Generator used for shuffling (deterministic experiments).
-    drop_last:
-        Drop the final short batch when the dataset size is not a
-        multiple of ``batch_size``.
+        Generator that reshuffles the row order at the start of every
+        epoch (deterministic experiments).
     """
 
-    def __init__(
-        self,
-        dataset: TensorDataset,
-        batch_size: int = 32,
-        shuffle: bool = False,
-        rng: np.random.Generator | None = None,
-        drop_last: bool = False,
-    ):
+    def __init__(self, dataset: TensorDataset, batch_size: int, rng: np.random.Generator):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self._rng = rng if rng is not None else np.random.default_rng()
+        self._rng = rng
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
         n = len(self.dataset)
         indices = np.arange(n)
-        if self.shuffle:
-            self._rng.shuffle(indices)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        self._rng.shuffle(indices)
+        for start in range(0, n, self.batch_size):
             batch = indices[start : start + self.batch_size]
             yield self.dataset[batch]
-
-
-def train_val_split(
-    dataset: TensorDataset,
-    val_fraction: float = 0.2,
-    rng: np.random.Generator | None = None,
-) -> tuple[TensorDataset, TensorDataset]:
-    """Randomly split a dataset into train and validation subsets.
-
-    Parameters
-    ----------
-    dataset:
-        Source dataset.
-    val_fraction:
-        Fraction of rows assigned to the validation set, in (0, 1).
-    rng:
-        Generator for the permutation.
-
-    Returns
-    -------
-    (train, val):
-        Two new :class:`TensorDataset` objects over copied row subsets.
-    """
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError("val_fraction must be in (0, 1)")
-    n = len(dataset)
-    n_val = max(1, int(round(n * val_fraction)))
-    if n_val >= n:
-        raise ValueError("dataset too small for the requested split")
-    gen = rng if rng is not None else np.random.default_rng()
-    perm = gen.permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    train = TensorDataset(*(a[train_idx] for a in dataset.arrays))
-    val = TensorDataset(*(a[val_idx] for a in dataset.arrays))
-    return train, val

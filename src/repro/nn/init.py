@@ -1,6 +1,6 @@
-"""Weight initialization schemes for :mod:`repro.nn` layers.
+"""Weight initialization for :mod:`repro.nn` layers.
 
-All initializers take an explicit :class:`numpy.random.Generator` so that
+The initializer takes an explicit :class:`numpy.random.Generator` so that
 every experiment in the reproduction is exactly seedable (the paper reports
 averages over 5 random seeds; see ``repro.eval.harness``).
 """
@@ -11,15 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "kaiming_normal",
-    "uniform",
-    "zeros",
-    "orthogonal",
-]
+__all__ = ["kaiming_uniform"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -30,53 +22,9 @@ def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
     return fan_in * receptive, fan_out * receptive
 
 
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialization, ``U(-a, a)`` with ``a = gain*sqrt(6/(fan_in+fan_out))``."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialization with std ``gain*sqrt(2/(fan_in+fan_out))``."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, a: float = math.sqrt(5.0)) -> np.ndarray:
     """He/Kaiming uniform initialization (the default for ReLU stacks)."""
     fan_in, _ = _fan_in_out(shape)
     gain = math.sqrt(2.0 / (1.0 + a**2))
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator, a: float = 0.0) -> np.ndarray:
-    """He/Kaiming normal initialization with std ``sqrt(2/((1+a^2)*fan_in))``."""
-    fan_in, _ = _fan_in_out(shape)
-    std = math.sqrt(2.0 / ((1.0 + a**2) * fan_in))
-    return rng.normal(0.0, std, size=shape)
-
-
-def uniform(shape: tuple[int, ...], rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> np.ndarray:
-    """Plain uniform initialization on ``[low, high)``."""
-    return rng.uniform(low, high, size=shape)
-
-
-def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-    """All-zeros initialization (biases)."""
-    return np.zeros(shape)
-
-
-def orthogonal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Orthogonal initialization (used for recurrent kernels)."""
-    if len(shape) != 2:
-        raise ValueError("orthogonal init requires a 2-D shape")
-    rows, cols = shape
-    flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q = q * np.sign(np.diag(r))
-    if rows < cols:
-        q = q.T
-    return gain * q[:rows, :cols]

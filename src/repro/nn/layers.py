@@ -1,36 +1,21 @@
 """Neural-network modules (layers) for :mod:`repro.nn`.
 
-The :class:`Module` base class provides parameter discovery, train/eval
-mode switching, and ``state_dict`` round-tripping; concrete layers cover
-everything the paper's models need: fully-connected layers with ReLU
-activations (the two-branch network of Sec. III-A) plus a few extras used
-by the baselines.
+The :class:`Module` base class provides parameter discovery and
+``state_dict`` round-tripping; the concrete layers are exactly what the
+paper's models need: fully-connected layers with ReLU activations (the
+two-branch network of Sec. III-A, also the DE-PINN baseline's network).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from . import init as initializers
+from .init import kaiming_uniform
 from .tensor import Tensor
 
-__all__ = [
-    "Parameter",
-    "Module",
-    "Linear",
-    "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Identity",
-    "Dropout",
-    "LayerNorm",
-    "Sequential",
-    "MLP",
-    "export_affine_chain",
-]
+__all__ = ["Parameter", "Module", "Linear", "ReLU", "Sequential", "MLP", "export_affine_chain"]
 
 
 class Parameter(Tensor):
@@ -48,9 +33,6 @@ class Module:
     and :meth:`named_parameters`.
     """
 
-    def __init__(self):
-        self.training = True
-
     # -- forward ------------------------------------------------------
     def forward(self, *args, **kwargs):
         """Compute the layer output; must be overridden."""
@@ -63,8 +45,6 @@ class Module:
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         """Yield ``(dotted_name, parameter)`` pairs, depth-first."""
         for name, value in vars(self).items():
-            if name == "training":
-                continue
             full = f"{prefix}{name}"
             if isinstance(value, Parameter):
                 yield full, value
@@ -89,34 +69,6 @@ class Module:
         """Clear gradients on every parameter."""
         for p in self.parameters():
             p.zero_grad()
-
-    # -- mode switching -------------------------------------------------
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all submodules, depth-first."""
-        yield self
-        for child in self._children():
-            yield from child.modules()
-
-    def _children(self) -> Iterator["Module"]:
-        for name, value in vars(self).items():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield item
-
-    def train(self) -> "Module":
-        """Put the module (recursively) into training mode."""
-        for m in self.modules():
-            m.training = True
-        return self
-
-    def eval(self) -> "Module":
-        """Put the module (recursively) into evaluation mode."""
-        for m in self.modules():
-            m.training = False
-        return self
 
     # -- state dict -------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -144,45 +96,27 @@ class Linear(Module):
     ----------
     in_features, out_features:
         Input/output widths.
-    bias:
-        Include an additive bias (default true).
     rng:
-        Generator used for weight initialization; a fresh default
-        generator is used when omitted.
-    weight_init:
-        Initializer from :mod:`repro.nn.init` (default Kaiming uniform,
-        matching common framework defaults for ReLU stacks).
+        Generator used for initialization (Kaiming-uniform weights, then
+        a uniform bias); a fresh default generator is used when omitted.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: np.random.Generator | None = None,
-        weight_init: Callable = initializers.kaiming_uniform,
-    ):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("layer widths must be positive")
         rng = rng if rng is not None else np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(weight_init((in_features, out_features), rng))
-        if bias:
-            bound = 1.0 / np.sqrt(in_features)
-            self.bias = Parameter(rng.uniform(-bound, bound, size=(out_features,)))
-        else:
-            self.bias = None
+        self.weight = Parameter(kaiming_uniform((in_features, out_features), rng))
+        bound = 1.0 / np.sqrt(in_features)
+        self.bias = Parameter(rng.uniform(-bound, bound, size=(out_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
     def __repr__(self) -> str:
-        return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
+        return f"Linear({self.in_features}, {self.out_features})"
 
 
 class ReLU(Module):
@@ -190,73 +124,6 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU activation with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic-sigmoid activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Identity(Module):
-    """No-op layer (useful as a configurable placeholder)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-        return x * Tensor(mask)
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
-
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(normalized_shape))
-        self.beta = Parameter(np.zeros(normalized_shape))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
 
 
 class Sequential(Module):
@@ -271,20 +138,9 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def append(self, layer: Module) -> "Sequential":
-        """Append a layer and return self for chaining."""
-        self.layers.append(layer)
-        return self
-
 
 class MLP(Module):
-    """Multi-layer perceptron with a configurable hidden stack.
+    """Multi-layer ReLU perceptron with a configurable hidden stack.
 
     This is the building block used for both branches of the paper's
     network (Sec. III-A: hidden widths 16/32/16 with ReLU, single
@@ -298,8 +154,6 @@ class MLP(Module):
         Sequence of hidden-layer widths.
     out_features:
         Output width (1 for a scalar SoC head).
-    activation:
-        Factory for the activation module between hidden layers.
     rng:
         Generator for deterministic initialization.
     """
@@ -309,7 +163,6 @@ class MLP(Module):
         in_features: int,
         hidden: tuple[int, ...] = (16, 32, 16),
         out_features: int = 1,
-        activation: Callable[[], Module] = ReLU,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -318,7 +171,7 @@ class MLP(Module):
         layers: list[Module] = []
         for w_in, w_out in zip(widths[:-1], widths[1:]):
             layers.append(Linear(w_in, w_out, rng=rng))
-            layers.append(activation())
+            layers.append(ReLU())
         layers.append(Linear(widths[-1], out_features, rng=rng))
         self.net = Sequential(*layers)
         self.in_features = in_features
@@ -329,68 +182,41 @@ class MLP(Module):
         return self.net(x)
 
 
-def export_affine_chain(module: Module) -> list[tuple[np.ndarray, np.ndarray | None, str]]:
-    """Flatten a feed-forward stack into ``(weight, bias, activation)`` triples.
+def export_affine_chain(mlp: MLP) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """Flatten an :class:`MLP` into ``(weight, bias, activation)`` triples.
 
     This is the weight-export half of the compiled inference path (see
-    :class:`repro.core.kernels.CompiledTwoBranchKernel`): an :class:`MLP`
-    or :class:`Sequential` of affine layers and elementwise activations
-    is reduced to plain contiguous numpy blocks — one ``(in, out)``
-    weight matrix, one ``(out,)`` bias (or ``None``) and an activation
-    tag per affine stage — with no :class:`Module`/:class:`Tensor`
-    machinery left.  Weights are *copies* detached from autograd, so a
-    compiled consumer is a snapshot of the module at export time.
+    :class:`repro.core.kernels.CompiledTwoBranchKernel`): the MLP is
+    reduced to plain contiguous numpy blocks — one ``(in, out)`` weight
+    matrix, one ``(out,)`` bias and an activation tag per affine stage —
+    with no :class:`Module`/:class:`Tensor` machinery left.  Weights are
+    *copies* detached from autograd, so a compiled consumer is a
+    snapshot of the module at export time.
 
-    Activation tags are ``"identity"``, ``"relu"``, ``"tanh"``,
-    ``"sigmoid"`` or ``"leaky_relu:<slope>"``; a trailing affine layer
-    (the usual linear head) exports with ``"identity"``.
+    Hidden stages export with ``"relu"`` and the linear head with
+    ``"identity"``.
 
     Raises
     ------
     TypeError
-        When the stack contains anything other than :class:`Linear`
-        layers and supported elementwise activations (``Dropout``,
-        ``LayerNorm`` and friends are not affine-chain material).
-    ValueError
-        When an activation appears with no affine layer before it.
+        When ``mlp`` is not an :class:`MLP`, or its stack holds anything
+        other than :class:`Linear` layers each followed by at most one
+        :class:`ReLU`.
     """
-    if isinstance(module, MLP):
-        module = module.net
-    if isinstance(module, Linear):
-        layers: list[Module] = [module]
-    elif isinstance(module, Sequential):
-        layers = list(module.layers)
-    else:
-        raise TypeError(f"cannot export {type(module).__name__} as an affine chain")
-    simple_tags = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid", Identity: "identity"}
-    staged: list[tuple[Linear, str]] = []
-    pending: Linear | None = None
-    for layer in layers:
+    if not isinstance(mlp, MLP):
+        raise TypeError(f"cannot export {type(mlp).__name__}: only an MLP compiles to a ReLU chain")
+    staged: list[list] = []  # [Linear, tag] per affine stage
+    for layer in mlp.net.layers:
         if isinstance(layer, Linear):
-            if pending is not None:
-                staged.append((pending, "identity"))
-            pending = layer
-            continue
-        if isinstance(layer, LeakyReLU):
-            tag = f"leaky_relu:{layer.negative_slope!r}"
-        elif type(layer) in simple_tags:
-            tag = simple_tags[type(layer)]
+            staged.append([layer, "identity"])
+        elif isinstance(layer, ReLU) and staged and staged[-1][1] == "identity":
+            staged[-1][1] = "relu"
         else:
-            raise TypeError(f"cannot export layer {layer!r} into an affine chain")
-        if tag == "identity":
-            continue
-        if pending is None:
-            raise ValueError(f"activation {tag!r} has no affine layer before it")
-        staged.append((pending, tag))
-        pending = None
-    if pending is not None:
-        staged.append((pending, "identity"))
-    if not staged:
-        raise ValueError("empty affine chain: no Linear layers to export")
+            raise TypeError(f"cannot export layer {layer!r} into a ReLU chain")
     return [
         (
             np.ascontiguousarray(lin.weight.data, dtype=np.float64),
-            None if lin.bias is None else np.ascontiguousarray(lin.bias.data, dtype=np.float64),
+            np.ascontiguousarray(lin.bias.data, dtype=np.float64),
             tag,
         )
         for lin, tag in staged

@@ -1,71 +1,19 @@
-"""Loss functions for :mod:`repro.nn`.
+"""The training loss of :mod:`repro.nn`.
 
 The paper trains both branches with the Mean Absolute Error (Sec. III-B)
 and adds a second MAE term computed on Coulomb-counting collocation
-points (Eq. 2).  MSE and Huber are provided for the baselines and
-ablations.
+points (Eq. 2); the DE-PINN and LSTM baselines train on MAE too.
 """
 
 from __future__ import annotations
 
 from .tensor import Tensor
 
-__all__ = ["mae_loss", "mse_loss", "huber_loss", "MAELoss", "MSELoss", "HuberLoss"]
-
-
-def _check_shapes(prediction: Tensor, target: Tensor) -> None:
-    if prediction.shape != target.shape:
-        raise ValueError(f"prediction shape {prediction.shape} != target shape {target.shape}")
+__all__ = ["mae_loss"]
 
 
 def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean absolute error ``mean(|prediction - target|)``."""
-    _check_shapes(prediction, target)
+    if prediction.shape != target.shape:
+        raise ValueError(f"prediction shape {prediction.shape} != target shape {target.shape}")
     return (prediction - target).abs().mean()
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error ``mean((prediction - target)^2)``."""
-    _check_shapes(prediction, target)
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic inside ``|e| <= delta``, linear outside."""
-    _check_shapes(prediction, target)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    error = prediction - target
-    abs_error = error.abs()
-    quadratic = 0.5 * error * error
-    linear = delta * abs_error - 0.5 * delta * delta
-    from .tensor import where
-
-    return where(abs_error.data <= delta, quadratic, linear).mean()
-
-
-class MAELoss:
-    """Callable wrapper around :func:`mae_loss`."""
-
-    def __call__(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return mae_loss(prediction, target)
-
-
-class MSELoss:
-    """Callable wrapper around :func:`mse_loss`."""
-
-    def __call__(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return mse_loss(prediction, target)
-
-
-class HuberLoss:
-    """Callable wrapper around :func:`huber_loss` with a fixed delta."""
-
-    def __init__(self, delta: float = 1.0):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = delta
-
-    def __call__(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return huber_loss(prediction, target, delta=self.delta)

@@ -1,8 +1,9 @@
-"""Gradient-descent optimizers and learning-rate schedulers.
+"""The optimizer, learning-rate schedule and gradient clipping of training.
 
-Adam is the workhorse used to train the paper's networks; SGD (with
-momentum) and AdamW are provided for ablations and baselines, together
-with the usual schedulers and global-norm gradient clipping.
+Every training loop in the reproduction (the two-branch network, the
+DE-PINN and LSTM baselines, the serving fine-tuner) runs Adam with the
+standard moment decays, optionally under a cosine-annealed learning
+rate, with global-norm gradient clipping.
 """
 
 from __future__ import annotations
@@ -14,16 +15,12 @@ import numpy as np
 
 from .layers import Parameter
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "AdamW",
-    "StepLR",
-    "CosineAnnealingLR",
-    "ReduceLROnPlateau",
-    "clip_grad_norm",
-]
+__all__ = ["Adam", "CosineAnnealingLR", "clip_grad_norm"]
+
+# Kingma & Ba's defaults, which every trainer here uses
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -42,16 +39,19 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     return total
 
 
-class Optimizer:
-    """Base optimizer holding a parameter list and a learning rate."""
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2015) with bias correction."""
 
-    def __init__(self, parameters: Sequence[Parameter], lr: float):
+    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
         self.lr = lr
+        self._step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
         """Clear gradients on all managed parameters."""
@@ -59,126 +59,27 @@ class Optimizer:
             p.zero_grad()
 
     def step(self) -> None:
-        """Apply one update; must be overridden."""
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ):
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                update = grad + self.momentum * v if self.nesterov else v
-            else:
-                update = grad
-            p.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
-        self.betas = (beta1, beta2)
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
+        """Apply one update to every parameter that has a gradient."""
         self._step_count += 1
-        beta1, beta2 = self.betas
-        bias1 = 1.0 - beta1**self._step_count
-        bias2 = 1.0 - beta2**self._step_count
+        bias1 = 1.0 - _BETA1**self._step_count
+        bias2 = 1.0 - _BETA2**self._step_count
         for p, m, v in zip(self.parameters, self._m, self._v):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad**2
+            m *= _BETA1
+            m += (1.0 - _BETA1) * grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for p in self.parameters:
-                if p.grad is not None:
-                    p.data -= self.lr * self.weight_decay * p.data
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = decay
-
-
-class StepLR:
-    """Multiply the optimizer's learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch and update the learning rate."""
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * (self.gamma ** (self.epoch // self.step_size))
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 class CosineAnnealingLR:
     """Cosine-annealed learning rate from the base value down to ``eta_min``."""
 
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
+    def __init__(self, optimizer: Adam, t_max: int, eta_min: float = 0.0):
         if t_max <= 0:
             raise ValueError("t_max must be positive")
         self.optimizer = optimizer
@@ -192,36 +93,3 @@ class CosineAnnealingLR:
         self.epoch = min(self.epoch + 1, self.t_max)
         cos = (1 + math.cos(math.pi * self.epoch / self.t_max)) / 2
         self.optimizer.lr = self.eta_min + (self.base_lr - self.eta_min) * cos
-
-
-class ReduceLROnPlateau:
-    """Reduce the learning rate when a monitored metric stops improving."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        factor: float = 0.5,
-        patience: int = 5,
-        min_lr: float = 1e-6,
-        threshold: float = 1e-4,
-    ):
-        if not 0.0 < factor < 1.0:
-            raise ValueError("factor must be in (0, 1)")
-        self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.min_lr = min_lr
-        self.threshold = threshold
-        self.best = math.inf
-        self.bad_epochs = 0
-
-    def step(self, metric: float) -> None:
-        """Record the epoch metric and reduce the LR after ``patience`` bad epochs."""
-        if metric < self.best - self.threshold:
-            self.best = metric
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-            if self.bad_epochs > self.patience:
-                self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
-                self.bad_epochs = 0

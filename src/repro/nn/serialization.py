@@ -12,9 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layers import Module
-
-__all__ = ["save_state", "load_state", "peek_meta", "save_model", "load_model_into"]
+__all__ = ["save_state", "load_state", "peek_meta"]
 
 _META_KEY = "__meta_json__"
 
@@ -64,17 +62,3 @@ def peek_meta(path: str | Path) -> dict | None:
             return None
         return json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
 
-
-def save_model(model: Module, path: str | Path, meta: dict | None = None) -> None:
-    """Snapshot a module's parameters to ``path``."""
-    save_state(model.state_dict(), path, meta=meta)
-
-
-def load_model_into(model: Module, path: str | Path) -> dict | None:
-    """Load parameters saved by :func:`save_model` into ``model`` in place.
-
-    Returns the metadata dict stored alongside the weights (or ``None``).
-    """
-    state, meta = load_state(path)
-    model.load_state_dict(state)
-    return meta

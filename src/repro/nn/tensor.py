@@ -412,18 +412,6 @@ class Tensor:
 
         return self._make_result(out_data, (self,), backward)
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        """Elementwise leaky ReLU with the given slope for negative inputs."""
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope)
-        out_data = self.data * scale
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * scale)
-
-        return self._make_result(out_data, (self,), backward)
-
     def abs(self) -> "Tensor":
         """Elementwise absolute value (subgradient 0 at zero)."""
         sign = np.sign(self.data)

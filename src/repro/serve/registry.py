@@ -285,7 +285,6 @@ class ModelRegistry:
             )
             state, _ = load_state(entry.path)
             model.load_state_dict(state)
-            model.eval()
             self._models[entry.ref] = model
         return self._models[entry.ref]
 

@@ -16,7 +16,7 @@ from repro.core import (
     TwoBranchSoCNet,
     model_rollout,
 )
-from repro.nn import MLP, Linear, Sequential, Tanh, export_affine_chain
+from repro.nn import MLP, Module, export_affine_chain
 from repro.serve import FleetEngine, ModelRegistry, generate_fleet
 
 BATCH_SIZES = (1, 7, 1024)
@@ -134,26 +134,16 @@ class TestDtypeAndExport:
         for _, bias, _ in chain:
             assert bias is not None
 
-    def test_export_rejects_non_affine_stacks(self):
-        from repro.nn import Dropout
+    def test_export_refuses_anything_but_a_relu_mlp(self):
+        class Square(Module):
+            def forward(self, x):
+                return x * x
 
-        with pytest.raises(TypeError):
-            export_affine_chain(Sequential(Linear(4, 4), Dropout(0.5)))
-
-    def test_tanh_chain_compiles(self):
-        """Activations that do not preserve the bias channel still work."""
-        mlp = MLP(3, hidden=(8,), activation=Tanh, rng=np.random.default_rng(2))
-        from repro.core.kernels import CompiledBranchKernel
-        from repro.datasets.preprocessing import branch1_scaler
-
-        kernel = CompiledBranchKernel(mlp, branch1_scaler())
-        x = np.random.default_rng(4).uniform(2.8, 4.2, (32, 3))
-        from repro import nn
-
-        with nn.no_grad():
-            ref = mlp(nn.Tensor(branch1_scaler().transform(x))).data[:, 0]
-        got = kernel.forward_columns((x[:, 0], x[:, 1], x[:, 2]))
-        np.testing.assert_allclose(got, ref, atol=1e-9, rtol=0)
+        mlp = MLP(3, hidden=(8,), rng=np.random.default_rng(2))
+        mlp.net.layers[1] = Square()
+        for module in (mlp, Square()):
+            with pytest.raises(TypeError):
+                export_affine_chain(module)
 
 
 class TestFusedKernels:

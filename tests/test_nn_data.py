@@ -1,4 +1,4 @@
-"""Tests for datasets, dataloaders, splits, and serialization."""
+"""Tests for array datasets, shuffled minibatch loaders, and state files."""
 
 import numpy as np
 import pytest
@@ -30,67 +30,37 @@ class TestTensorDataset:
 class TestDataLoader:
     def test_batches_cover_dataset(self):
         ds = nn.TensorDataset(np.arange(10))
-        loader = nn.DataLoader(ds, batch_size=3)
+        loader = nn.DataLoader(ds, batch_size=3, rng=np.random.default_rng(0))
         seen = np.concatenate([batch[0] for batch in loader])
         np.testing.assert_array_equal(np.sort(seen), np.arange(10))
 
     def test_len(self):
         ds = nn.TensorDataset(np.arange(10))
-        assert len(nn.DataLoader(ds, batch_size=3)) == 4
-        assert len(nn.DataLoader(ds, batch_size=3, drop_last=True)) == 3
-
-    def test_drop_last(self):
-        ds = nn.TensorDataset(np.arange(10))
-        loader = nn.DataLoader(ds, batch_size=3, drop_last=True)
-        batches = [b[0] for b in loader]
-        assert all(len(b) == 3 for b in batches)
+        assert len(nn.DataLoader(ds, batch_size=3, rng=np.random.default_rng(0))) == 4
 
     def test_shuffle_changes_order_but_not_content(self):
         ds = nn.TensorDataset(np.arange(100))
-        loader = nn.DataLoader(ds, batch_size=100, shuffle=True, rng=np.random.default_rng(0))
+        loader = nn.DataLoader(ds, batch_size=100, rng=np.random.default_rng(0))
         (batch,) = list(loader)
         assert not np.array_equal(batch[0], np.arange(100))
         np.testing.assert_array_equal(np.sort(batch[0]), np.arange(100))
 
     def test_shuffle_deterministic_given_rng(self):
         ds = nn.TensorDataset(np.arange(20))
-        a = list(nn.DataLoader(ds, batch_size=20, shuffle=True, rng=np.random.default_rng(1)))
-        b = list(nn.DataLoader(ds, batch_size=20, shuffle=True, rng=np.random.default_rng(1)))
+        a = list(nn.DataLoader(ds, batch_size=20, rng=np.random.default_rng(1)))
+        b = list(nn.DataLoader(ds, batch_size=20, rng=np.random.default_rng(1)))
         np.testing.assert_array_equal(a[0][0], b[0][0])
 
     def test_multiple_arrays_stay_aligned(self):
         x = np.arange(50)
         ds = nn.TensorDataset(x, x * 10)
-        loader = nn.DataLoader(ds, batch_size=7, shuffle=True, rng=np.random.default_rng(0))
+        loader = nn.DataLoader(ds, batch_size=7, rng=np.random.default_rng(0))
         for bx, by in loader:
             np.testing.assert_array_equal(by, bx * 10)
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            nn.DataLoader(nn.TensorDataset(np.arange(3)), batch_size=0)
-
-
-class TestTrainValSplit:
-    def test_sizes(self):
-        ds = nn.TensorDataset(np.arange(100))
-        train, val = nn.train_val_split(ds, val_fraction=0.2, rng=np.random.default_rng(0))
-        assert len(train) == 80 and len(val) == 20
-
-    def test_disjoint_and_complete(self):
-        ds = nn.TensorDataset(np.arange(50))
-        train, val = nn.train_val_split(ds, val_fraction=0.3, rng=np.random.default_rng(0))
-        combined = np.sort(np.concatenate([train.arrays[0], val.arrays[0]]))
-        np.testing.assert_array_equal(combined, np.arange(50))
-
-    def test_invalid_fraction(self):
-        ds = nn.TensorDataset(np.arange(10))
-        with pytest.raises(ValueError):
-            nn.train_val_split(ds, val_fraction=0.0)
-
-    def test_tiny_dataset_raises(self):
-        ds = nn.TensorDataset(np.arange(1))
-        with pytest.raises(ValueError):
-            nn.train_val_split(ds, val_fraction=0.5)
+            nn.DataLoader(nn.TensorDataset(np.arange(3)), batch_size=0, rng=np.random.default_rng(0))
 
 
 class TestSerialization:
@@ -117,8 +87,9 @@ class TestSerialization:
         a = nn.MLP(3, hidden=(4,), rng=np.random.default_rng(0))
         b = nn.MLP(3, hidden=(4,), rng=np.random.default_rng(1))
         path = tmp_path / "model.npz"
-        nn.save_model(a, path, meta={"note": "test"})
-        meta = nn.load_model_into(b, path)
+        nn.save_state(a.state_dict(), path, meta={"note": "test"})
+        state, meta = nn.load_state(path)
+        b.load_state_dict(state)
         assert meta == {"note": "test"}
         x = nn.Tensor(np.ones((2, 3)))
         np.testing.assert_allclose(a(x).data, b(x).data)

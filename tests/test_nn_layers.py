@@ -1,5 +1,5 @@
-"""Tests for module mechanics: parameter discovery, state dicts,
-train/eval switching, and the concrete layers."""
+"""Tests for module mechanics: parameter discovery, state dicts, and
+the concrete layers."""
 
 import numpy as np
 import pytest
@@ -65,13 +65,6 @@ class TestModuleMechanics:
         with pytest.raises(ValueError):
             model.load_state_dict(state)
 
-    def test_train_eval_recursive(self):
-        model = nn.Sequential(nn.Linear(2, 2, rng=_rng()), nn.Dropout(0.5))
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
-
 
 class TestLinear:
     def test_forward_matches_manual(self):
@@ -79,11 +72,6 @@ class TestLinear:
         x = np.ones((4, 3))
         expected = x @ layer.weight.data + layer.bias.data
         np.testing.assert_allclose(layer(Tensor(x)).data, expected)
-
-    def test_no_bias(self):
-        layer = nn.Linear(3, 2, bias=False, rng=_rng())
-        assert layer.bias is None
-        assert layer.num_parameters() == 6
 
     def test_invalid_width_raises(self):
         with pytest.raises(ValueError):
@@ -103,57 +91,13 @@ class TestActivations:
         out = nn.ReLU()(Tensor([-1.0, 2.0]))
         np.testing.assert_allclose(out.data, [0.0, 2.0])
 
-    def test_leaky_relu_module(self):
-        out = nn.LeakyReLU(0.1)(Tensor([-1.0, 2.0]))
-        np.testing.assert_allclose(out.data, [-0.1, 2.0])
-
-    def test_tanh_sigmoid_identity(self):
-        x = Tensor([0.0])
-        assert nn.Tanh()(x).item() == 0.0
-        assert nn.Sigmoid()(x).item() == 0.5
-        assert nn.Identity()(x).item() == 0.0
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        drop = nn.Dropout(0.9, rng=_rng())
-        drop.eval()
-        x = Tensor(np.ones(100))
-        np.testing.assert_array_equal(drop(x).data, x.data)
-
-    def test_training_mode_zeroes_and_scales(self):
-        drop = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones(10000))
-        out = drop(x).data
-        zeros = np.sum(out == 0.0)
-        assert 4500 < zeros < 5500  # about half dropped
-        kept = out[out != 0.0]
-        np.testing.assert_allclose(kept, 2.0)  # inverted scaling
-
-    def test_invalid_p_raises(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
-
-class TestLayerNorm:
-    def test_normalizes_last_axis(self):
-        ln = nn.LayerNorm(8)
-        x = Tensor(np.random.default_rng(0).normal(3.0, 5.0, size=(16, 8)))
-        out = ln(x).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
 
 class TestSequentialAndMLP:
     def test_sequential_order(self):
-        model = nn.Sequential(nn.Linear(2, 2, rng=_rng()), nn.ReLU())
-        assert len(model) == 2
-        assert isinstance(model[1], nn.ReLU)
-
-    def test_sequential_append(self):
-        model = nn.Sequential()
-        model.append(nn.Identity())
-        assert len(model) == 1
+        linear = nn.Linear(2, 2, rng=_rng())
+        model = nn.Sequential(linear, nn.ReLU())
+        x = Tensor(np.array([[1.0, -2.0]]))
+        np.testing.assert_array_equal(model(x).data, np.maximum(linear(x).data, 0.0))
 
     def test_mlp_output_shape(self):
         mlp = nn.MLP(3, hidden=(16, 32, 16), out_features=1, rng=_rng())
@@ -175,30 +119,6 @@ class TestSequentialAndMLP:
 
 
 class TestInitializers:
-    def test_xavier_uniform_bound(self):
-        w = nn.init.xavier_uniform((100, 50), np.random.default_rng(0))
-        bound = np.sqrt(6.0 / 150)
-        assert np.abs(w).max() <= bound
-
-    def test_xavier_normal_std(self):
-        w = nn.init.xavier_normal((500, 500), np.random.default_rng(0))
-        assert w.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.1)
-
-    def test_kaiming_normal_std(self):
-        w = nn.init.kaiming_normal((1000, 10), np.random.default_rng(0))
-        assert w.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.1)
-
-    def test_orthogonal_is_orthogonal(self):
-        w = nn.init.orthogonal((6, 6), np.random.default_rng(0))
-        np.testing.assert_allclose(w @ w.T, np.eye(6), atol=1e-10)
-
-    def test_orthogonal_rectangular(self):
-        w = nn.init.orthogonal((4, 8), np.random.default_rng(0))
-        np.testing.assert_allclose(w @ w.T, np.eye(4), atol=1e-10)
-
     def test_fan_requires_2d(self):
         with pytest.raises(ValueError):
-            nn.init.xavier_uniform((5,), np.random.default_rng(0))
-
-    def test_zeros(self):
-        np.testing.assert_array_equal(nn.init.zeros((2, 2)), np.zeros((2, 2)))
+            nn.init.kaiming_uniform((5,), np.random.default_rng(0))

@@ -4,26 +4,20 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, TwoBranchSoCNet
-from repro.nn.serialization import (
-    load_model_into,
-    load_state,
-    peek_meta,
-    save_model,
-    save_state,
-)
+from repro.nn.serialization import load_state, peek_meta, save_state
 
 
 class TestStateRoundTrip:
     def test_arrays_and_meta_survive(self, tmp_path):
         path = tmp_path / "state.npz"
         state = {"a": np.arange(6.0).reshape(2, 3), "b": np.float64(2.5) * np.ones(4)}
-        meta = {"seed": 3, "dataset": "sandia", "nested": {"lr": 0.003}}
-        save_state(state, path, meta=meta)
-        loaded, loaded_meta = load_state(path)
-        assert set(loaded) == {"a", "b"}
-        np.testing.assert_array_equal(loaded["a"], state["a"])
-        np.testing.assert_array_equal(loaded["b"], state["b"])
-        assert loaded_meta == meta
+        for meta in ({"seed": 3, "dataset": "sandia", "nested": {"lr": 0.003}}, {"label": "Pollo e più"}):
+            save_state(state, path, meta=meta)
+            loaded, loaded_meta = load_state(path)
+            assert set(loaded) == {"a", "b"}
+            np.testing.assert_array_equal(loaded["a"], state["a"])
+            np.testing.assert_array_equal(loaded["b"], state["b"])
+            assert loaded_meta == meta
 
     def test_meta_optional(self, tmp_path):
         path = tmp_path / "bare.npz"
@@ -49,12 +43,13 @@ class TestModelRoundTrip:
             ModelConfig(horizon_scale_s=70.0), rng=np.random.default_rng(7)
         )
         meta = {"dataset": "lg", "horizon_scale": 70.0, "hidden": [16, 32, 16]}
-        save_model(model, path, meta=meta)
+        save_state(model.state_dict(), path, meta=meta)
 
         clone = TwoBranchSoCNet(
             ModelConfig(horizon_scale_s=70.0), rng=np.random.default_rng(99)
         )
-        returned_meta = load_model_into(clone, path)
+        state, returned_meta = load_state(path)
+        clone.load_state_dict(state)
         assert returned_meta == meta
         for name, param in model.named_parameters():
             np.testing.assert_array_equal(dict(clone.named_parameters())[name].data, param.data)
@@ -65,7 +60,7 @@ class TestModelRoundTrip:
 
     def test_mismatched_architecture_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
-        save_model(TwoBranchSoCNet(rng=np.random.default_rng(0)), path)
+        save_state(TwoBranchSoCNet(rng=np.random.default_rng(0)).state_dict(), path)
         small = TwoBranchSoCNet(ModelConfig(hidden=(8,)), rng=np.random.default_rng(0))
         with pytest.raises((KeyError, ValueError)):
-            load_model_into(small, path)
+            small.load_state_dict(load_state(path)[0])

@@ -6,7 +6,7 @@ gateway root, batcher queue/serve, shard fan-out, wire hop, worker
 stages, engine, kernel — whose stage durations nest within the root,
 while a concurrent HTTP GET of ``/metrics`` returns parseable
 Prometheus text containing the per-stage histograms.  Also covers the
-CLI surface (``serve-sim --trace-json``, ``monitor serve``).
+CLI surface (``serve-sim --trace-json``).
 """
 
 import asyncio
@@ -204,19 +204,6 @@ class TestCliSurface:
         assert "engine.rollout" in names
         assert "serve-sim" not in capsys.readouterr().err  # no stray stderr noise
 
-    def test_monitor_serve_exposes_snapshot_file(self, tmp_path):
-        snapshot = {
-            "metrics": {
-                "counters": {'gateway_requests_total{endpoint="estimate"}': 4.0},
-                "gauges": {},
-                "histograms": {},
-            }
-        }
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(snapshot), encoding="utf-8")
-        rc = cli.main(["monitor", "serve", str(path), "--duration", "0.05"])
-        assert rc == 0
-
     def test_parser_accepts_new_flags(self):
         parser = cli.build_parser()
         args = parser.parse_args([
@@ -225,5 +212,3 @@ class TestCliSurface:
         ])
         assert args.metrics_port == 0
         assert args.trace_sample == 0.25
-        args = parser.parse_args(["monitor", "serve", "m.json", "--port", "9923"])
-        assert args.port == 9923 and args.duration is None
