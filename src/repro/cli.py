@@ -671,6 +671,14 @@ def _cmd_serve(args) -> int:
     from .serve.daemon import SocDaemon, run_daemon
 
     _check_serve_flags(args)
+    # the daemon runs until stopped: it has no end at which to write a
+    # file or apply an exit gate (its metrics and traces are scraped live)
+    end_of_run = {"--metrics-json": args.metrics_json, "--fail-on-drift": args.fail_on_drift,
+                  "--trace-json": args.trace_json}
+    for flag, value in end_of_run.items():
+        if value:
+            raise SystemExit(f"{flag} is a serve-sim flag: the serve daemon never exits to honour it "
+                             "(scrape /metrics and /traces via --metrics-port)")
     model, meta = _resolve_serve_model(args)
     registry = None
     if args.registry:
@@ -679,7 +687,7 @@ def _cmd_serve(args) -> int:
         name = f"{dataset or 'default'}-serve"
         registry.publish(name, model, dataset=dataset)
         print(f"serving via registry {args.registry} (model {name!r})", file=sys.stderr)
-    tracing = args.metrics_port is not None or bool(args.trace_json)
+    tracing = args.metrics_port is not None
     metrics = tracer = None
     from .monitor import DriftMonitor, MetricsRegistry, install_process_metrics
 
@@ -896,16 +904,16 @@ def _flag_parents() -> dict[str, argparse.ArgumentParser]:
     g.add_argument("--metrics-json", default=None,
                    help="enable monitoring (metrics registry + drift detectors across "
                         "every layer, incl. subprocess workers) and write the merged "
-                        "snapshot here")
+                        "snapshot here (serve-sim only)")
     g.add_argument("--fail-on-drift", action="store_true",
                    help="enable monitoring and exit 1 if any drift/physics-bounds "
-                        "event fires (the detector false-positive gate)")
+                        "event fires (the detector false-positive gate; serve-sim only)")
     g.add_argument("--metrics-port", type=int, default=None,
                    help="enable tracing and serve /metrics, /traces and /healthz over "
                         "HTTP on 127.0.0.1:PORT (0 = ephemeral)")
     g.add_argument("--trace-json", default=None,
                    help="enable tracing and write sampled span trees (plus Chrome "
-                        "trace events for chrome://tracing) to this file")
+                        "trace events for chrome://tracing) to this file (serve-sim only)")
     g.add_argument("--trace-sample", type=float, default=0.05,
                    help="head-sampling rate for request traces (1.0 = every request; "
                         "slow traces are captured regardless)")

@@ -1,12 +1,12 @@
 """Harvest training rows for the offline learner from serving journals.
 
 The serving plane already writes down everything a retrain needs: every
-committed rollout window lands in a :class:`~repro.serve.persistence.StateJournal`
-as a ``w`` record, and since the journal's extended record format those
-records carry the workload that produced the window (``i``/``t``/``h``/
-``c`` keys — average current, average temperature, horizon, capacity).
-This module replays those journals *as data*, not as state: consecutive
-``(w, w+1)`` records of one cell become one
+committed rollout window lands in a
+:class:`~repro.serve.persistence.StateJournal` as a window frame, and
+those frames carry the workload that produced the window (average
+current, average temperature, horizon, capacity columns).  This module
+replays journals *as data*, not as state: consecutive ``(w, w+1)``
+windows of one cell become one
 :class:`~repro.datasets.windowing.PredictionSamples` row —
 
     ``(SoC(t)=w.soc, I_avg, T_avg, N) -> SoC(t+N)=w+1.soc``
@@ -15,49 +15,40 @@ This module replays those journals *as data*, not as state: consecutive
 fine-tuner (:mod:`repro.learn.finetune`) feed the harvest straight into
 the existing :class:`~repro.core.trainer.SplitTrainer`.
 
-Replay order per journal mirrors the journal's own: archived segments
-(fetched from the :class:`~repro.serve.archive.ArchiveStore` cold tier,
-like :func:`~repro.serve.archive.restore_from_archive`), local sealed
-segments, then the active file — read-only, so harvesting never races
-the serving process that owns the journal.  The edge cases the serving
-stack creates are handled where they arise:
+The journal's own reader (:func:`~repro.serve.persistence.read_journal`)
+walks each journal — archived, sealed, then active — read-only, so
+harvesting never races the serving process that owns the journal.  This
+module adds the pairing, which absorbs the serving stack's edge cases:
 
 - **compacted journals**: compaction keeps only SoC per window, so rows
-  whose workload keys were compacted away are silently unavailable —
-  the harvester pairs across a ``compact`` marker (the re-emitted
-  soc-only records still anchor resumed windows) but emits nothing for
-  history that no longer exists;
+  whose workload was compacted away are silently unavailable — the
+  harvester pairs across a ``compact`` marker (the re-emitted SoC-only
+  windows still anchor resumed windows) but emits nothing for history
+  that no longer exists;
 - **archived-segment gaps**: a hole in the cold store's numbering
   raises :class:`~repro.serve.archive.MissingSegmentError` unless the
-  caller budgets for it (``max_gaps``); tolerated gaps sever window
-  pairing (never pair across missing history) and are counted in the
-  report;
+  caller budgets for it (``max_gaps``); a tolerated gap severs window
+  pairing (never pair across missing history), windows whose cell ids
+  were interned in the lost segment are skipped, and gaps are counted
+  in the report;
 - **rebalanced cells**: a drifted cell whose shard changed left its
   windows in *another* worker's journal — harvesting accepts many
   journals and merges their rows, deduplicating exact duplicates a
-  crashed ship-then-unlink may have left behind;
-- **torn tails**: a crash mid-write tears at most the active file's
-  final line; that line is skipped (sealed segments must parse
-  cleanly, as in journal replay).
+  crashed ship-then-unlink may have left behind.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..datasets.windowing import PredictionSamples
-from ..serve.archive import MissingSegmentError
-from ..serve.persistence import JOURNAL_FORMAT_VERSION
+from ..serve.persistence import Cells, Compact, Drop, Gap, Rollout, Roster, Window, read_journal
 
 __all__ = ["HarvestReport", "harvest_training_set"]
-
-_WORKLOAD_KEYS = ("i", "t", "h", "c")
 
 
 @dataclasses.dataclass
@@ -116,7 +107,7 @@ def harvest_training_set(
     ----------
     journals:
         One journal path or many (one per shard worker, typically) —
-        the *active* file paths; sealed ``<name>.NNNNN.jsonl`` segments
+        the *active* file paths; sealed ``<name>.NNNNN.seg`` segments
         next to each are replayed first, oldest first.
     events:
         Drift events (:class:`~repro.monitor.drift.DriftEvent` or
@@ -160,126 +151,62 @@ class _HarvestState:
         self.gaps = 0
         self.duplicates = 0
         self.seen: set[tuple] = set()
-        self.rows: dict[str | None, list[dict]] = {}
+        self.rows: dict[str | None, list[tuple]] = {}  # (cell_id, window, *_COLUMNS) rows
         self.cells: set[str] = set()
-        # per-journal pairing state, reset in replay_journal
-        self._chem: dict[str, str | None] = {}
-        self._last: dict[str, tuple[int, float]] = {}
 
     # -- per-journal replay --------------------------------------------
     def replay_journal(self, path: Path, store) -> None:
-        self._chem = {}
-        self._last = {}
-        with tempfile.TemporaryDirectory(prefix="soc-harvest-") as tmp:
-            for file, allow_torn in self._journal_files(path, store, Path(tmp)):
-                if file is None:  # tolerated gap sentinel
-                    self._last.clear()
-                    continue
-                self._replay_file(file, allow_torn=allow_torn)
-
-    def _journal_files(self, path: Path, store, tmp: Path):
-        """Yield ``(file, allow_torn)`` in replay order; ``(None, _)`` marks a gap."""
-        local: dict[int, Path] = {}
-        for candidate in path.parent.glob(f"{path.name}.*.jsonl"):
-            index = _segment_index(path.name, candidate.name)
-            if index is not None:
-                local[index] = candidate
-        archived: dict[int, str] = {}
-        if store is not None:
-            for name in store.list(prefix=f"{path.name}."):
-                index = _segment_index(path.name, name)
-                if index is not None:
-                    archived[index] = name
-        indices = sorted(set(local) | set(archived))
-        for index in range(1, indices[-1] + 1) if indices else ():
-            if index in local:
-                yield local[index], False
-            elif index in archived:
-                fetched = tmp / archived[index]
-                store.fetch(archived[index], fetched)
-                yield fetched, False
-            else:
+        self._chem: dict[str, str | None] = {}
+        self._last: dict[str, tuple[int, float]] = {}  # cell id -> its last (window, soc)
+        self._roster: dict[int, str] = {}  # roster position -> cell id
+        for record in read_journal(path, store, max_gaps=self.gap_budget - self.gaps):
+            if isinstance(record, Window):
+                self._replay_window(record)
+            elif isinstance(record, Cells):
+                self._chem.update((cell_id, fields[0]) for cell_id, fields in zip(record.ids, record.fields))
+            elif isinstance(record, Roster):
+                self._roster.update(zip(range(record.at, record.at + len(record.ids)), record.ids))
+            elif isinstance(record, Drop):
+                self._chem.pop(record.cell_id, None)
+                self._last.pop(record.cell_id, None)
+            elif isinstance(record, Rollout):
+                # a new rollout restarts every cell's window numbering
+                self._last.clear()
+                self._roster = {}
+            elif isinstance(record, Compact):
+                # state resets here; the re-emitted records that follow
+                # rebuild it (their soc-only windows re-anchor pairing,
+                # so post-restart resumed windows still yield rows)
+                self._chem.clear()
+                self._last.clear()
+                self._roster = {}
+            elif isinstance(record, Gap):
                 self.gaps += 1
-                if self.gaps > self.gap_budget:
-                    raise MissingSegmentError(
-                        f"journal {path.name} history has gaps beyond the "
-                        f"max_gaps={self.gap_budget} budget (missing segment {index})"
-                    )
-                yield None, False
-        if path.exists():
-            yield path, True
+                self._last.clear()
 
-    def _replay_file(self, path: Path, allow_torn: bool) -> None:
-        lines = path.read_bytes().splitlines()
-        for k, raw_line in enumerate(lines):
-            line = raw_line.decode("utf-8", errors="replace").strip()
-            if not line:
+    def _replay_window(self, record: Window) -> None:
+        window = record.window
+        for position, soc, *workload in zip(record.cells.tolist(), *record.values.tolist()):
+            cell_id = self._roster.get(position)
+            if cell_id is None:
+                continue  # interned in a segment lost to a tolerated gap
+            previous = self._last.get(cell_id)
+            self._last[cell_id] = (window, soc)
+            if previous is None or previous[0] != window - 1:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if allow_torn and k == len(lines) - 1:
-                    return  # torn tail: the crash the journal itself tolerates
-                raise ValueError(f"corrupt journal {path}: bad record on line {k + 1}")
-            self._replay_record(record, path)
-
-    def _replay_record(self, record: dict, path: Path) -> None:
-        op = record.get("op")
-        if op == "cell":
-            self._chem[record["id"]] = record.get("chem")
-        elif op == "drop":
-            self._chem.pop(record["id"], None)
-            self._last.pop(record["id"], None)
-        elif op == "rollout":
-            # a new rollout restarts every cell's window numbering
-            self._last.clear()
-        elif op == "compact":
-            # state resets here; the re-emitted records that follow
-            # rebuild it (their soc-only windows re-anchor pairing, so
-            # post-restart resumed windows still yield rows)
-            self._chem.clear()
-            self._last.clear()
-        elif op == "w":
-            self._replay_window(record)
-        elif op == "journal":
-            if record.get("version", 0) > JOURNAL_FORMAT_VERSION:
-                raise ValueError(
-                    f"journal {path} uses format v{record['version']} "
-                    f"(this build reads up to v{JOURNAL_FORMAT_VERSION})"
-                )
-        else:
-            raise ValueError(f"corrupt journal {path}: unknown op {op!r}")
-
-    def _replay_window(self, record: dict) -> None:
-        cell_id = record["id"]
-        window = int(record["w"])
-        soc = float(record["soc"])
-        previous = self._last.get(cell_id)
-        self._last[cell_id] = (window, soc)
-        if previous is None or previous[0] != window - 1:
-            return
-        if any(key not in record for key in _WORKLOAD_KEYS):
-            return  # pre-extension or compacted record: no workload to learn from
-        if self.wanted is not None and cell_id not in self.wanted:
-            return
-        row = {
-            "cell_id": cell_id,
-            "window": window,
-            "soc_t": previous[1],
-            "i_avg": float(record["i"]),
-            "temp_avg": float(record["t"]),
-            "horizon_s": float(record["h"]),
-            "soc_target": soc,
-            "capacity_ah": float(record["c"]),
-        }
-        if self.dedup:
-            key = tuple(row.values())
-            if key in self.seen:
-                self.duplicates += 1
-                return
-            self.seen.add(key)
-        self.cells.add(cell_id)
-        self.rows.setdefault(self._chem.get(cell_id), []).append(row)
+            if not workload:
+                continue  # a seed or compacted window: no workload to learn from
+            if self.wanted is not None and cell_id not in self.wanted:
+                continue
+            i_avg, temp_avg, horizon_s, capacity_ah = workload
+            row = (cell_id, window, previous[1], i_avg, temp_avg, horizon_s, soc, capacity_ah)
+            if self.dedup:
+                if row in self.seen:
+                    self.duplicates += 1
+                    continue
+                self.seen.add(row)
+            self.cells.add(cell_id)
+            self.rows.setdefault(self._chem.get(cell_id), []).append(row)
 
     # -- materialization -----------------------------------------------
     def report(self) -> HarvestReport:
@@ -297,32 +224,18 @@ class _HarvestState:
         )
 
 
-def _segment_index(journal_name: str, file_name: str) -> int | None:
-    if not (file_name.startswith(f"{journal_name}.") and file_name.endswith(".jsonl")):
-        return None
-    stem = file_name[len(journal_name) + 1 : -len(".jsonl")]
-    return int(stem) if stem.isdigit() else None
+_COLUMNS = ("soc_t", "i_avg", "temp_avg", "horizon_s", "soc_target", "capacity_ah")
 
 
-def _to_samples(rows: list[dict]) -> PredictionSamples:
-    """Rows → :class:`PredictionSamples` (measured channels zero-filled).
-
-    The journal records the recursion's inputs, not raw sensor traces,
-    so ``v_t``/``i_t``/``temp_t`` are placeholders — safe because
-    Branch 2 training (and its collocation sampler) reads only the
-    ``soc_t``/``i_avg``/``temp_avg``/``horizon_s``/``capacity_ah``
-    columns.
-    """
+def _to_samples(rows: list[tuple]) -> PredictionSamples:
+    """Rows → :class:`PredictionSamples`, the measured channels zero-filled:
+    the journal holds the recursion's inputs, not sensor traces, and
+    Branch 2 training reads only the :data:`_COLUMNS`."""
+    columns = list(zip(*rows))[2:]
     n = len(rows)
-    column = lambda key: np.array([row[key] for row in rows], dtype=np.float64)  # noqa: E731
     return PredictionSamples(
         v_t=np.zeros(n),
         i_t=np.zeros(n),
         temp_t=np.zeros(n),
-        soc_t=column("soc_t"),
-        i_avg=column("i_avg"),
-        temp_avg=column("temp_avg"),
-        horizon_s=column("horizon_s"),
-        soc_target=column("soc_target"),
-        capacity_ah=column("capacity_ah"),
+        **{name: np.array(column, dtype=np.float64) for name, column in zip(_COLUMNS, columns)},
     )

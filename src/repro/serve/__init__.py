@@ -11,7 +11,8 @@ and versioned checkpoint rollout.
   hashed cell partitioning across shard workers behind the engine API,
   with stable rebalancing;
 - :mod:`repro.serve.persistence` — :class:`StateJournal`: append-only
-  per-cell state/rollout-progress journal with atomic compaction;
+  per-cell state/rollout-progress journal of wire frames with atomic
+  compaction, and ``read_journal``, its one reader;
 - :mod:`repro.serve.registry` — :class:`ModelRegistry`: versioned
   named checkpoints with channels (stable/canary), promote/rollback,
   and chemistry/dataset resolution;
@@ -39,9 +40,9 @@ and versioned checkpoint rollout.
   control URL that clients and workers dial into;
 - :mod:`repro.serve.client` — :class:`SocClient`: the public
   by-URL client for a running daemon;
-- :mod:`repro.serve.archive` — :class:`DirectoryArchiveStore` and
-  :func:`restore_from_archive`: cold storage for sealed journal
-  segments (rotation ships, restore replays);
+- :mod:`repro.serve.archive` — :class:`DirectoryArchiveStore`: cold
+  storage for sealed journal segments (rotation ships, replay
+  fetches);
 - :mod:`repro.serve.wire` — the one frame codec of every worker and
   client message: struct header, JSON meta (control ops' arguments and
   results) and raw array payloads decoded via ``np.frombuffer`` (the
@@ -59,7 +60,7 @@ architecture, gateway architecture, sharding topology, worker wire
 protocol (frame layout), journal format, and canary lifecycle.
 """
 
-from .archive import ArchiveError, DirectoryArchiveStore, MissingSegmentError, restore_from_archive
+from .archive import ArchiveError, DirectoryArchiveStore, MissingSegmentError
 from .canary import CanaryController, CanaryReport, in_canary_slice
 from .client import DaemonUnavailable, SocClient
 from .daemon import SocDaemon
@@ -93,7 +94,6 @@ __all__ = [
     "ArchiveError",
     "MissingSegmentError",
     "DirectoryArchiveStore",
-    "restore_from_archive",
     "StateJournal",
     "JournalSnapshot",
     "ModelEntry",

@@ -1,39 +1,27 @@
 """Cold-store archival for sealed :class:`StateJournal` segments.
 
-Segment rotation (PR: journal tiering) keeps the *active* append file
-small, but the sealed segments still accumulate on the serving host's
-disk — a >1M-cell fleet spanning machines outgrows that long before it
-outgrows the engine.  This module adds the cold tier: when a journal
-built with ``StateJournal(path, archive=store)`` seals a segment, the
-segment is **shipped** to the store and the local copy deleted, so the
-hot directory holds exactly one active file per worker while history
-lives wherever the store points (a shared directory today; the
-:class:`ArchiveStore` surface is four methods precisely so an object
-store can slot in without touching the journal).
+Segment rotation keeps the *active* journal file small, but sealed
+segments still pile up on the serving host's disk.  This module is the
+cold tier: a journal built with ``StateJournal(path, archive=store)``
+**ships** each segment it seals to the store and deletes the local
+copy, so the hot directory holds one active file per worker while
+history lives wherever the store points (a directory today; the
+:class:`ArchiveStore` surface is four methods so an object store can
+slot in).  Lifecycle::
 
-Tiering lifecycle::
+    append -> active file            (hot: one frame per append)
+    rotate -> sealed <name>.NNNNN.seg -> put(), local copy unlinked (cold)
+    replay -> fetch() archived segments, oldest first        (restore)
+    compact-> one collapsed active file; delete() archived segments
 
-    append -> active file            (hot: one open handle, O(batch))
-    rotate -> sealed  <name>.NNNNN.jsonl
-           -> put() to the store, local copy unlinked     (cold)
-    replay -> fetch() missing segments back, oldest first (restore)
-    compact-> one collapsed active file; delete() archived
-              segments (the `compact` marker makes stragglers
-              harmless — see StateJournal.compact)
-
-Replay is where correctness lives: a journal's state is the ordered
-union of its segments plus the active file, so a **missing archived
-segment is corruption**, not an inconvenience — replaying around a
-gap would silently resurrect dropped cells or forget live ones.
-:meth:`StateJournal.__init__ <repro.serve.persistence.StateJournal>`
-therefore checks segment numbering is contiguous from 1 and raises
-:class:`MissingSegmentError` naming the gap, the same way a corrupt
-record raises instead of being skipped.
-
-:func:`restore_from_archive` is the cold-start path: point it at an
-empty (or absent) local journal path and the store, and it fetches +
-replays the archived history — how a fleet worker resumes on a
-*different* host than the one that crashed.
+Replay is the journal's own reader
+(:func:`~repro.serve.persistence.read_journal`).  A journal's state is
+the ordered union of its segments plus the active file, so a **missing
+archived segment is corruption** — replaying around it would resurrect
+dropped cells or forget live ones — and the reader raises
+:class:`MissingSegmentError` naming the gap.  Restoring on a *different*
+host than the one that crashed is ``StateJournal(path, archive=store)``
+on an empty (or absent) local path.
 """
 
 from __future__ import annotations
@@ -47,7 +35,6 @@ __all__ = [
     "ArchiveStore",
     "DirectoryArchiveStore",
     "MissingSegmentError",
-    "restore_from_archive",
 ]
 
 
@@ -68,7 +55,7 @@ class MissingSegmentError(ArchiveError, ValueError):
 class ArchiveStore:
     """Duck-typed cold store: four methods over named blobs.
 
-    Segment names are flat strings (``<journal-name>.00001.jsonl``);
+    Segment names are flat strings (``<journal-name>.00001.seg``);
     per-worker journal file names already embed the shard (e.g.
     ``fleet.journal.shard2``), so one store serves a whole fleet
     without collisions.  Implementations must make :meth:`put`
@@ -139,17 +126,3 @@ class DirectoryArchiveStore(ArchiveStore):
     def delete(self, name: str) -> None:
         (self.root / name).unlink(missing_ok=True)
 
-
-def restore_from_archive(path: str | Path, store: ArchiveStore, **journal_kwargs):
-    """Rebuild a journal (possibly on a fresh host) from the cold store.
-
-    Fetches every archived segment for ``path``'s journal name,
-    replays them in order (plus whatever active file already exists
-    locally), and returns the live, appendable
-    :class:`~repro.serve.persistence.StateJournal` — wired to the same
-    store, so future rotations keep shipping.  Raises
-    :class:`MissingSegmentError` when the archived history has a gap.
-    """
-    from .persistence import StateJournal
-
-    return StateJournal(path, archive=store, **journal_kwargs)

@@ -253,8 +253,8 @@ class FleetEngine:
             metrics=metrics,
             drift=drift,
         )
-        for state in journal.snapshot().cells.values():
-            engine._adopt_state(dataclasses.replace(state))
+        for state in journal.cells().values():  # detached copies
+            engine._adopt_state(state)
         return engine
 
     # -- fleet membership ----------------------------------------------
@@ -290,7 +290,7 @@ class FleetEngine:
         new = cell_id not in self._cells
         state = CellState(cell_id=cell_id, chemistry=chemistry, model_key=key)
         self._cells[cell_id] = state
-        self._record(state)
+        self._record_many([state])
         if new:
             self._track_size(1)
         return state
@@ -314,7 +314,7 @@ class FleetEngine:
         """
         state = self.cell(cell_id)
         state.model_key = self._resolve_key(state.chemistry, model_name)
-        self._record(state)
+        self._record_many([state])
         return state
 
     def cell(self, cell_id: str) -> CellState:
@@ -537,15 +537,16 @@ class FleetEngine:
 
         Windows the journal already holds are *replayed, not
         recomputed*: each cell picks its recursion back up from its
-        last journaled SoC and only the remaining windows run.  JSON
-        round-trips floats exactly, and a crash between windows leaves
-        every active cell of a model group at the same window, so the
-        resumed run re-issues the very same batched forwards the
-        uninterrupted run would have — the combined trajectory is
-        bit-for-bit identical.  (Resuming under a *different* grouping,
-        e.g. another shard count, changes batch compositions and can
-        shift results by BLAS-kernel rounding, ~1e-17 — still far
-        inside the fleet's 1e-9 equivalence budget.)
+        last journaled SoC and only the remaining windows run.  The
+        journal stores raw float64, so every SoC comes back exactly,
+        and a crash between windows leaves every active cell of a
+        model group at the same window, so the resumed run re-issues
+        the very same batched forwards the uninterrupted run would
+        have — the combined trajectory is bit-for-bit identical.
+        (Resuming under a *different* grouping, e.g. another shard
+        count, changes batch compositions and can shift results by
+        BLAS-kernel rounding, ~1e-17 — still far inside the fleet's
+        1e-9 equivalence budget.)
 
         Requires an attached journal whose last rollout used the same
         ``step_s``; a cycle that cannot be planned or a cell id assigned
@@ -610,6 +611,8 @@ class FleetEngine:
             # the harvester needs per-row capacities too (Eq. 1
             # recomputation from journaled workloads)
             cap_row = plan.capacity_ah[trace]
+        if self.journal is not None:
+            roster = self.journal.intern(ids)  # each row's journal roster position
         if monitored:
             # two scratch rows reused by every window's residual
             delta = np.empty(n)
@@ -660,6 +663,8 @@ class FleetEngine:
             g_pred = pred_rows[a:b, : g_max + 1].T.copy() if prefix else np.empty((g_max + 1, m_all))
             if monitored or self.journal is not None:
                 g_cap = cap_row[a:b]
+            if self.journal is not None:
+                g_roster = roster[a:b]
             if monitored:
                 # the per-window physics residual |predicted ΔSoC −
                 # coulomb ΔSoC| (the Branch 2 correction magnitude over
@@ -683,9 +688,7 @@ class FleetEngine:
                 if self.drift is not None:
                     self.drift.observe_soc(g_ids, seed, positions=idx, window=0)
                 if self.journal is not None:
-                    self.journal.append_windows(
-                        (g_ids[r], 0, soc) for r, soc in zip(idx.tolist(), g_pred[0, idx].tolist())
-                    )
+                    self.journal.append_windows(0, g_roster[idx], g_pred[0, idx])
             # windows below `replaying` may still have rows whose next
             # value is journaled; those windows select their rows by mask
             replaying = int(g_start.max())
@@ -715,19 +718,10 @@ class FleetEngine:
                         if self.drift is not None:
                             self.drift.observe_residuals(gidx[rows], resid[:count], window=w + 1)
                     if self.journal is not None:
-                        # extended records: the workload that produced the
-                        # window rides along for the offline learner
-                        self.journal.append_windows(
-                            zip(
-                                g_ids[:m] if positions is None else [g_ids[r] for r in positions.tolist()],
-                                itertools.repeat(w + 1),
-                                g_pred[w + 1, rows].tolist(),
-                                g_i[w, rows].tolist(),
-                                g_t[w, rows].tolist(),
-                                g_h[w, rows].tolist(),
-                                g_cap[rows].tolist(),
-                            )
-                        )
+                        # the workload that produced the window rides
+                        # along for the offline learner
+                        workload = (g_i[w, rows], g_t[w, rows], g_h[w, rows], g_cap[rows])
+                        self.journal.append_windows(w + 1, g_roster[rows], g_pred[w + 1, rows], workload)
                 if step_hook is not None:
                     step_hook(w + 1)
             # results hold disjoint row views of this call's own matrices
@@ -822,10 +816,6 @@ class FleetEngine:
             self.metrics.gauge("engine_cells").inc(delta)
 
     # ------------------------------------------------------------------
-    def _record(self, state: CellState) -> None:
-        if self.journal is not None:
-            self.journal.append_cell(state)
-
     def _record_many(self, states: list[CellState]) -> None:
         """Journal a batch of cell states with one write (see ``append_cells``)."""
         if self.journal is not None and states:

@@ -1,66 +1,324 @@
-"""Durable per-cell serving state: append-only journal with compaction.
+"""Durable per-cell serving state: one journal format, one journal reader.
 
-The physics-state recursion at the heart of the paper's Branch 2 makes
-serving *stateful*: each cell's next prediction consumes its last SoC,
-so an engine restart that forgets per-cell state breaks the recursion
-(every cell would need a fresh Branch 1 estimate, discarding the
-accumulated trajectory).  :class:`StateJournal` makes that state
-durable with the classic write-ahead pattern:
+Branch 2's recursion makes serving *stateful* — each cell's next
+prediction consumes its last SoC — so :class:`StateJournal` keeps that
+state in an append-only write-ahead log, and :func:`read_journal` is the
+only code that reads one back: journal replay and the offline learner's
+harvest (:mod:`repro.learn.harvest`) both consume its typed records.
 
-- every mutation of a :class:`~repro.serve.engine.CellState` appends a
-  one-line JSON record to an append-only file (``cell`` ops);
-- fleet rollouts additionally stream their per-window recursion state
-  (``w`` ops, one per cell per window) behind a ``rollout`` marker, so
-  a crash mid-rollout loses at most the window being computed;
-- :meth:`compact` rewrites the file down to one record per live cell
-  (plus any in-flight rollout progress) via an atomic replace, and
-  runs automatically every ``compact_every`` appended records;
-- with ``max_segment_bytes`` set, the journal **rotates**: when the
-  active file crosses the limit it is sealed in place as
-  ``<name>.00001.jsonl`` (monotonically numbered) and a fresh active
-  file begins.  Replay walks the sealed segments in order, then the
-  active file; compaction collapses everything back into one active
-  file.  Rotation is what keeps a single append target small enough
-  for >1M-cell fleets: sealing is one ``rename`` (no data copied), and
-  compaction cost is bounded by *live* state, not append history;
-- with ``archive`` set to an :class:`~repro.serve.archive.ArchiveStore`,
-  sealed segments are **shipped to the cold store** and deleted
-  locally — the hot directory holds only the active file.  Replay
-  fetches archived segments back first (so a journal restores on a
-  host that never wrote it; see
-  :func:`repro.serve.archive.restore_from_archive`), and a gap in the
-  archived numbering raises
-  :class:`~repro.serve.archive.MissingSegmentError` — replaying around
-  a missing segment would silently corrupt state.
+**Format (v3).**  Every append is one frame: a :mod:`~repro.serve.wire`
+frame (length prefix, JSON meta, raw numeric arrays) followed by the
+big-endian ``zlib.crc32`` of prefix and body.  A ``journal`` frame with
+the format version opens each file; every other frame is one record
+(:class:`Cells`, :class:`Drop`, :class:`Rollout`, :class:`Roster`,
+:class:`Window`, :class:`Compact`; ``serve/README.md`` tabulates their
+layout).  Numbers that must come back exactly — SoCs, times, workloads
+— ride as raw float64, so :meth:`FleetEngine.restore
+<repro.serve.engine.FleetEngine.restore>` plus ``resume_rollout_fleet``
+reproduce an uninterrupted rollout bit for bit; ids and integers ride in
+the meta or, for a rollout's roster, one string block.  A batch beyond
+half of :data:`~repro.serve.wire.MAX_FRAME_BYTES` is split over several
+frames.  The JSONL journals of formats v1 and v2 are refused with an
+error naming their version.
 
-JSON floats round-trip ``float`` values exactly (``repr`` precision),
-which is what lets :meth:`FleetEngine.restore
-<repro.serve.engine.FleetEngine.restore>` followed by
-``resume_rollout_fleet`` reproduce an uninterrupted rollout bit for
-bit.  A torn final line (crash mid-write) is tolerated on replay —
-only in the *active* file, the one a crash can tear; sealed segments
-must parse cleanly — and corruption anywhere else raises.
+**Reading.**  :func:`read_journal` walks archived segments (fetched),
+local sealed segments (``<name>.00001.seg``, ...), then the active
+file.  A gap in the numbering raises
+:class:`~repro.serve.archive.MissingSegmentError` unless the caller
+budgets for it.  Only the active file may end in a torn frame (a crash
+mid-append): a short frame, a short checksum or a checksum mismatch on
+its last frame ends the replay at the last whole frame.  The same
+damage anywhere else raises ``ValueError("corrupt journal ...")``.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-import json
 import os
+import re
+import struct
+import tempfile
+import zlib
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
+from . import wire
+from .archive import MissingSegmentError
 from .engine import CellState
 
-__all__ = ["JournalSnapshot", "StateJournal", "JOURNAL_FORMAT_VERSION"]
+__all__ = [
+    "JOURNAL_FORMAT_VERSION",
+    "Cells",
+    "Compact",
+    "Drop",
+    "Gap",
+    "JournalSnapshot",
+    "Rollout",
+    "Roster",
+    "StateJournal",
+    "Window",
+    "read_journal",
+]
 
-# v2 added the `compact` op (state-reset marker written by compaction)
-# and segment rotation; older readers see the version header and reject
-# the file cleanly instead of reporting the unknown op as corruption.
-# v1 files remain readable.
-JOURNAL_FORMAT_VERSION = 2
+# v3: columnar wire frames with a CRC.  v1 and v2 were JSONL and are refused.
+JOURNAL_FORMAT_VERSION = 3
+
+_SEGMENT_SUFFIX = "seg"
+_U32 = struct.Struct(">I")
+# payload bytes one frame may carry before a batch is split; half the
+# wire's cap leaves room for the meta block
+_FRAME_BUDGET = wire.MAX_FRAME_BYTES // 2
 
 
+# -- records -------------------------------------------------------------
+class Cells(NamedTuple):
+    """A batch of cell states: ``fields[k]`` is ``(chemistry, model_key,
+    soc, last_seen_s, n_requests)`` of cell ``ids[k]``.
+
+    On disk: float64 SoC and last-seen-time columns (none for
+    registrations) and meta lists of ids, request counts and profile
+    indices; a profile ``[chemistry, model_key, has_soc, has_seen]``
+    keeps ``None`` distinct from NaN.
+    """
+
+    ids: list[str]
+    fields: list[tuple]
+
+
+class Drop(NamedTuple):
+    cell_id: str
+
+
+class Rollout(NamedTuple):
+    """A fleet rollout starts: the previous one's progress and roster reset."""
+
+    step_s: float
+
+
+class Roster(NamedTuple):
+    """Cell ids interned into the rollout's roster from position ``at`` on."""
+
+    ids: list[str]
+    at: int
+
+
+class Window(NamedTuple):
+    """One rollout window: int32 roster positions and a float64 ``values``
+    array whose row 0 is each cell's SoC after the window and whose rows
+    1–4, absent on seeds and compacted windows, are the ``i_avg``/
+    ``temp_avg``/``horizon_s``/``capacity_ah`` workload: 44 bytes per
+    cell-window."""
+
+    window: int
+    cells: np.ndarray
+    values: np.ndarray
+
+
+class Compact(NamedTuple):
+    """Compaction rewrote everything before this marker."""
+
+
+class Gap(NamedTuple):
+    """A missing segment the caller's ``max_gaps`` budget tolerated."""
+
+    index: int
+
+
+def _frame(record) -> tuple[str, dict, list]:
+    """The wire ``(kind, meta, arrays)`` of one record."""
+    if isinstance(record, Window):
+        return "w", {"w": record.window}, [record.cells, record.values]
+    if isinstance(record, Cells):
+        profiles: dict[tuple, int] = {}
+        profile = [
+            profiles.setdefault((chem, key, soc is not None, seen is not None), len(profiles))
+            for chem, key, soc, seen, _ in record.fields
+        ]
+        n_requests = [f[4] for f in record.fields]
+        meta = {"ids": record.ids, "profile": profile, "n": n_requests, "profiles": list(profiles)}
+        if not any(has_soc or has_seen for _, _, has_soc, has_seen in profiles):
+            return "cells", meta, []  # registrations: no row has a float to carry
+        # numpy reads None as NaN; the profile tells the two apart
+        soc, seen = ([f[k] for f in record.fields] for k in (2, 3))
+        return "cells", meta, [np.array(soc, dtype=np.float64), np.array(seen, dtype=np.float64)]
+    if isinstance(record, Roster):
+        return "roster", {"n": len(record.ids), "at": record.at}, [wire.encode_str_list(record.ids)]
+    if isinstance(record, Drop):
+        return "drop", {"id": record.cell_id}, []
+    if isinstance(record, Rollout):
+        return "rollout", {"step_s": record.step_s}, []
+    return "compact", {}, []
+
+
+def _record(frame: wire.V2Frame):
+    """The record of one decoded frame (``None`` for the version header)."""
+    kind, meta, arrays = frame.kind, frame.meta, frame.arrays
+    if kind == "w":
+        cells, values = arrays
+        rows = values.shape[0] if values.ndim == 2 and values.shape[1] == len(cells) else 0
+        if cells.dtype != np.int32 or values.dtype != np.float64 or rows not in (1, 5):
+            raise ValueError(f"malformed window frame: arrays {[(a.dtype.str, a.shape) for a in arrays]}")
+        return Window(int(meta["w"]), cells, values)
+    if kind == "cells":
+        ids, profile, n_requests, profiles = meta["ids"], meta["profile"], meta["n"], meta["profiles"]
+        soc, seen = (a.tolist() for a in arrays) if arrays else ([None] * len(ids),) * 2
+        if not len(ids) == len(profile) == len(n_requests) == len(soc) == len(seen):
+            raise ValueError(f"cells frame columns disagree: {len(ids)} ids for {len(soc)} rows")
+        fields = [
+            (p[0], p[1], s if p[2] else None, t if p[3] else None, n)
+            for p, s, t, n in zip(map(profiles.__getitem__, profile), soc, seen, n_requests)
+        ]
+        return Cells(ids, fields)
+    if kind == "roster":
+        return Roster(wire.decode_str_list(arrays[0], int(meta["n"])), int(meta["at"]))
+    if kind == "drop":
+        return Drop(str(meta["id"]))
+    if kind == "rollout":
+        return Rollout(float(meta["step_s"]))
+    if kind == "compact":
+        return Compact()
+    if kind != "journal":
+        raise ValueError(f"unknown op {kind!r}")
+    if meta.get("version") != JOURNAL_FORMAT_VERSION:
+        raise ValueError(f"format v{meta.get('version')} is not this build's v{JOURNAL_FORMAT_VERSION}")
+    return None
+
+
+def _encode(kind: str, meta: dict, arrays: list) -> list:
+    buffers = wire.encode_v2(kind, meta, arrays)
+    crc = 0
+    for buffer in buffers:
+        crc = zlib.crc32(buffer, crc)
+    return [*buffers, _U32.pack(crc)]
+
+
+_HEADER = b"".join(_encode("journal", {"version": JOURNAL_FORMAT_VERSION}, []))
+
+
+def _frames(records: Iterable) -> bytes:
+    """The frames of ``records``, each batch split to stay under the frame budget."""
+    out = []
+    for record in records:
+        if isinstance(record, Window):
+            n, row_bytes = len(record.cells), 44
+        elif isinstance(record, (Cells, Roster)):
+            # an id costs at most 12 bytes per character as escaped JSON
+            n, row_bytes = len(record.ids), 40 + 12 * max(map(len, record.ids), default=0)
+        else:
+            n = row_bytes = 1
+        step = max(1, _FRAME_BUDGET // row_bytes)
+        for a in range(0, n, step):
+            if n <= step:
+                part = record
+            elif isinstance(record, Window):
+                part = Window(record.window, record.cells[a : a + step], record.values[:, a : a + step])
+            elif isinstance(record, Roster):
+                part = Roster(record.ids[a : a + step], record.at + a)
+            else:
+                part = Cells(record.ids[a : a + step], record.fields[a : a + step])
+            out += _encode(*_frame(part))
+    return b"".join(out)
+
+
+# -- the reader ----------------------------------------------------------
+def _segments(path: Path, archive=None) -> list[tuple[int, str]]:
+    """``(index, name)`` of journal ``path``'s sealed segments in ``archive``
+    (next to ``path`` without one), oldest first.  Any ``<name>.<NNNNN>.*``
+    counts, so a leftover segment of another format is refused, not skipped."""
+    prefix = f"{path.name}."
+    names = archive.list(prefix=prefix) if archive else [p.name for p in path.parent.glob(prefix + "*")]
+    found = []
+    for name in names:
+        stem, _, suffix = name[len(prefix) :].partition(".")
+        if name.startswith(prefix) and stem.isdigit() and suffix and "." not in suffix:
+            found.append((int(stem), name))
+    return sorted(found)
+
+
+def _file_records(data: bytes, source: str, active: bool = False, repair: Path | None = None) -> Iterator:
+    """The records of one file's frames.  Only the last frame of the ``active``
+    file may be torn: the replay then ends at the last whole frame, and with
+    ``repair`` the file is truncated there.  Other damage raises ``ValueError``."""
+    if data[:1] == b"{":
+        found = re.search(rb'"version":\s*(\d+)', data.split(b"\n", 1)[0])
+        raise ValueError(
+            f"journal {source} is a JSONL journal (format v{int(found.group(1)) if found else 1}); "
+            f"this build reads only format v{JOURNAL_FORMAT_VERSION}; open it with the build that wrote it"
+        )
+    view = memoryview(data)
+    offset, end = 0, len(data)
+    while offset < end:
+        if end - offset < _U32.size:
+            problem = "a torn length prefix"
+        else:
+            (length,) = _U32.unpack_from(data, offset)
+            stop = offset + _U32.size + length
+            if length > wire.MAX_FRAME_BYTES:
+                raise ValueError(f"corrupt journal {source}: a {length}-byte frame at byte {offset}")
+            if stop + _U32.size > end:
+                problem = "a torn frame"
+            elif zlib.crc32(view[offset:stop]) != _U32.unpack_from(data, stop)[0]:
+                problem = "a checksum mismatch"
+                active = active and stop + _U32.size == end  # only the last frame can be torn
+            else:
+                try:
+                    record = _record(wire.decode_body(data[offset + _U32.size : stop]))
+                except (ValueError, KeyError, IndexError, TypeError) as exc:
+                    raise ValueError(f"corrupt journal {source}: {exc}") from exc
+                if record is not None:
+                    yield record
+                offset = stop + _U32.size
+                continue
+        if not active:
+            raise ValueError(f"corrupt journal {source}: {problem} at byte {offset}")
+        if repair is not None:
+            with open(repair, "r+b") as fh:
+                fh.truncate(offset)
+        return
+
+
+def read_journal(path: str | Path, archive=None, max_gaps: int = 0, repair: bool = False) -> Iterator:
+    """Every record of one journal: archived segments (fetched from
+    ``archive`` unless present locally), local sealed segments, then the
+    active file ``path``.
+
+    Yields one :class:`Gap` per missing segment within the ``max_gaps``
+    budget (beyond it: :class:`~repro.serve.archive.MissingSegmentError`).
+    ``repair`` truncates a torn tail off the active file, so the next
+    append starts on a frame boundary; without it the reader never
+    writes (a harvest must not race the journal's owner).
+    """
+    path = Path(path)
+    local: dict[int, list[Path]] = {}
+    for index, name in _segments(path):
+        local.setdefault(index, []).append(path.with_name(name))
+    archived = dict(_segments(path, archive)) if archive is not None else {}
+    top = max([*local, *archived], default=0)
+    missing = [index for index in range(1, top + 1) if index not in local and index not in archived]
+    if len(missing) > max_gaps:
+        raise MissingSegmentError(
+            f"journal {path.name} history has gaps: missing segment(s) {missing} "
+            f"(have {sorted({*local, *archived})}; max_gaps={max_gaps})"
+        )
+    for index in range(1, top + 1):
+        if index in local:
+            for segment in local[index]:
+                yield from _file_records(segment.read_bytes(), str(segment))
+        elif index in archived:
+            with tempfile.TemporaryDirectory(prefix="soc-journal-") as tmp:
+                archive.fetch(archived[index], Path(tmp) / "segment")
+                data = (Path(tmp) / "segment").read_bytes()
+            yield from _file_records(data, archived[index])
+        else:
+            yield Gap(index)
+    if path.exists():
+        yield from _file_records(path.read_bytes(), str(path), active=True, repair=path if repair else None)
+
+
+# -- the journal ---------------------------------------------------------
 @dataclasses.dataclass
 class JournalSnapshot:
     """Materialized journal contents.
@@ -88,31 +346,25 @@ class StateJournal:
     Parameters
     ----------
     path:
-        Journal file; created (with a format-version header) when
+        Active journal file; created (with a format header) when
         missing, replayed into memory when present so an engine can
         pick up exactly where a previous process stopped.
     compact_every:
-        Auto-compact after this many appended records (0 disables
-        automatic compaction; :meth:`compact` stays available).
+        Auto-compact after this many appended rows — cells and
+        cell-windows, one per other frame (0 disables it).
     fsync:
-        ``os.fsync`` the file after every flushed batch (default off).
-        The default survives process crashes — the engine's guarantee —
-        at one flush per *batch* of records; turn this on to also
-        survive OS/power failure, paying one disk sync per batch
-        (which is exactly why appends are batched: the cost is per
-        flush, not per record).
+        ``os.fsync`` after every append (default off): the default
+        survives process crashes, this also OS/power failure, at one
+        disk sync per batch.
     max_segment_bytes:
-        Roll the active file into a sealed, numbered segment once it
-        grows past this size (0, the default, disables rotation).  The
-        check runs per flushed batch, so a segment may overshoot by up
-        to one batch.
+        Seal the active file as the next numbered segment once an
+        append takes it past this size (0, the default, disables it).
     archive:
         Optional :class:`~repro.serve.archive.ArchiveStore`: sealed
-        segments are shipped there on rotation and removed locally;
-        replay fetches any archived segments back before reading.
-        Shipping happens on the append path, so a down store surfaces
-        as an :class:`~repro.serve.archive.ArchiveError` on the append
-        that triggered rotation — state is never silently un-archived.
+        segments are shipped there and unlinked locally (a down store
+        surfaces as an :class:`~repro.serve.archive.ArchiveError` on the
+        append that sealed), and replay fetches them back — so a
+        journal restores on a host that never wrote it.
     """
 
     def __init__(
@@ -132,247 +384,133 @@ class StateJournal:
         self.fsync = fsync
         self.max_segment_bytes = int(max_segment_bytes)
         self.archive = archive
-        self._cells: dict[str, dict] = {}
-        self._windows: dict[str, dict[int, float]] = {}
-        self._step_s: float | None = None
-        self._appended = 0  # records since the last compaction
+        self._cells: dict[str, tuple] = {}  # cell id -> Cells fields
+        self._new_rollout(None)
+        self._appended = 0  # rows since the last compaction
         self._fh = None
-        if self.archive is not None:
-            self._fetch_archived_segments()
-        for segment in self.segments():
-            self._load_file(segment, allow_torn=False)
-            if self.archive is not None:
-                # local copies of shipped segments are cache, not record:
-                # drop them once replayed so the hot tier stays one file
-                segment.unlink()
-        if self.path.exists():
-            self._load_file(self.path, allow_torn=True)
+        for record in read_journal(self.path, archive, repair=True):
+            self._apply(record)
+        local = _segments(self.path)
+        archived = _segments(self.path, archive) if archive is not None else []
+        self._next_segment = max((index for index, _ in local + archived), default=0) + 1
+        if archive is not None:
+            # a local segment here is one a crash left between rotation
+            # and unlink: ship it if it never arrived, then drop it
+            for segment in local:
+                if segment not in archived:
+                    archive.put(segment[1], self.path.with_name(segment[1]))
+                self.path.with_name(segment[1]).unlink()
         self._open()
-        if self._fresh:
-            self._append({"op": "journal", "version": JOURNAL_FORMAT_VERSION})
 
     # -- appending -----------------------------------------------------
-    def append_cell(self, state: CellState) -> None:
-        """Journal the latest state of one cell (a ``cell`` op)."""
-        self.append_cells([state])
-
     def append_cells(self, states: Iterable[CellState]) -> None:
-        """Journal many cells' latest states with one write + flush.
-
-        The batched counterpart of :meth:`append_cell`: a fleet-wide
-        ``estimate``/``predict``/rollout commit journals every touched
-        cell in a single syscall (and, with ``fsync`` enabled, a single
-        disk sync) instead of one per cell.
-        """
-        records = []
-        for state in states:
-            record = {
-                "op": "cell",
-                "id": state.cell_id,
-                "chem": state.chemistry,
-                "key": state.model_key,
-                "soc": state.soc,
-                "seen": state.last_seen_s,
-                "n": state.n_requests,
-            }
-            self._cells[state.cell_id] = record
-            records.append(record)
-        self._append_many(records)
+        """Journal many cells' latest states as one frame: one write, one
+        flush (and with ``fsync`` one disk sync) per batch, not per cell."""
+        states = list(states)
+        if states:
+            fields = [(s.chemistry, s.model_key, s.soc, s.last_seen_s, s.n_requests) for s in states]
+            self._append(Cells([s.cell_id for s in states], fields), len(states))
 
     def drop_cell(self, cell_id: str) -> None:
-        """Journal the removal of a cell (a ``drop`` op)."""
-        self._cells.pop(cell_id, None)
-        self._windows.pop(cell_id, None)
-        self._append({"op": "drop", "id": cell_id})
+        """Journal the removal of a cell."""
+        self._append(Drop(cell_id), 1)
 
     def begin_rollout(self, step_s: float) -> None:
-        """Mark the start of a fleet rollout, clearing prior progress."""
-        self._windows.clear()
-        self._step_s = float(step_s)
-        self._append({"op": "rollout", "step_s": float(step_s)})
+        """Mark the start of a fleet rollout, clearing prior progress and roster."""
+        self._append(Rollout(float(step_s)), 1)
 
-    def append_window(self, cell_id: str, window: int, soc: float) -> None:
-        """Journal one cell's rollout state after ``window`` (a ``w`` op)."""
-        self.append_windows([(cell_id, window, soc)])
+    def intern(self, cell_ids: Sequence[str]) -> np.ndarray:
+        """Roster positions (int32) of ``cell_ids`` in the current rollout.
 
-    def append_windows(self, updates: Iterable[tuple]) -> None:
-        """Journal many cells' rollout states with one write + flush.
-
-        Each update is ``(cell_id, window, soc)`` or the extended
-        7-tuple ``(cell_id, window, soc, i_avg, temp_avg, horizon_s,
-        capacity_ah)`` which additionally records the workload that
-        produced the window under the optional keys ``i``/``t``/``h``/
-        ``c`` — replay ignores them (only ``soc`` matters for crash
-        recovery), but the offline learner harvests them into training
-        rows (:mod:`repro.learn.harvest`).  Compaction keeps only the
-        SoC, so workload history lives in the raw (or archived)
-        segments.
-
-        The durability guarantee is per *committed window batch* — a
-        crash loses at most the in-flight window — so flushing once per
-        batch keeps the same crash semantics at 1/N the syscalls of
-        per-record appends (a journaled 100k-cell rollout would
-        otherwise flush millions of times).
+        Ids new to the roster are added with one ``roster`` frame;
+        :meth:`append_windows` takes the positions.
         """
-        records = []
-        for update in updates:
-            cell_id, window, soc = update[0], update[1], update[2]
-            self._windows.setdefault(cell_id, {})[int(window)] = float(soc)
-            record = {"op": "w", "id": cell_id, "w": int(window), "soc": float(soc)}
-            if len(update) > 3:
-                i_avg, temp_avg, horizon_s, capacity_ah = update[3:7]
-                record["i"] = float(i_avg)
-                record["t"] = float(temp_avg)
-                record["h"] = float(horizon_s)
-                record["c"] = float(capacity_ah)
-            records.append(record)
-        self._append_many(records)
+        new = [cid for cid in dict.fromkeys(cell_ids) if cid not in self._position]
+        if new:
+            self._append(Roster(new, len(self._roster)), 0)
+        return np.fromiter(map(self._position.__getitem__, cell_ids), dtype=np.int32, count=len(cell_ids))
+
+    def append_windows(self, window: int, cells, soc, workload=None) -> None:
+        """Journal one committed rollout window for many cells, as one frame.
+
+        ``cells`` are roster positions from :meth:`intern`, ``soc`` the
+        cells' SoC after ``window``.  ``workload`` is the ``(i_avg,
+        temp_avg, horizon_s, capacity_ah)`` columns that produced it:
+        replay ignores them, the offline learner trains on them
+        (:mod:`repro.learn.harvest`), and compaction drops them.
+        """
+        values = np.array([soc] if workload is None else [soc, *workload], dtype=np.float64)
+        cells = np.asarray(cells, dtype=np.int32)
+        self._append(Window(int(window), cells, values.reshape(len(values), len(cells))), len(cells))
 
     # -- reading -------------------------------------------------------
     def snapshot(self) -> JournalSnapshot:
         """Current journal contents as detached copies."""
-        cells = {
-            cid: CellState(
-                cell_id=r["id"],
-                chemistry=r["chem"],
-                model_key=r["key"],
-                soc=r["soc"],
-                last_seen_s=r["seen"],
-                n_requests=r["n"],
-            )
-            for cid, r in self._cells.items()
-        }
-        windows = {cid: dict(ws) for cid, ws in self._windows.items() if ws}
-        return JournalSnapshot(cells=cells, windows=windows, step_s=self._step_s)
+        windows: dict[int, dict[int, float]] = collections.defaultdict(dict)
+        for w, cells, soc in self._windows:
+            for position, value in zip(cells.tolist(), soc.tolist()):
+                windows[position][w] = value
+        by_id = {self._roster[position]: socs for position, socs in windows.items()}
+        return JournalSnapshot(cells=self.cells(), windows=by_id, step_s=self._step_s)
+
+    def cells(self) -> dict[str, CellState]:
+        """Latest journaled state per cell, as detached copies (the snapshot's ``cells``)."""
+        return {cid: CellState(cid, *fields) for cid, fields in self._cells.items()}
 
     def __len__(self) -> int:
         """Number of live cells in the journal."""
         return len(self._cells)
 
     def size_bytes(self) -> int:
-        """On-disk size of the journal (active file plus sealed segments)."""
+        """On-disk size of the journal (active file plus local sealed segments)."""
         self._fh.flush()
         return self.path.stat().st_size + sum(seg.stat().st_size for seg in self.segments())
 
     # -- segment rotation ----------------------------------------------
     def segments(self) -> list[Path]:
-        """Local sealed segment files, oldest first (empty without rotation).
-
-        With an ``archive``, sealed segments live in the cold store —
-        see :meth:`archived_segments` — and this is (transiently) empty.
-        """
-        found = []
-        for candidate in self.path.parent.glob(f"{self.path.name}.*.jsonl"):
-            index = self._segment_index(candidate.name)
-            if index is not None:
-                found.append((index, candidate))
-        return [path for _, path in sorted(found)]
+        """Local sealed segment files, oldest first (with an ``archive``,
+        transiently empty: see :meth:`archived_segments`)."""
+        return [self.path.with_name(name) for _, name in _segments(self.path)]
 
     def archived_segments(self) -> list[str]:
         """Names of this journal's segments in the cold store, oldest first."""
-        if self.archive is None:
-            return []
-        names = []
-        for name in self.archive.list(prefix=f"{self.path.name}."):
-            index = self._segment_index(name)
-            if index is not None:
-                names.append((index, name))
-        return [name for _, name in sorted(names)]
-
-    def _segment_index(self, name: str) -> int | None:
-        if not (name.startswith(f"{self.path.name}.") and name.endswith(".jsonl")):
-            return None
-        stem = name[len(self.path.name) + 1 : -len(".jsonl")]
-        return int(stem) if stem.isdigit() else None
-
-    def _segment_path(self, index: int) -> Path:
-        return self.path.with_name(f"{self.path.name}.{index:05d}.jsonl")
-
-    def _fetch_archived_segments(self) -> None:
-        """Pull archived segments down for replay; reject gappy history.
-
-        Runs before local replay: the union of archived and local
-        segment numbers must be contiguous from 1 (a journal's state
-        is the *ordered* record union — replaying around a hole would
-        silently resurrect dropped cells), so a missing segment raises
-        :class:`~repro.serve.archive.MissingSegmentError` instead of
-        restoring wrong state.  Segments already local (a crash
-        between ship and unlink) are not re-fetched.
-        """
-        from .archive import MissingSegmentError
-
-        local = {self._segment_index(path.name) for path in self.segments()}
-        archived = {self._segment_index(name) for name in self.archived_segments()}
-        indices = sorted(local | archived)
-        if indices:
-            expected = list(range(1, indices[-1] + 1))
-            if indices != expected:
-                missing = sorted(set(expected) - set(indices))
-                raise MissingSegmentError(
-                    f"journal {self.path.name} history has gaps: missing segment(s) "
-                    f"{missing} (have {indices})"
-                )
-        for index in indices:
-            if index not in local:
-                self.archive.fetch(self._segment_path(index).name, self._segment_path(index))
-        self._next_segment_index = (indices[-1] + 1) if indices else 1
+        return [] if self.archive is None else [name for _, name in _segments(self.path, self.archive)]
 
     def _rotate(self) -> None:
-        """Seal the active file as the next numbered segment.
-
-        One ``rename`` — no data moves — then a fresh active file
-        opens with its own format header.  With an ``archive``, the
-        sealed segment is shipped to the cold store and the local copy
-        deleted (ship-then-unlink: a crash in between leaves a
-        harmless duplicate, never a gap).  Called from the append path
-        once the active file crosses ``max_segment_bytes``.
-        """
+        """Seal the active file as the next numbered segment: one ``rename``,
+        then ship-then-unlink with an archive (a crash in between leaves a
+        harmless duplicate, never a gap) and a fresh active file."""
         self._fh.close()
-        next_index = getattr(self, "_next_segment_index", None)
-        if next_index is None:
-            existing = self.segments()
-            next_index = (self._segment_index(existing[-1].name) + 1) if existing else 1
-        sealed = self._segment_path(next_index)
+        sealed = self.path.with_name(f"{self.path.name}.{self._next_segment:05d}.{_SEGMENT_SUFFIX}")
         os.replace(self.path, sealed)
-        self._next_segment_index = next_index + 1
+        self._next_segment += 1
         if self.archive is not None:
             self.archive.put(sealed.name, sealed)
             sealed.unlink()
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps({"op": "journal", "version": JOURNAL_FORMAT_VERSION}) + "\n")
+        self._fh = open(self.path, "ab")
+        self._fh.write(_HEADER)
         self._fh.flush()
 
     # -- compaction ----------------------------------------------------
     def compact(self) -> None:
         """Rewrite the journal to its minimal equivalent state, atomically.
 
-        Keeps one ``cell`` record per live cell plus the in-flight
-        rollout marker and per-window progress (so a resume after a
-        crash-during-compaction or post-compaction restart still has
-        the full prefix).  The replacement is a write-to-temp +
-        ``os.replace``, so a crash mid-compaction leaves either the old
-        or the new file, never a torn one.
-
-        A rotated journal collapses back to a single active file: the
-        compacted file opens with a ``compact`` marker — "the state
-        resets here" — so replay discards anything from sealed
-        segments a crash may have left behind, then the stale segments
-        are deleted.  (Unlink-after-replace is the crash-safe order:
-        the marker makes leftover segments harmless, whereas deleting
-        first would lose history if the replace never happened.)
+        Keeps one row per live cell plus the current rollout's roster
+        (positions unchanged, so those :meth:`intern` handed out stay
+        valid) and per-window SoC, written to a temp file and
+        ``os.replace``-d in.  The file opens with a ``compact`` marker,
+        so replay discards whatever a crash left in sealed segments;
+        those (local and archived) are deleted only after the replace,
+        the crash-safe order.
         """
+        records = [Compact(), Cells(list(self._cells), list(self._cells.values()))]
+        if self._step_s is not None:
+            records.append(Rollout(self._step_s))
+        records.append(Roster(self._roster, 0))
+        records.extend(Window(w, cells, soc[None]) for w, cells, soc in self._windows)
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"op": "journal", "version": JOURNAL_FORMAT_VERSION}) + "\n")
-            fh.write(json.dumps({"op": "compact"}) + "\n")
-            for cid in sorted(self._cells):
-                fh.write(json.dumps(self._cells[cid]) + "\n")
-            if self._step_s is not None and any(self._windows.values()):
-                fh.write(json.dumps({"op": "rollout", "step_s": self._step_s}) + "\n")
-                for cid in sorted(self._windows):
-                    for w in sorted(self._windows[cid]):
-                        record = {"op": "w", "id": cid, "w": w, "soc": self._windows[cid][w]}
-                        fh.write(json.dumps(record) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER + _frames(records))
             fh.flush()
             os.fsync(fh.fileno())
         if self._fh is not None:
@@ -380,12 +518,9 @@ class StateJournal:
         os.replace(tmp, self.path)
         for segment in self.segments():
             segment.unlink()
-        if self.archive is not None:
-            # archived history is now redundant with the compacted file;
-            # delete after the replace for the same crash-safe ordering
-            for name in self.archived_segments():
-                self.archive.delete(name)
-        self._next_segment_index = 1
+        for name in self.archived_segments():
+            self.archive.delete(name)
+        self._next_segment = 1
         self._appended = 0
         self._open()
 
@@ -403,73 +538,48 @@ class StateJournal:
 
     # ------------------------------------------------------------------
     def _open(self) -> None:
-        self._fresh = not self.path.exists() or self.path.stat().st_size == 0
+        fresh = not self.path.exists() or self.path.stat().st_size == 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab")
+        if fresh:
+            self._append(None, 1)  # the format header
 
-    def _append(self, record: dict) -> None:
-        self._append_many([record])
-
-    def _append_many(self, records: list[dict]) -> None:
-        if not records:
-            return
+    def _append(self, record, rows: int) -> None:
         if self._fh is None:
             raise ValueError(f"journal {self.path} is closed")
-        self._fh.write("".join(json.dumps(record) + "\n" for record in records))
+        self._fh.write(_HEADER if record is None else _frames([record]))
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
-        self._appended += len(records)
+        self._apply(record)
+        self._appended += rows
         if self.max_segment_bytes and self._fh.tell() >= self.max_segment_bytes:
             self._rotate()
         if self.compact_every and self._appended >= self.compact_every:
             self.compact()
 
-    def _load_file(self, path: Path, allow_torn: bool) -> None:
-        """Replay one journal file (a sealed segment or the active file)."""
-        data = path.read_bytes()
-        lines = data.splitlines(keepends=True)
-        offset = 0
-        for k, raw_line in enumerate(lines):
-            line = raw_line.decode("utf-8", errors="replace").strip()
-            if not line:
-                offset += len(raw_line)
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if allow_torn and k == len(lines) - 1:
-                    # torn final line from a crash mid-write: truncate it
-                    # away so the next append starts on a clean boundary
-                    # instead of gluing onto the fragment
-                    with open(path, "r+b") as fh:
-                        fh.truncate(offset)
-                    return
-                raise ValueError(f"corrupt journal {path}: bad record on line {k + 1}")
-            op = record.get("op")
-            if op == "cell":
-                self._cells[record["id"]] = record
-            elif op == "drop":
-                self._cells.pop(record["id"], None)
-                self._windows.pop(record["id"], None)
-            elif op == "rollout":
-                self._windows.clear()
-                self._step_s = float(record["step_s"])
-            elif op == "w":
-                self._windows.setdefault(record["id"], {})[int(record["w"])] = float(record["soc"])
-            elif op == "compact":
-                # everything before this marker was collapsed into the
-                # records that follow; discard any state replayed from
-                # segments a crash-during-compaction left behind
-                self._cells.clear()
-                self._windows.clear()
-                self._step_s = None
-            elif op == "journal":
-                if record.get("version", 0) > JOURNAL_FORMAT_VERSION:
-                    raise ValueError(
-                        f"journal {path} uses format v{record['version']} "
-                        f"(this build reads up to v{JOURNAL_FORMAT_VERSION})"
-                    )
-            else:
-                raise ValueError(f"corrupt journal {path}: unknown op {op!r}")
-            offset += len(raw_line)
+    def _new_rollout(self, step_s: float | None) -> None:
+        self._step_s = step_s
+        self._roster: list[str] = []  # roster position -> cell id
+        self._position: dict[str, int] = {}  # live cell id -> its roster position
+        self._windows: list[tuple[int, np.ndarray, np.ndarray]] = []  # (window, positions, soc)
+
+    def _apply(self, record) -> None:
+        """Fold one record (appended or replayed) into the in-memory state."""
+        if isinstance(record, Window):
+            self._windows.append((record.window, np.array(record.cells), np.array(record.values[0])))
+        elif isinstance(record, Cells):
+            self._cells.update(zip(record.ids, record.fields))
+        elif isinstance(record, Drop):
+            self._cells.pop(record.cell_id, None)
+            position = self._position.pop(record.cell_id, None)
+            if position is not None:  # its windows go too; a re-interned id gets a new position
+                self._windows = [(w, c[c != position], s[c != position]) for w, c, s in self._windows]
+        elif isinstance(record, Roster):
+            self._position.update(zip(record.ids, range(record.at, record.at + len(record.ids))))
+            self._roster.extend(record.ids)
+        elif isinstance(record, Rollout):
+            self._new_rollout(record.step_s)
+        elif isinstance(record, Compact):
+            self._cells.clear()
+            self._new_rollout(None)

@@ -367,6 +367,10 @@ def _decode_value(obj: dict):
     raise FrameError(f"unknown value tag {tag!r}")
 
 
+_TAGGED_META = json.JSONDecoder(object_hook=_decode_value)
+_PLAIN_META = json.JSONDecoder()
+
+
 def decode_body(body: bytes, shm=None) -> V2Frame:
     """Decode one frame body into a :class:`V2Frame`.
 
@@ -388,7 +392,9 @@ def decode_body(body: bytes, shm=None) -> V2Frame:
     if offset > len(body):
         raise FrameError(f"frame meta of {meta_len} bytes overruns the {len(body)}-byte body")
     try:
-        info = json.loads(body[_V2_HEAD.size : offset].decode("utf-8"), object_hook=_decode_value)
+        text = body[_V2_HEAD.size : offset].decode("utf-8")
+        # the object hook runs once per JSON object: skip it when nothing is tagged
+        info = (_TAGGED_META if _TAG in text else _PLAIN_META).decode(text)
     except FrameError:
         raise
     except (ValueError, RecursionError) as exc:

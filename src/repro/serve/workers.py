@@ -818,10 +818,7 @@ def _build_engine(spec: dict) -> FleetEngine:
         archive=archive,
         max_segment_bytes=spec.get("journal_segment_bytes", 0) or 0,
     )
-    snapshot = journal.snapshot()
-    if snapshot.cells or snapshot.windows:
-        return FleetEngine.restore(journal, **kwargs)
-    return FleetEngine(journal=journal, **kwargs)
+    return FleetEngine.restore(journal, **kwargs)
 
 
 def _crash_hook(after_window: int) -> Callable[[int], None]:
@@ -924,7 +921,7 @@ class WorkerEndpoint:
             # migrating in, or a restart would lose them
             engine._adopt_state(args[0])
             if engine.journal is not None:
-                engine.journal.append_cell(args[0])
+                engine.journal.append_cells([args[0]])
             return None
         if op == "evict_state":
             state = engine._evict_state(args[0])

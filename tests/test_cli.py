@@ -175,9 +175,13 @@ class TestServeSim:
             ([*_TINY_SIM, "--archive-dir", "cold"], "--archive-dir needs --journal"),
             ([*_TINY_SIM, "--journal-segment-kb", "64"], "--journal-segment-kb needs --journal"),
             (["serve", "--untrained", "--workers", "2", "--archive-dir", "x"], "--archive-dir needs --journal"),
+            (["serve", "--untrained", "--metrics-json", "m.json"], "--metrics-json is a serve-sim flag"),
+            (["serve", "--untrained", "--fail-on-drift"], "--fail-on-drift is a serve-sim flag"),
+            (["serve", "--untrained", "--trace-json", "t.json"], "--trace-json is a serve-sim flag"),
         ],
         ids=["zero-clients", "negative-requests", "archive-without-journal",
-             "segments-without-journal", "daemon-archive-without-journal"],
+             "segments-without-journal", "daemon-archive-without-journal",
+             "daemon-metrics-json", "daemon-fail-on-drift", "daemon-trace-json"],
     )
     def test_rejects_flags_it_cannot_honour(self, argv, message):
         with pytest.raises(SystemExit, match=message):
@@ -246,13 +250,13 @@ class TestRetrainCommand:
         journal = tmp_path / "fleet.journal"
         with StateJournal(journal) as jrn:
             for cid in ("a", "b"):
-                jrn.append_cell(CellState(cell_id=cid, chemistry="nmc", model_key="prod"))
+                jrn.append_cells([CellState(cell_id=cid, chemistry="nmc", model_key="prod")])
             jrn.begin_rollout(120.0)
             for cid in ("a", "b"):
-                jrn.append_windows([(cid, 0, 0.9)])
-                jrn.append_windows(
-                    [(cid, w, 0.9 - 0.05 * w, 1.0, 25.0, 120.0, 2.0) for w in range(1, 8)]
-                )
+                position = jrn.intern([cid])
+                jrn.append_windows(0, position, [0.9])
+                for w in range(1, 8):
+                    jrn.append_windows(w, position, [0.9 - 0.05 * w], ([1.0], [25.0], [120.0], [2.0]))
         return registry, str(tmp_path / "reg"), str(journal)
 
     def test_offline_retrain_publishes_a_canary(self, plant, capsys):

@@ -8,8 +8,6 @@ exact-duplicate dedup — plus the happy path straight off a real
 :class:`FleetEngine` rollout journal.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -27,18 +25,19 @@ from repro.serve.engine import CellState
 
 
 def _cell(journal, cell_id, chemistry=None):
-    journal.append_cell(CellState(cell_id=cell_id, chemistry=chemistry, model_key="m"))
+    journal.append_cells([CellState(cell_id=cell_id, chemistry=chemistry, model_key="m")])
 
 
-def _windows(journal, cell_id, socs, i_avg=1.0, temp_avg=25.0, horizon_s=120.0, capacity_ah=2.0):
-    """Window 0 as a bare seed, then extended records — the engine's idiom."""
-    journal.append_windows([(cell_id, 0, socs[0])])
-    journal.append_windows(
-        [
-            (cell_id, w, soc, i_avg, temp_avg, horizon_s, capacity_ah)
-            for w, soc in enumerate(socs[1:], start=1)
-        ]
-    )
+def _workload(i_avg=1.0, temp_avg=25.0, horizon_s=120.0, capacity_ah=2.0):
+    return ([i_avg], [temp_avg], [horizon_s], [capacity_ah])
+
+
+def _windows(journal, cell_id, socs, **workload):
+    """Window 0 as a bare seed, then windows with their workload — the engine's idiom."""
+    (position,) = journal.intern([cell_id])
+    journal.append_windows(0, [position], [socs[0]])
+    for w, soc in enumerate(socs[1:], start=1):
+        journal.append_windows(w, [position], [soc], _workload(**workload))
 
 
 def _event(cell_id):
@@ -124,7 +123,7 @@ class TestEdgeCases:
             assert harvest_training_set(path).rows == 0
             # resumed windows after the compaction pair with the
             # re-emitted soc-only anchor records
-            journal.append_windows([("a", 3, 0.6, 1.0, 25.0, 120.0, 2.0)])
+            journal.append_windows(3, journal.intern(["a"]), [0.6], _workload())
         report = harvest_training_set(path)
         assert report.rows == 1
         assert report.samples.soc_t[0] == pytest.approx(0.7)
@@ -178,12 +177,13 @@ class TestEdgeCases:
         with StateJournal(path) as journal:
             _cell(journal, "a")
             journal.begin_rollout(120.0)
-            _windows(journal, "a", [0.9, 0.8])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "w", "id": "a", "w"')  # crash mid-write
+            _windows(journal, "a", [0.9, 0.8, 0.7])
+        data = path.read_bytes()
+        path.write_bytes(data[:-7])  # crash mid-write of the last window
         assert harvest_training_set(path).rows == 1
-        sealed = path.with_name(f"{path.name}.00001.jsonl")
-        sealed.write_text('{"op": "garbage"\n', encoding="utf-8")
+        assert path.read_bytes() == data[:-7]  # harvesting never writes
+        sealed = path.with_name(f"{path.name}.00001.seg")
+        sealed.write_bytes(data[:-7])
         with pytest.raises(ValueError, match="corrupt journal"):
             harvest_training_set(path)
 
@@ -197,11 +197,7 @@ class TestArchivedSegments:
         with StateJournal(path, max_segment_bytes=1, archive=store) as journal:
             _cell(journal, "a")
             journal.begin_rollout(120.0)
-            for w, soc in enumerate([0.9, 0.8, 0.7, 0.6]):
-                if w == 0:
-                    journal.append_windows([("a", 0, soc)])
-                else:
-                    journal.append_windows([("a", w, soc, 1.0, 25.0, 120.0, 2.0)])
+            _windows(journal, "a", [0.9, 0.8, 0.7, 0.6])
         names = store.list(prefix=f"{path.name}.")
         assert len(names) >= 3  # every record sealed its own segment
         return store, path, sorted(names)
@@ -222,10 +218,18 @@ class TestArchivedSegments:
         store, path, names = self._archived_journal(tmp_path)
         before = harvest_training_set(path, store=store).samples
         assert len(before) == 3
-        store.delete(names[4])  # the segment holding window 1
+        # segments: header, cell, rollout, roster, window 0, window 1, ...
+        store.delete(names[5])  # the segment holding window 1
         report = harvest_training_set(path, store=store, max_gaps=1)
         assert report.missing_segments == 1
         # windows pair only across contiguous history: (0,1) and (1,2)
         # are gone with window 1, (2,3) survives past the hole
         assert report.rows == 1
         assert report.samples.soc_t[0] == pytest.approx(0.7)
+
+    def test_gap_that_lost_the_roster_yields_no_misattributed_rows(self, tmp_path):
+        store, path, names = self._archived_journal(tmp_path)
+        store.delete(names[3])  # the segment that interned the cell ids
+        report = harvest_training_set(path, store=store, max_gaps=1)
+        assert report.missing_segments == 1
+        assert report.rows == 0  # no window can be attributed to a cell

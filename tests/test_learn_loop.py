@@ -26,16 +26,13 @@ def make_journal(tmp_path, cells=("a", "b"), windows=8):
     path = tmp_path / "w.journal"
     with StateJournal(path) as journal:
         for cid in cells:
-            journal.append_cell(CellState(cell_id=cid, chemistry=None, model_key="serve"))
+            journal.append_cells([CellState(cell_id=cid, chemistry=None, model_key="serve")])
         journal.begin_rollout(120.0)
         for cid in cells:
-            journal.append_windows([(cid, 0, 0.9)])
-            journal.append_windows(
-                [
-                    (cid, w, 0.9 - 0.05 * w, 1.0, 25.0, 120.0, 2.0)
-                    for w in range(1, windows)
-                ]
-            )
+            position = journal.intern([cid])
+            journal.append_windows(0, position, [0.9])
+            for w in range(1, windows):
+                journal.append_windows(w, position, [0.9 - 0.05 * w], ([1.0], [25.0], [120.0], [2.0]))
     return path
 
 

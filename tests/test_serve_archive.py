@@ -5,8 +5,6 @@ copies; replay fetches them back; a gap in the archived numbering is a
 hard error, never a silent partial restore.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,8 @@ from repro.serve import (
     FleetEngine,
     MissingSegmentError,
     StateJournal,
-    restore_from_archive,
 )
+from repro.serve.persistence import Cells, read_journal
 
 
 @pytest.fixture(scope="module")
@@ -44,33 +42,33 @@ def _rotated_engine(path, store, model, cells=40):
 # ----------------------------------------------------------------------
 class TestDirectoryArchiveStore:
     def test_put_fetch_round_trip(self, store, tmp_path):
-        source = tmp_path / "seg.jsonl"
+        source = tmp_path / "seg.seg"
         source.write_text('{"op": "x"}\n')
-        store.put("fleet.journal.00001.jsonl", source)
-        dest = tmp_path / "back.jsonl"
-        store.fetch("fleet.journal.00001.jsonl", dest)
+        store.put("fleet.journal.00001.seg", source)
+        dest = tmp_path / "back.seg"
+        store.fetch("fleet.journal.00001.seg", dest)
         assert dest.read_text() == source.read_text()
 
     def test_list_is_sorted_and_prefix_filtered(self, store, tmp_path):
-        source = tmp_path / "seg.jsonl"
+        source = tmp_path / "seg.seg"
         source.write_text("{}\n")
-        for name in ("b.journal.00002.jsonl", "a.journal.00001.jsonl", "b.journal.00001.jsonl"):
+        for name in ("b.journal.00002.seg", "a.journal.00001.seg", "b.journal.00001.seg"):
             store.put(name, source)
-        expected = ["a.journal.00001.jsonl", "b.journal.00001.jsonl", "b.journal.00002.jsonl"]
+        expected = ["a.journal.00001.seg", "b.journal.00001.seg", "b.journal.00002.seg"]
         assert store.list() == expected
-        assert store.list(prefix="b.journal.") == ["b.journal.00001.jsonl", "b.journal.00002.jsonl"]
+        assert store.list(prefix="b.journal.") == ["b.journal.00001.seg", "b.journal.00002.seg"]
 
     def test_fetch_missing_raises_missing_segment(self, store, tmp_path):
         with pytest.raises(MissingSegmentError, match="not in the archive"):
-            store.fetch("ghost.00001.jsonl", tmp_path / "out.jsonl")
-        assert not (tmp_path / "out.jsonl").exists()
+            store.fetch("ghost.00001.seg", tmp_path / "out.seg")
+        assert not (tmp_path / "out.seg").exists()
 
     def test_delete_is_idempotent(self, store, tmp_path):
-        source = tmp_path / "seg.jsonl"
+        source = tmp_path / "seg.seg"
         source.write_text("{}\n")
-        store.put("x.00001.jsonl", source)
-        store.delete("x.00001.jsonl")
-        store.delete("x.00001.jsonl")  # already gone: not an error
+        store.put("x.00001.seg", source)
+        store.delete("x.00001.seg")
+        store.delete("x.00001.seg")  # already gone: not an error
         assert store.list() == []
 
     def test_missing_segment_error_is_a_value_error(self):
@@ -84,7 +82,7 @@ class TestJournalArchival:
         _, journal = _rotated_engine(path, store, model)
         shipped = journal.archived_segments()
         assert len(shipped) >= 3
-        assert shipped[0] == "fleet.journal.00001.jsonl"
+        assert shipped[0] == "fleet.journal.00001.seg"
         assert journal.segments() == []  # local copies are cache, not record
         assert path.exists()  # the active file stays hot
 
@@ -94,7 +92,7 @@ class TestJournalArchival:
         socs = {f"c{k}": engine.cell(f"c{k}").soc for k in range(40)}
         journal.close()
         # cold start on a "new host": only the active file + the store
-        restored_journal = restore_from_archive(path, store, compact_every=0)
+        restored_journal = StateJournal(path, archive=store, compact_every=0)
         restored = FleetEngine.restore(restored_journal, default_model=model)
         assert len(restored) == 40
         for cell_id, soc in socs.items():
@@ -112,7 +110,7 @@ class TestJournalArchival:
         journal.close()
         path.unlink()  # the "disk" died; archived segments survive
         restored = FleetEngine.restore(
-            restore_from_archive(path, store, compact_every=0), default_model=model
+            StateJournal(path, archive=store, compact_every=0), default_model=model
         )
         assert len(restored) > 0  # every fully-sealed registration is back
 
@@ -120,9 +118,24 @@ class TestJournalArchival:
         path = tmp_path / "fleet.journal"
         _, journal = _rotated_engine(path, store, model)
         journal.close()
-        store.delete("fleet.journal.00002.jsonl")
+        store.delete("fleet.journal.00002.seg")
         with pytest.raises(MissingSegmentError, match=r"missing segment\(s\) \[2\]"):
-            restore_from_archive(path, store)
+            StateJournal(path, archive=store)
+
+    def test_segment_sealed_but_never_shipped_is_shipped_on_reopen(self, model, store, tmp_path):
+        """A crash between sealing and shipping leaves a local segment the
+        store lacks: reopening ships it before dropping the local copy."""
+        path = tmp_path / "fleet.journal"
+        with StateJournal(path, max_segment_bytes=512, compact_every=0) as journal:
+            engine = FleetEngine(default_model=model, journal=journal)
+            for k in range(20):
+                engine.register_cell(f"c{k}")
+        sealed = [segment.name for segment in journal.segments()]
+        assert sealed and store.list() == []
+        reopened = StateJournal(path, archive=store)
+        assert reopened.segments() == [] and reopened.archived_segments() == sealed
+        reopened.close()
+        assert len(StateJournal(path, archive=store)) == 20
 
     def test_compact_clears_redundant_archived_segments(self, model, store, tmp_path):
         path = tmp_path / "fleet.journal"
@@ -142,7 +155,7 @@ class TestJournalArchival:
         _, journal = _rotated_engine(path, store, model)
         count = len(journal.archived_segments())
         journal.close()
-        journal2 = restore_from_archive(path, store, max_segment_bytes=512, compact_every=0)
+        journal2 = StateJournal(path, archive=store, max_segment_bytes=512, compact_every=0)
         engine = FleetEngine.restore(journal2, default_model=model)
         for k in range(40, 80):
             engine.register_cell(f"c{k}")
@@ -150,10 +163,11 @@ class TestJournalArchival:
         assert len(names) > count
         assert names == sorted(set(names))  # no index reused
 
-    def test_active_file_records_stay_json(self, model, store, tmp_path):
+    def test_active_file_records_stay_frames(self, model, store, tmp_path):
         """The archive changes where segments live, not the format."""
         path = tmp_path / "fleet.journal"
         _rotated_engine(path, store, model, cells=8)
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                json.loads(line)
+        assert path.read_bytes()[:1] != b"{"  # a length prefix, not a JSON line
+        # the shipped segments and the active file read back as frames
+        cells = [r for r in read_journal(path, store) if isinstance(r, Cells)]
+        assert {cell_id for record in cells for cell_id in record.ids} == {f"c{k}" for k in range(8)}

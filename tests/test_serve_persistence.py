@@ -1,12 +1,13 @@
 """Tests for durable serving state (:mod:`repro.serve.persistence`)."""
 
 import dataclasses
-import json
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.core import CompiledTwoBranchKernel, TwoBranchSoCNet
+from repro.learn import harvest_training_set
 from repro.serve import (
     FleetEngine,
     ModelRegistry,
@@ -14,7 +15,10 @@ from repro.serve import (
     StateJournal,
     WorkerSpec,
     generate_fleet,
+    wire,
 )
+from repro.serve import persistence
+from repro.serve.persistence import Cells, Compact, read_journal
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,22 @@ def _truncated(cycle, n_samples: int):
     return dataclasses.replace(cycle, data=dataclasses.replace(d, **channels))
 
 
+def _frame_ends(data: bytes) -> list[int]:
+    """Byte offset where each journal frame ends (length prefix + body + CRC)."""
+    ends, offset = [], 0
+    while offset < len(data):
+        offset += 4 + int.from_bytes(data[offset : offset + 4], "big") + 4
+        ends.append(offset)
+    assert offset == len(data)
+    return ends
+
+
+def _raw_frame(kind: str, meta: dict) -> bytes:
+    """One well-formed journal frame, CRC included, of any kind."""
+    body = b"".join(wire.encode_v2(kind, meta, []))
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
 # ----------------------------------------------------------------------
 def _count_kernel_predicts(monkeypatch) -> dict:
     """Count Branch 2 kernel forwards from now on; ``calls["n"]`` is the tally."""
@@ -96,7 +116,7 @@ class TestStateJournal:
         journal.close()
         restored = FleetEngine.restore(StateJournal(path), default_model=model)
         assert len(restored) == 1
-        assert restored.cell("a").soc == want  # exact: JSON floats round-trip
+        assert restored.cell("a").soc == want  # exact: raw float64 round-trips
         assert restored.cell("a").n_requests == 1
 
     def test_drop_cell_survives_replay(self, model, tmp_path):
@@ -110,30 +130,21 @@ class TestStateJournal:
         snap = StateJournal(path).snapshot()
         assert set(snap.cells) == {"b"}
 
-    def test_torn_final_line_tolerated(self, model, tmp_path):
-        path = tmp_path / "fleet.journal"
-        journal = StateJournal(path)
-        engine = FleetEngine(default_model=model, journal=journal)
-        engine.register_cell("a")
-        engine.register_cell("b")
-        journal.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "cell", "id": "c", "chem"')  # crash mid-write
-        snap = StateJournal(path).snapshot()
-        assert set(snap.cells) == {"a", "b"}
-
     def test_torn_tail_truncated_before_new_appends(self, model, tmp_path):
         """Reopening a torn journal must drop the fragment, not glue new
-        records onto it (which would silently lose them on the next
+        frames onto it (which would silently lose them on the next
         replay — or corrupt the whole file)."""
         path = tmp_path / "fleet.journal"
         journal = StateJournal(path)
         engine = FleetEngine(default_model=model, journal=journal)
         engine.register_cell("a")
+        whole = path.stat().st_size
+        engine.register_cell("b")
         journal.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "cell", "id": "b", "chem"')  # crash mid-write
+        data = path.read_bytes()
+        path.write_bytes(data[: whole + (len(data) - whole) // 2])  # crash mid-write
         reopened = StateJournal(path)
+        assert path.stat().st_size == whole  # the fragment is gone
         restored = FleetEngine.restore(reopened, default_model=model)
         restored.register_cell("c")
         restored.register_cell("d")
@@ -141,18 +152,9 @@ class TestStateJournal:
         snap = StateJournal(path).snapshot()  # replays clean every time
         assert set(snap.cells) == {"a", "c", "d"}
 
-    def test_corrupt_middle_line_raises(self, tmp_path):
-        path = tmp_path / "fleet.journal"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("not json at all\n")
-            fh.write(json.dumps({"op": "cell", "id": "a", "chem": None, "key": "__default__",
-                                 "soc": 0.5, "seen": None, "n": 1}) + "\n")
-        with pytest.raises(ValueError, match="corrupt journal"):
-            StateJournal(path)
-
     def test_unknown_op_raises(self, tmp_path):
         path = tmp_path / "fleet.journal"
-        path.write_text(json.dumps({"op": "???"}) + "\n", encoding="utf-8")
+        path.write_bytes(_raw_frame("journal", {"version": 3}) + _raw_frame("???", {}))
         with pytest.raises(ValueError, match="unknown op"):
             StateJournal(path)
 
@@ -178,10 +180,13 @@ class TestStateJournal:
         journal = StateJournal(path, compact_every=50)
         engine = FleetEngine(default_model=model, journal=journal)
         engine.register_cell("a")
+        before = journal.size_bytes()
+        engine.estimate(["a"], 3.7, 1.0, 25.0)
+        frame_bytes = journal.size_bytes() - before
         for _ in range(500):
             engine.estimate(["a"], 3.7, 1.0, 25.0)
-        # one live cell: the file can never grow past ~compact_every records
-        assert journal.size_bytes() < 50 * 120
+        # one live cell: the file can never grow past ~compact_every frames
+        assert journal.size_bytes() < 52 * frame_bytes
         assert len(journal) == 1
         journal.close()
 
@@ -207,12 +212,17 @@ class TestStateJournal:
         b = StateJournal(tmp_path / "b.journal")
         engine = FleetEngine(default_model=model)
         states = [engine.register_cell(f"c{k}", chemistry="nmc") for k in range(5)]
+        engine.estimate([s.cell_id for s in states[:2]], 3.7, 1.0, 25.0, now_s=7.0)
         for state in states:
-            a.append_cell(state)
+            a.append_cells([state])
         b.append_cells(states)
         a.close()
         b.close()
-        assert (tmp_path / "a.journal").read_bytes() == (tmp_path / "b.journal").read_bytes()
+        one_by_one, batched = (StateJournal(tmp_path / name).snapshot() for name in ("a.journal", "b.journal"))
+        assert one_by_one == batched
+        # the batch is one frame after the header, the single appends five
+        assert len(_frame_ends((tmp_path / "b.journal").read_bytes())) == 2
+        assert len(_frame_ends((tmp_path / "a.journal").read_bytes())) == 6
 
     def test_fsync_flag_syncs_each_flush(self, model, tmp_path, monkeypatch):
         synced = []
@@ -229,7 +239,7 @@ class TestStateJournal:
         journal.close()
         # default stays unsynced
         quiet = StateJournal(tmp_path / "other.journal")
-        quiet.append_cell(engine.cell("c0"))
+        quiet.append_cells([engine.cell("c0")])
         quiet.close()
         assert len(synced) == before + 1
 
@@ -253,7 +263,7 @@ class TestSegmentRotation:
             engine.register_cell(f"c{k:03d}")
         names = [segment.name for segment in journal.segments()]
         assert len(names) >= 3
-        assert names[0] == "fleet.journal.00001.jsonl"
+        assert names[0] == "fleet.journal.00001.seg"
         assert names == sorted(names)
         # the active file stays bounded; total size covers all segments
         journal._fh.flush()
@@ -326,10 +336,33 @@ class TestSegmentRotation:
         journal.compact()
         journal.close()
         # resurrect a pre-compaction segment, as a crash mid-compact would
-        (tmp_path / "fleet.journal.00001.jsonl").write_bytes(stale)
+        (tmp_path / "fleet.journal.00001.seg").write_bytes(stale)
         snap = StateJournal(path).snapshot()
         assert "c001" not in snap.cells
         assert len(snap.cells) == 19
+
+    def test_compaction_mid_rollout_keeps_every_window(self, model, fleet, tmp_path):
+        """Auto-compaction inside a rollout rewrites the roster at the same
+        positions, so the windows appended after it land on the right cells."""
+        path = tmp_path / "fleet.journal"
+        with StateJournal(path, compact_every=25) as journal:
+            engine = FleetEngine(default_model=model, journal=journal)
+            want = engine.rollout_fleet(fleet.assignments(), step_s=300.0)
+        snap = StateJournal(path).snapshot()
+        assert {cid: list(ws.values()) for cid, ws in snap.windows.items()} == {
+            cid: list(result.soc_pred) for cid, result in want.items()
+        }
+
+    def test_dropped_cell_leaves_the_rollout_progress(self, model, fleet, tmp_path):
+        path = tmp_path / "fleet.journal"
+        journal = StateJournal(path)
+        engine = FleetEngine(default_model=model, journal=journal)
+        engine.rollout_fleet(fleet.assignments()[:3], step_s=300.0)
+        gone = fleet.assignments()[0][0]
+        engine.deregister_cell(gone)
+        assert gone not in journal.snapshot().windows
+        journal.close()
+        assert set(StateJournal(path).snapshot().windows) == {cid for cid, _ in fleet.assignments()[1:3]}
 
     def test_rollout_windows_survive_rotation(self, model, fleet, tmp_path):
         path = tmp_path / "fleet.journal"
@@ -352,16 +385,140 @@ class TestSegmentRotation:
             engine = FleetEngine(default_model=model, journal=journal)
             for k in range(20):
                 engine.register_cell(f"c{k:03d}")
+        torn = _raw_frame("drop", {"id": "c000"})[:-3]
         # torn tail on the active file: tolerated
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "cell", "id": "torn"')
+        with open(path, "ab") as fh:
+            fh.write(torn)
         assert len(StateJournal(path).snapshot().cells) == 20
         # the same tear inside a sealed segment: corruption
         segment = StateJournal(path).segments()[0]
-        with open(segment, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "cell", "id": "torn"')
+        with open(segment, "ab") as fh:
+            fh.write(torn)
         with pytest.raises(ValueError, match="corrupt journal"):
             StateJournal(path)
+
+
+# ----------------------------------------------------------------------
+class TestFrameDamage:
+    """The v3 frame format under damage: a torn tail is tolerated only
+    on the active file, anything else raises; old formats are refused."""
+
+    @pytest.fixture
+    def rollout_journal(self, model, tmp_path):
+        """Registrations plus a 2-window rollout; the journal's bytes."""
+        pairs = generate_fleet(
+            3, seed=1, ambient_temps_c=(25.0,), c_rates=(1.0,), protocols=("discharge",),
+            max_time_s=1800.0,
+        ).assignments()
+        path = tmp_path / "fleet.journal"
+        with StateJournal(path, compact_every=0) as journal:
+            engine = FleetEngine(default_model=model, journal=journal)
+            for cid, _ in pairs:
+                engine.register_cell(cid)
+            results = engine.rollout_fleet(pairs, step_s=900.0)
+        assert {len(r.soc_pred) for r in results.values()} == {3}  # seed + 2 windows
+        return path, path.read_bytes()
+
+    def _truncated_state(self, path, data, cut):
+        path.write_bytes(data[:cut])
+        journal = StateJournal(path)
+        snap = journal.snapshot()
+        journal.append_cells([dataclasses.replace(next(iter(snap.cells.values())), soc=0.25)])
+        journal.close()
+        return snap
+
+    def test_truncated_active_tail_restores_last_whole_frame(self, rollout_journal):
+        """Cut at every byte offset inside the last two frames."""
+        path, data = rollout_journal
+        ends = _frame_ends(data)
+        full = StateJournal(path).snapshot()
+        boundaries = {}
+        for end in ends[-3:]:
+            boundaries[end] = self._truncated_state(path, data, end)
+        assert boundaries[ends[-1]] == full
+        assert boundaries[ends[-3]] != boundaries[ends[-2]] != boundaries[ends[-1]]
+        for cut in range(ends[-3], ends[-1]):
+            whole = max(end for end in ends if end <= cut)
+            snap = self._truncated_state(path, data, cut)
+            assert snap == boundaries[whole], cut
+            # the torn bytes are gone and the next append replays cleanly
+            assert _frame_ends(path.read_bytes())[: len([e for e in ends if e <= cut])] == [
+                e for e in ends if e <= cut
+            ]
+            again = StateJournal(path).snapshot()
+            assert again.cells == {
+                **snap.cells, **{cid: dataclasses.replace(state, soc=0.25)
+                                 for cid, state in list(snap.cells.items())[:1]},
+            }
+            assert again.windows == snap.windows
+
+    def test_every_truncation_of_a_sealed_segment_raises(self, rollout_journal):
+        path, data = rollout_journal
+        ends = _frame_ends(data)
+        full = StateJournal(path).snapshot()
+        sealed = path.with_name(f"{path.name}.00001.seg")
+        path.write_bytes(_raw_frame("journal", {"version": 3}))
+        for cut in range(ends[-3] + 1, ends[-1]):
+            if cut in ends:
+                continue
+            sealed.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="corrupt journal"):
+                StateJournal(path)
+        sealed.write_bytes(data)  # whole again: the sealed history replays
+        assert StateJournal(path).snapshot() == full
+
+    def test_flipped_payload_byte_raises(self, rollout_journal):
+        path, data = rollout_journal
+        ends = _frame_ends(data)
+        middle = (ends[1] + ends[2]) // 2  # inside the third frame's body
+        damaged = bytearray(data)
+        damaged[middle] ^= 0x40
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(ValueError, match="corrupt journal"):
+            StateJournal(path)
+        with pytest.raises(ValueError, match="corrupt journal"):
+            harvest_training_set(path)
+
+    def test_jsonl_journals_are_refused_with_their_version(self, model, tmp_path):
+        path = tmp_path / "fleet.journal"
+        path.write_text(
+            '{"op": "journal", "version": 2}\n'
+            '{"op": "cell", "id": "a", "chem": null, "key": "k", "soc": 0.5, "seen": null, "n": 1}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"JSONL journal \(format v2\)"):
+            StateJournal(path)
+        with pytest.raises(ValueError, match=r"format v2"):
+            harvest_training_set(path)
+        # a leftover JSONL segment is read and refused, never skipped
+        path.unlink()
+        with StateJournal(path) as journal:
+            FleetEngine(default_model=model, journal=journal).register_cell("b")
+        path.with_name(f"{path.name}.00001.jsonl").write_text('{"op": "journal", "version": 1}\n')
+        with pytest.raises(ValueError, match=r"format v1"):
+            StateJournal(path)
+
+    def test_large_batches_split_into_frames_under_the_budget(self, model, tmp_path, monkeypatch):
+        monkeypatch.setattr(persistence, "_FRAME_BUDGET", 400)
+        path = tmp_path / "fleet.journal"
+        journal = StateJournal(path, compact_every=0)
+        engine = FleetEngine(default_model=model, journal=journal)
+        ids = [f"cell-{k:03d}" for k in range(60)]
+        for cid in ids:
+            engine.register_cell(cid)
+        engine.estimate(ids, 3.7, 1.0, 25.0)
+        journal.compact()
+        journal.close()
+        data = path.read_bytes()
+        ends = _frame_ends(data)
+        assert len(ends) > 4  # header, compact marker, several cells frames
+        assert max(b - a for a, b in zip([0, *ends], ends)) < 400 + 400
+        snap = StateJournal(path).snapshot()
+        assert set(snap.cells) == set(ids)
+        assert all(state.n_requests == 1 for state in snap.cells.values())
+        records = list(read_journal(path))
+        assert isinstance(records[0], Compact)
+        assert sum(isinstance(record, Cells) for record in records) > 1
 
 
 # ----------------------------------------------------------------------
