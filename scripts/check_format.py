@@ -63,7 +63,8 @@ ALLOWLIST = [
 # tests/test_learn_harvest.py, tests/test_learn_finetune.py,
 # tests/test_learn_loop.py, tests/test_learn_e2e.py,
 # src/repro/monitor/resources.py, tests/test_monitor_resources.py,
-# tests/test_scripts_scrape.py, tests/test_bench_regression.py
+# tests/test_scripts_scrape.py, tests/test_bench_regression.py,
+# tests/test_serve_fleet_contract.py
 
 
 def main() -> int:

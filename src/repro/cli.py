@@ -442,7 +442,7 @@ def _cmd_serve_sim(args) -> int:
         from .monitor import ExpositionServer
 
         def _health():
-            health = engine.worker_health() if hasattr(engine, "worker_health") else []
+            health = engine.worker_health()
             return {"ok": not health or all(health), "workers": list(health)}
 
         # Serve the parent registry only: a scrape must never RPC the
@@ -525,8 +525,7 @@ def _cmd_serve_sim(args) -> int:
         server.stop()
     if journal is not None:
         journal.close()
-    if hasattr(engine, "close"):
-        engine.close()
+    engine.close()
     return rc
 
 
@@ -540,7 +539,7 @@ def _report_gateway(gateway, engine, completions, traffic_s, args) -> int:
     n_ok = sum(stats[e]["ok"] for e in ("estimate", "predict"))
     n_err = sum(stats[e]["errors"] for e in ("estimate", "predict", "rollout"))
     n_shed = sum(stats[e]["shed"] for e in ("estimate", "predict", "rollout"))
-    health = engine.worker_health() if hasattr(engine, "worker_health") else []
+    health = engine.worker_health()
     dead = [k for k, up in enumerate(health) if not up]
     rows = []
     for endpoint in ("estimate", "predict", "rollout"):
@@ -615,7 +614,7 @@ def _report_monitoring(engine, metrics, drift, args) -> int:
     The merged view covers the parent registry (engine or gateway
     series plus parent-side drift counters) and — for ``--workers``
     topologies — every subprocess shard's registry via
-    ``ShardedFleet.metrics()``.  With ``--fail-on-drift`` any
+    ``ShardedFleet.metrics_snapshot()``.  With ``--fail-on-drift`` any
     drift/physics-bounds event anywhere in the topology exits 1: the
     CI false-positive gate for the detectors on clean traffic.
     """
@@ -624,9 +623,8 @@ def _report_monitoring(engine, metrics, drift, args) -> int:
     from .monitor import merge_snapshots
 
     snapshots = [metrics.snapshot()]
-    fleet_metrics = getattr(engine, "metrics", None)
-    if callable(fleet_metrics):
-        snapshots.append(fleet_metrics())  # the workers' own registries
+    if args.workers:  # the workers' own registries; one engine shares `metrics`
+        snapshots.append(engine.metrics_snapshot())
     merged = merge_snapshots(snapshots)
     drift_total = sum(
         value for key, value in merged["counters"].items() if key.startswith("drift_events_total")

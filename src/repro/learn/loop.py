@@ -89,10 +89,10 @@ class RetrainLoop:
     ----------
     source:
         Where drift events come from: anything with ``drift_events()``
-        (:class:`~repro.serve.engine.FleetEngine`,
-        :class:`~repro.serve.sharding.ShardedFleet`,
-        :class:`~repro.serve.client.SocClient`) or a bare callable
-        returning a list of events.
+        (a :class:`~repro.serve.engine.Fleet` such as
+        :class:`~repro.serve.engine.FleetEngine` or
+        :class:`~repro.serve.sharding.ShardedFleet`, or a
+        :class:`~repro.serve.client.SocClient`).
     journals:
         Journal path(s) the harvester replays — the shard workers'
         journals, so rebalanced cells' history is found wherever it
@@ -155,7 +155,7 @@ class RetrainLoop:
             return {"status": "cooldown", "remaining": self._cooldown}
         if self._canary_active():
             return {"status": "canary-active"}
-        events = self._fetch_events()
+        events = list(self.source.drift_events())
         fresh = max(0, len(events) - self._consumed)
         if fresh < self.config.min_events:
             return {"status": "idle", "fresh_events": fresh}
@@ -202,11 +202,6 @@ class RetrainLoop:
         }
 
     # ------------------------------------------------------------------
-    def _fetch_events(self) -> list:
-        fetch = getattr(self.source, "drift_events", None)
-        events = fetch() if fetch is not None else self.source()
-        return list(events)
-
     def _settle(self, events: list) -> None:
         self._consumed = len(events)
         self._cooldown = self.config.cooldown_ticks

@@ -27,8 +27,9 @@ module closes that loop on live traffic:
   step the policy — one call per monitoring interval, driven by a
   scheduler, a thread, or a test loop.
 
-Everything here is duck-typed against the serving API (``cells()`` /
-``predict`` / ``reroute_cell`` and the controller's
+Everything here calls the serving API by name (``cells()`` /
+``predict`` / ``reroute_cell`` / ``restart_dead_workers()`` of the
+``repro.serve.Fleet`` protocol, and the controller's
 ``active``/``promote``/``rollback``), deliberately importing nothing
 from :mod:`repro.serve` so the monitor package stays import-cycle-free.
 """
@@ -356,9 +357,9 @@ class ControlLoop:
     Parameters
     ----------
     engine:
-        Optional fleet; when it exposes ``restart_dead_workers()``
-        (see :class:`~repro.serve.sharding.ShardedFleet`) each tick
-        heals dead shard workers before probing.
+        Optional fleet (a :class:`repro.serve.Fleet`); each tick heals
+        its dead shard workers with ``restart_dead_workers()`` before
+        probing.
     autopilot, probe:
         Optional policy and its divergence probe; a tick feeds the
         probe measurement (and its latency timing) into
@@ -404,9 +405,7 @@ class ControlLoop:
         self.ticks += 1
         restarted: list[int] = []
         if self.engine is not None:
-            restart = getattr(self.engine, "restart_dead_workers", None)
-            if restart is not None:
-                restarted = restart()
+            restarted = self.engine.restart_dead_workers()
         divergences = self.probe.measure() if self.probe is not None else None
         decision = None
         if self.autopilot is not None:

@@ -13,7 +13,7 @@ write to files at end of run:
 
 Deliberate scope limits: the server renders the *parent process*
 registry only.  A full-topology merge
-(:meth:`repro.serve.sharding.ShardedFleet.metrics`) round-trips the
+(:meth:`repro.serve.sharding.ShardedFleet.metrics_snapshot`) round-trips the
 worker pipes, which are owned by the serving thread — scraping them
 concurrently with traffic would interleave frames and corrupt the
 stream.  Parent-side counters/histograms (gateway, batcher, wire

@@ -17,7 +17,7 @@ meaningless total — labeled ones survive as eight inspectable series).
 
 :func:`install_process_metrics` wires a :class:`ResourceSampler` into a
 registry as a snapshot-time collector, so every existing readout path —
-the worker ``metrics`` wire op, ``ShardedFleet.metrics()``, the
+the worker ``metrics`` wire op, ``ShardedFleet.metrics_snapshot()``, the
 ``/metrics`` exposition endpoint — sees current values with no caller
 changes.
 

@@ -6,7 +6,8 @@ and versioned checkpoint rollout.
 
 - :mod:`repro.serve.engine` — :class:`FleetEngine`: per-cell state,
   batched Branch 1/2 forwards, lock-step fleet rollout,
-  restore/resume from a journal;
+  restore/resume from a journal; and :class:`Fleet`, the protocol every
+  backend answers;
 - :mod:`repro.serve.sharding` — :class:`ShardedFleet`: rendezvous-
   hashed cell partitioning across shard workers behind the engine API,
   with stable rebalancing;
@@ -64,7 +65,7 @@ from .archive import ArchiveError, DirectoryArchiveStore, MissingSegmentError
 from .canary import CanaryController, CanaryReport, in_canary_slice
 from .client import DaemonUnavailable, SocClient
 from .daemon import SocDaemon
-from .engine import CellState, FleetEngine
+from .engine import CellState, Fleet, FleetEngine
 from .fleet_sim import FleetMember, FleetScenario, generate_fleet
 from .gateway import GatewayOverloaded, SocGateway
 from .persistence import JournalSnapshot, StateJournal
@@ -76,6 +77,7 @@ from .workers import ShardWorker, WorkerCrashError, WorkerSpec
 
 __all__ = [
     "CellState",
+    "Fleet",
     "FleetEngine",
     "ShardedFleet",
     "shard_for",

@@ -152,8 +152,8 @@ class SocClient:
         """Gateway per-endpoint counters/latency percentiles (live)."""
         return self._call("stats")
 
-    def metrics(self) -> dict:
-        """Merged metrics snapshot (gateway + workers)."""
+    def metrics_snapshot(self) -> dict:
+        """The daemon gateway's metrics snapshot (workers keep their own)."""
         return self._call("metrics")
 
     def worker_health(self) -> list[bool]:

@@ -48,6 +48,7 @@ import threading
 from ..monitor.autopilot import ControlLoop
 from . import wire
 from .gateway import SocGateway
+from .sharding import ShardedFleet
 from .transport import Transport, TransportError, TransportListener, TransportTimeout
 from .workers import ShardWorker, _build_model
 
@@ -238,9 +239,7 @@ class SocDaemon:
         self._loop.close()
         if self.exposition is not None:
             self.exposition.stop()
-        closer = getattr(self.engine, "close", None)
-        if closer is not None:
-            closer()
+        self.engine.close()
 
     def wait(self, timeout_s: float | None = None) -> bool:
         """Block until :meth:`stop` is requested (a client ``shutdown``
@@ -256,9 +255,7 @@ class SocDaemon:
     def control_tick(self) -> dict:
         """One control-plane pass under the batcher lock (probe + heal)."""
         with self.gateway.batcher.lock:
-            heartbeat = getattr(self.engine, "heartbeat", None)
-            if heartbeat is not None:
-                heartbeat(self.heartbeat_timeout_s)
+            self.engine.heartbeat(self.heartbeat_timeout_s)
             return self.control.tick()
 
     # -- internals -----------------------------------------------------
@@ -271,9 +268,7 @@ class SocDaemon:
     def _health(self) -> dict:
         # the daemon answering IS the liveness signal; worker state is
         # detail (a dead worker mid-heal must not flip /healthz to 503)
-        health = getattr(self.engine, "worker_health", None)
-        workers = health() if health is not None else []
-        return {"ok": True, "workers": list(workers), "url": self.url}
+        return {"ok": True, "workers": list(self.engine.worker_health()), "url": self.url}
 
     def _control_loop(self) -> None:
         while not self._stopping.wait(self.control_interval_s):
@@ -338,13 +333,9 @@ class SocDaemon:
     def _attach_worker(self, name: str, transport: Transport) -> None:
         """Re-attach a returning worker by name, or adopt it as new capacity."""
         with self.gateway.batcher.lock:
-            reattach = getattr(self.engine, "reattach_worker", None)
-            if reattach is not None and reattach(name, transport) is not None:
-                return
-            spec = getattr(self.engine, "spec", None)
-            if spec is None:
-                raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
-            self.engine.adopt_worker(ShardWorker(spec, name, transport=transport))
+            fleet = self._growable()
+            if fleet.reattach_worker(name, transport) is None:
+                fleet.adopt_worker(ShardWorker(fleet.spec, name, transport=transport))
 
     def _dispatch(self, frame: wire.V2Frame):
         """One client op's reply; engine mutations go under the batcher lock."""
@@ -376,20 +367,16 @@ class SocDaemon:
         if op == "metrics":
             return gateway.metrics_snapshot()
         if op == "worker_health":
-            health = getattr(self.engine, "worker_health", None)
-            return [] if health is None else list(health())
+            return list(self.engine.worker_health())
         if op == "heartbeat":
             with gateway.batcher.lock:
-                heartbeat = getattr(self.engine, "heartbeat", None)
-                return [] if heartbeat is None else list(heartbeat(self.heartbeat_timeout_s))
+                return list(self.engine.heartbeat(self.heartbeat_timeout_s))
         if op == "add_worker":
             with gateway.batcher.lock:
-                add = getattr(self.engine, "add_worker", None)
-                if add is None:
-                    raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
+                fleet = self._growable()
                 if not args or not isinstance(args[0], str):
                     raise ValueError("add_worker takes one worker URL string")
-                return int(add(args[0]))
+                return int(fleet.add_worker(args[0]))
         if op == "shutdown":
             return "stopping"
         with gateway.batcher.lock:
@@ -400,8 +387,7 @@ class SocDaemon:
             if op == "contains":
                 return args[0] in self.engine
             if op == "drift_events":
-                fetch = getattr(self.engine, "drift_events", None)
-                return [] if fetch is None else list(fetch())
+                return list(self.engine.drift_events())
             if op == "publish":
                 return self._publish(*args, **kwargs)
             if op in ("promote", "rollback"):
@@ -409,9 +395,15 @@ class SocDaemon:
             # register_cell / deregister_cell / reroute_cell / cell
             return getattr(self.engine, op)(*args, **kwargs)
 
+    def _growable(self) -> ShardedFleet:
+        """The engine, when it takes workers: only a ShardedFleet grows."""
+        if not isinstance(self.engine, ShardedFleet):
+            raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
+        return self.engine
+
     # -- registry ops (batcher lock held) -------------------------------
     def _registry(self):
-        registry = getattr(self.engine, "registry", None)
+        registry = self.engine.registry
         if registry is None:
             raise RuntimeError("engine has no model registry attached")
         return registry

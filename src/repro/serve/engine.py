@@ -26,7 +26,7 @@ import dataclasses
 import itertools
 import operator
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     from ..monitor.metrics import MetricsRegistry
     from .persistence import StateJournal
 
-__all__ = ["CellState", "FleetEngine"]
+__all__ = ["CellState", "Fleet", "FleetEngine"]
 
 _DEFAULT_MODEL_KEY = "__default__"
 
@@ -87,6 +87,84 @@ class CellState:
     soc: float | None = None
     last_seen_s: float | None = None
     n_requests: int = 0
+
+
+@runtime_checkable
+class Fleet(Protocol):
+    """The serving surface every fleet backend answers.
+
+    The batcher, gateway, daemon, CLI and autopilot call these members
+    and nothing else on the backend they serve.  :class:`FleetEngine`
+    has no workers, so it answers :meth:`worker_health`,
+    :meth:`heartbeat` and :meth:`restart_dead_workers` with ``[]`` and
+    :meth:`close` with nothing;
+    :class:`~repro.serve.sharding.ShardedFleet` answers them per shard.
+    Growing a fleet (``add_worker``, ``adopt_worker``,
+    ``reattach_worker``) is ``ShardedFleet``'s alone.
+
+    Every backend serves what one in-process :class:`FleetEngine`
+    serves, to 1e-9, keeps the same cell state, and raises the same
+    errors (``KeyError`` for an unknown cell).
+    """
+
+    registry: ModelRegistry | None
+
+    def register_cell(
+        self, cell_id: str, chemistry: str | None = None, model_name: str | None = None
+    ) -> CellState: ...
+
+    def deregister_cell(self, cell_id: str) -> CellState: ...
+
+    def reroute_cell(self, cell_id: str, model_name: str | None = None) -> CellState: ...
+
+    def cell(self, cell_id: str) -> CellState: ...
+
+    def cells(self) -> Iterable[CellState]: ...
+
+    def __len__(self) -> int: ...
+
+    def __contains__(self, cell_id: str) -> bool: ...
+
+    def estimate(
+        self, cell_ids: Sequence[str], voltage, current, temp_c, now_s: float | None = None
+    ) -> np.ndarray: ...
+
+    def predict(
+        self,
+        cell_ids: Sequence[str],
+        current_avg,
+        temp_avg_c,
+        horizon_s,
+        soc_now=None,
+        commit: bool = False,
+        now_s: float | None = None,
+    ) -> np.ndarray: ...
+
+    def rollout_fleet(
+        self,
+        assignments: Iterable[tuple[str, CycleRecord]],
+        step_s: float,
+        step_hook: Callable[[int], None] | None = None,
+    ) -> dict[str, RolloutResult]: ...
+
+    def resume_rollout_fleet(
+        self,
+        assignments: Iterable[tuple[str, CycleRecord]],
+        step_s: float,
+        step_hook: Callable[[int], None] | None = None,
+    ) -> dict[str, RolloutResult]: ...
+
+    def metrics_snapshot(self) -> dict | None: ...
+
+    def drift_events(self) -> list: ...
+
+    def worker_health(self) -> list[bool]: ...
+
+    def heartbeat(self, timeout_s: float = 2.0) -> list[bool]: ...
+
+    def restart_dead_workers(self) -> list[int]: ...
+
+    def close(self) -> None: ...
 
 
 def _block_rows(mat: np.ndarray, blocks: list[tuple[int, int, int]]) -> Iterator[np.ndarray]:
@@ -825,8 +903,9 @@ class FleetEngine:
         engines answer directly,
         :class:`~repro.serve.workers.ShardWorker` forwards the call
         over the wire, and
-        :meth:`ShardedFleet.metrics <repro.serve.sharding.ShardedFleet.metrics>`
-        merges the whole topology.
+        :meth:`ShardedFleet.metrics_snapshot
+        <repro.serve.sharding.ShardedFleet.metrics_snapshot>` merges the
+        whole topology.
         """
         return None if self.metrics is None else self.metrics.snapshot()
 
@@ -842,6 +921,22 @@ class FleetEngine:
         if self.drift is None:
             return []
         return list(self.drift.events())
+
+    # -- workers: one engine has none ------------------------------------
+    def worker_health(self) -> list[bool]:
+        """No workers, so no per-worker liveness: ``[]``."""
+        return []
+
+    def heartbeat(self, timeout_s: float = 2.0) -> list[bool]:
+        """No workers to probe: ``[]``."""
+        return []
+
+    def restart_dead_workers(self) -> list[int]:
+        """No workers to heal: ``[]``."""
+        return []
+
+    def close(self) -> None:
+        """Nothing to release: the caller owns an attached journal."""
 
     def _op_counter(self, op: str, key: str):
         """Cached ``engine_requests_total`` counter for one (op, model)."""

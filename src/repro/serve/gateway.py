@@ -106,8 +106,7 @@ class SocGateway:
     Parameters
     ----------
     engine:
-        Any object with the :class:`~repro.serve.engine.FleetEngine`
-        serving API — a single engine, a
+        Any :class:`~repro.serve.engine.Fleet` — a single engine, a
         :class:`~repro.serve.sharding.ShardedFleet` of in-process
         shards, or one backed by
         :class:`~repro.serve.workers.ShardWorker` processes.
@@ -290,11 +289,10 @@ class SocGateway:
             try:
                 result = await loop.run_in_executor(None, _run)
             except WorkerCrashError:
-                if getattr(self.engine, "restart_dead_workers", None) is None:
-                    raise  # nothing to heal: a single engine
-                # retry even when _recover_workers restarted nothing — a
-                # concurrent recovery (another request batch, the control
-                # loop) may already have healed the fleet for us
+                # only a fleet of workers raises this.  Retry even when
+                # _recover_workers restarted nothing — a concurrent
+                # recovery (another request batch, the control loop) may
+                # already have healed the fleet for us
                 self._recover_workers()
                 result = await loop.run_in_executor(None, _run)
         except BaseException as exc:
@@ -355,16 +353,12 @@ class SocGateway:
         """Restart dead shard workers so a crashed batch can retry.
 
         Wired as the batcher's ``on_worker_crash`` hook (and used by
-        :meth:`rollout` directly).  An engine without
-        ``restart_dead_workers`` (a single
-        :class:`~repro.serve.engine.FleetEngine`) has nothing to heal,
-        so the crash propagates as before.
+        :meth:`rollout` directly).  A single
+        :class:`~repro.serve.engine.FleetEngine` has no workers and
+        restarts none, so the batch falls back to per-request serving.
         """
-        restart = getattr(self.engine, "restart_dead_workers", None)
-        if restart is None:
-            return False
         try:
-            restarted = restart()
+            restarted = self.engine.restart_dead_workers()
         except Exception:
             return False  # a worker that cannot respawn stays dead; requests error per cell
         if restarted:

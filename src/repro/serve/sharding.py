@@ -28,7 +28,9 @@ the single-engine path.  Worker topology is declared with one
 :class:`FleetEngine` shards (the default), ``url="pipe://"`` for
 subprocess workers, ``url="tcp://..."``/``"unix://..."`` for socket
 workers on this or any other host — and every shard, whatever the
-medium, speaks the same duck-typed engine API.
+medium, serves the engine's calls the same way.  The fleet itself
+answers the :class:`~repro.serve.engine.Fleet` protocol, as one
+:class:`FleetEngine` does.
 
 Durability is per worker: a spec with a ``journal`` path template
 gives every process or socket worker its own journal, a restarted
@@ -159,7 +161,7 @@ class ShardedFleet:
         self._shards = old[:n_shards] + [self.spec.resolve(k) for k in range(len(old), n_shards)]
         moved = self._migrate(old)
         for removed in old[n_shards:]:
-            self._close_worker(removed)
+            removed.close()
         return moved
 
     # -- fleet membership ----------------------------------------------
@@ -397,7 +399,7 @@ class ShardedFleet:
         return None
 
     # -- observability --------------------------------------------------
-    def metrics(self) -> dict:
+    def metrics_snapshot(self) -> dict:
         """One merged metrics snapshot across the whole shard topology.
 
         Every shard built with ``monitor=True`` contributes its own
@@ -442,7 +444,7 @@ class ShardedFleet:
         children reaped); in-process engines have nothing to release.
         """
         for shard in self._shards:
-            self._close_worker(shard)
+            shard.close()
 
     def __enter__(self) -> ShardedFleet:
         return self
@@ -489,12 +491,6 @@ class ShardedFleet:
                     self._shards[target]._adopt_state(state)
                     moved += 1
         return moved
-
-    @staticmethod
-    def _close_worker(worker) -> None:
-        closer = getattr(worker, "close", None)
-        if closer is not None:
-            closer()
 
     def _fan_rollout(
         self,

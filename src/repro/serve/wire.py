@@ -457,7 +457,10 @@ def call_args(frame: V2Frame) -> tuple[list, dict]:
 
 def error_meta(exc: BaseException) -> dict:
     """The meta of an ``err`` reply describing ``exc``."""
-    return {"type": type(exc).__name__, "message": str(exc)}
+    # str() of a KeyError is the repr of its key; ship the key text so
+    # the re-raised KeyError reads the same as the local one
+    message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+    return {"type": type(exc).__name__, "message": str(message)}
 
 
 def check_reply(frame: V2Frame) -> V2Frame:

@@ -689,8 +689,8 @@ class WorkerSpec:
         configurations; one tuning watches every chemistry).  The
         parent reads a worker's registry and drift events over the wire
         (:meth:`ShardWorker.metrics_snapshot`,
-        :meth:`ShardWorker.drift_events`), and :meth:`ShardedFleet.metrics
-        <repro.serve.sharding.ShardedFleet.metrics>` and
+        :meth:`ShardWorker.drift_events`), and :meth:`ShardedFleet.metrics_snapshot
+        <repro.serve.sharding.ShardedFleet.metrics_snapshot>` and
         :meth:`ShardedFleet.drift_events
         <repro.serve.sharding.ShardedFleet.drift_events>` merge the
         topology.

@@ -1,5 +1,7 @@
 """Tests for the retrain loop and publisher (:mod:`repro.learn.loop`)."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def make_loop(tmp_path, model, target=None, metrics=None, **config):
     events = []
     config = RetrainConfig(name="serve", finetune=FAST_TUNE, **config)
     loop = RetrainLoop(
-        source=lambda: list(events),
+        source=types.SimpleNamespace(drift_events=lambda: list(events)),
         journals=journal,
         registry=registry,
         target=registry if target is None else target,

@@ -268,7 +268,7 @@ class TestControlLoopEndToEnd:
             # worker's metrics merge into one registry view
             ids = [f"cell-{k:03d}" for k in range(16)]
             fleet.estimate(ids, 3.7, 1.0, 25.0)
-            merged = fleet.metrics()
+            merged = fleet.metrics_snapshot()
             estimates = sum(
                 value
                 for key, value in merged["counters"].items()

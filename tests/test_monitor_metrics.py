@@ -232,7 +232,7 @@ class TestMergeSnapshots:
 
     def test_merged_snapshot_is_remergeable(self):
         # cli._report_monitoring merges the parent snapshot with
-        # ShardedFleet.metrics(), which is already topology-merged; the
+        # ShardedFleet.metrics_snapshot(), which is already topology-merged; the
         # output format must round-trip
         a = MetricsRegistry()
         a.histogram("h").observe(1.0)

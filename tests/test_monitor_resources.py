@@ -120,7 +120,7 @@ class TestServingIntegration:
             for k in range(8):
                 fleet.register_cell(f"cell-{k}")
             fleet.estimate([f"cell-{k}" for k in range(8)], 3.7, 1.0, 25.0)
-            merged = fleet.metrics()
+            merged = fleet.metrics_snapshot()
         finally:
             fleet.close()
         pids = {

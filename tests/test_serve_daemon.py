@@ -159,27 +159,14 @@ class TestDaemonClients:
         with daemon:
             yield daemon
 
-    def test_hello_and_engine_ops(self, daemon):
+    def test_hello_ping_and_stats(self, daemon):
         with SocClient(daemon.url) as client:
             hello = client.hello()
             assert hello["service"] == "repro-soc"
             assert "estimate" in hello["ops"]
             assert client.ping()
-            client.register_cell("a", chemistry="nmc")
-            assert "a" in client and len(client) == 1
-            soc = client.estimate("a", 3.7, 1.0, 25.0)
-            assert 0.0 <= soc <= 1.0
-            assert client.cell("a").chemistry == "nmc"
-            assert [s.cell_id for s in client.cells()] == ["a"]
             stats = client.stats()
             assert stats["retries"] == 0 and stats["elapsed_s"] > 0
-
-    def test_engine_errors_map_to_typed_exceptions(self, daemon):
-        with SocClient(daemon.url) as client:
-            with pytest.raises(KeyError):
-                client.cell("ghost")
-            with pytest.raises(ValueError, match="requires a registry"):
-                client.register_cell("a", model_name="canary-v2")
 
     def test_idle_connection_survives_the_accept_poll(self, daemon):
         """The idle wait must not poison the stream: a client that goes
@@ -235,6 +222,8 @@ class TestDaemonClients:
 
     def test_registry_ops_without_a_registry_are_runtime_errors(self, daemon, model):
         with SocClient(daemon.url) as client:
+            with pytest.raises(ValueError, match="requires a registry"):
+                client.register_cell("a", model_name="canary-v2")
             with pytest.raises(RuntimeError, match="no model registry"):
                 client.publish("serve", model)
             with pytest.raises(RuntimeError, match="no model registry"):
@@ -255,6 +244,23 @@ class TestDaemonClients:
         finally:
             transport.close()
         assert len(daemon.engine) == 0  # nothing was adopted
+
+    def test_single_engine_daemon_has_no_workers_and_closes_its_engine(self, model):
+        """Over one FleetEngine the worker ops answer empty, growth is
+        refused with its documented text, and stop() closes the engine."""
+        engine = FleetEngine(default_model=model)
+        closed = []
+        engine.close = lambda: closed.append(True)
+        daemon = SocDaemon(engine, "tcp://127.0.0.1:0", control_interval_s=0)
+        with daemon, SocClient(daemon.url) as client:
+            assert client.worker_health() == []
+            assert client.heartbeat() == []
+            refused = r"^engine does not accept workers \(not a ShardedFleet\)$"
+            with pytest.raises(RuntimeError, match=refused):
+                client.add_worker("tcp://127.0.0.1:9")
+            assert daemon.control_tick()["restarted"] == []
+            assert closed == []
+        assert closed == [True]
 
 
 # ----------------------------------------------------------------------

