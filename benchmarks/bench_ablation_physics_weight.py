@@ -9,34 +9,28 @@ around 1 balance the two — supporting the paper's unweighted choice.
 
 import dataclasses
 
-import numpy as np
-
-from repro.core import PhysicsConfig, TrainConfig, train_two_branch
-from repro.datasets import make_estimation_samples, make_prediction_samples
+from repro.core import PhysicsConfig, TrainConfig
 from repro.datasets.sandia import cached_sandia
-from repro.eval.metrics import mae
+from repro.eval import evaluate_variants
 
 WEIGHTS = (0.0, 0.25, 1.0, 4.0)
 
 
 def test_ablation_physics_weight(benchmark, budget):
     data = cached_sandia(dataclasses.replace(budget.sandia, cells=("sandia-nmc",)))
-    est = make_estimation_samples(data.train())
-    pred = make_prediction_samples(data.train(), horizon_s=120.0)
-    tests = {h: make_prediction_samples(data.test(), horizon_s=h) for h in (120.0, 360.0)}
-    cfg = TrainConfig(epochs_branch1=120, epochs_branch2=120)
+    variants = {f"{w:g}": PhysicsConfig(horizons_s=(120.0, 240.0, 360.0), weight=w) for w in WEIGHTS}
 
     def run():
-        grid = {}
-        for weight in WEIGHTS:
-            physics = PhysicsConfig(horizons_s=(120.0, 240.0, 360.0), weight=weight)
-            per_h = {h: [] for h in tests}
-            for seed in budget.seeds:
-                model, _ = train_two_branch(est, pred, train_config=cfg, physics=physics, seed=seed)
-                for h, samples in tests.items():
-                    per_h[h].append(mae(model.predict_samples(samples), samples.soc_target))
-            grid[weight] = {h: float(np.mean(v)) for h, v in per_h.items()}
-        return grid
+        result = evaluate_variants(
+            data.train(),
+            data.test(),
+            train_horizon_s=120.0,
+            test_horizons_s=(120.0, 360.0),
+            variants=variants,
+            seeds=budget.seeds,
+            train_config=TrainConfig(epochs_branch1=120, epochs_branch2=120),
+        )
+        return dict(zip(WEIGHTS, result.mean_grid().values()))
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\n== EXP-A2: physics-loss weight sweep ==")

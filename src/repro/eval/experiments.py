@@ -8,6 +8,11 @@ of the evaluation section:
 - :func:`run_table1` — state-of-the-art comparison (Table I);
 - :func:`run_fig5` — autoregressive full-discharge rollouts (Fig. 5).
 
+Figs. 3 and 4 and Table I's two-branch rows each train through one
+:func:`~repro.eval.harness.evaluate_variants` sweep (Branch 1 once per
+seed); Fig. 5 rolls out Fig. 4's models, and Table I trains each
+LSTM / DE-* baseline once.
+
 Two budgets exist: ``fast_budget()`` (scaled-down campaigns, fewer
 seeds/epochs — minutes on a laptop; used by the pytest benchmarks) and
 ``full_budget()`` (paper-parity protocol: full campaigns, 5 seeds).
@@ -232,64 +237,53 @@ def run_fig4(
 # ----------------------------------------------------------------------
 def run_table1(budget: Budget | None = None, out_dir: str | Path | None = None, quiet: bool = False) -> list[list]:
     """Regenerate Table I: SoC(t) / SoC(t+N) MAE at 0 C and 25 C plus
-    memory and operation counts, for our variants and the baselines."""
+    memory and operation counts, for our variants (the models one
+    :func:`evaluate_variants` sweep keeps) and the baselines."""
     budget = budget if budget is not None else fast_budget()
     data = cached_lg(budget.lg)
     horizon = 30.0
     rows: list[list] = []
 
-    smoothed_train = CycleSet([smooth_cycle(c, budget.lg_smooth_s) for c in data.train()])
-    estimation = make_estimation_samples(smoothed_train, stride=budget.lg_train_stride)
-    prediction = make_prediction_samples(smoothed_train, horizon_s=horizon, stride=budget.lg_train_stride)
-
+    # --- our model: No-PINN and PINN-All -----------------------------
+    ours = evaluate_variants(
+        data.train(),
+        data.test(),
+        train_horizon_s=horizon,
+        test_horizons_s=(),  # the kept models are scored per temperature below
+        variants={"No-PINN": None, "PINN-All": PhysicsConfig(horizons_s=(30.0, 50.0, 70.0))},
+        seeds=budget.seeds,
+        train_config=budget.lg_train,
+        model_config=ModelConfig(horizon_scale_s=70.0),
+        smooth_window_s=budget.lg_smooth_s,
+        train_stride=budget.lg_train_stride,
+        test_stride=budget.lg_test_stride,
+        keep_models=True,
+    )
     temps = sorted({c.ambient_c for c in data.test()})
     test_sets = {}
     for temp in temps:
         cycles = CycleSet([smooth_cycle(c, budget.lg_smooth_s) for c in data.test() if c.ambient_c == temp])
-        test_sets[temp] = {
-            "est": make_estimation_samples(cycles, stride=budget.lg_test_stride),
-            "pred": make_prediction_samples(cycles, horizon_s=horizon, stride=budget.lg_test_stride),
-        }
-
-    # --- our model: No-PINN and PINN-All -----------------------------
-    from ..core.trainer import train_two_branch
-
-    ours = {
-        "No-PINN": None,
-        "PINN-All": PhysicsConfig(horizons_s=(30.0, 50.0, 70.0)),
-    }
-    for name, physics in ours.items():
-        per_temp_est = {t: [] for t in temps}
-        per_temp_pred = {t: [] for t in temps}
-        complexity = None
-        for seed in budget.seeds:
-            model, _ = train_two_branch(
-                estimation,
-                prediction,
-                model_config=ModelConfig(horizon_scale_s=70.0),
-                train_config=budget.lg_train,
-                physics=physics,
-                seed=seed,
-            )
-            complexity = model_complexity(model)
-            for temp, sets in test_sets.items():
-                est = sets["est"]
-                soc_hat = model.estimate_soc(est.features[:, 0], est.features[:, 1], est.features[:, 2])
-                per_temp_est[temp].append(mae(soc_hat, est.soc))
-                per_temp_pred[temp].append(mae(model.predict_samples(sets["pred"]), sets["pred"].soc_target))
-        for temp in temps:
+        test_sets[temp] = (
+            make_estimation_samples(cycles, stride=budget.lg_test_stride),
+            make_prediction_samples(cycles, horizon_s=horizon, stride=budget.lg_test_stride),
+        )
+    for name, models in ours.models.items():
+        complexity = model_complexity(models[-1])
+        for temp, (est, pred) in test_sets.items():
+            est_mae = [mae(m.estimate_soc(*est.features.T), est.soc) for m in models]
+            pred_mae = [mae(m.predict_samples(pred), pred.soc_target) for m in models]
             rows.append([
                 name,
                 f"{temp:g}",
-                float(np.mean(per_temp_est[temp])),
-                float(np.mean(per_temp_pred[temp])),
+                float(np.mean(est_mae)),
+                float(np.mean(pred_mae)),
                 f"{complexity.memory_kib():.1f} KiB",
                 f"{complexity.ops:,}",
             ])
 
     # --- LSTM SoA baseline (accuracy: compact; complexity: paper scale)
     lstm_samples = make_sequence_samples(
-        smoothed_train,
+        CycleSet([smooth_cycle(c, budget.lg_smooth_s) for c in data.train()]),
         seq_len=budget.lstm.seq_len,
         sample_stride=budget.lstm.sample_stride,
         window_stride=budget.lg_train_stride,

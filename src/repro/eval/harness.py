@@ -4,11 +4,14 @@ One call of :func:`evaluate_variants` reproduces the structure shared
 by Figs. 3 and 4: train each model variant (No-PINN, Physics-Only,
 PINN-<Np>, PINN-All) on the campaign's training cycles at the native
 horizon, then score SoC-prediction MAE on the test cycles at several
-horizons, averaging over seeds.
+horizons, averaging over seeds.  It is the one trainer of variant
+sweeps (Table I and the ablations use it too): Branch 1 trains once
+per seed and group, each trained variant's Branch 2 on a copy of it.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from ..baselines.physics_only import PhysicsOnlyModel
 from ..core.config import ModelConfig, PhysicsConfig, TrainConfig
 from ..core.model import TwoBranchSoCNet
-from ..core.trainer import train_two_branch
+from ..core.trainer import SplitTrainer, train_two_branch
 from ..datasets.base import CycleSet
 from ..datasets.preprocessing import smooth_cycle
 from ..datasets.windowing import make_estimation_samples, make_prediction_samples
@@ -85,52 +88,44 @@ def _evaluate_group(
     keep_models: bool,
     models_out: dict[str, list[TwoBranchSoCNet]],
 ) -> dict[str, dict[float, list[float]]]:
-    """Score every variant on one (train, test) cycle group."""
+    """Score every variant on one (train, test) cycle group.
+
+    Split training (Sec. III-B) keeps Branch 1 apart from Branch 2 and
+    the physics loss, and each purpose draws its own ``spawn_seed``
+    stream, so one shared Branch 1 per seed plus a copy per variant for
+    Branch 2 equals one :func:`train_two_branch` per variant, bit for bit.
+    """
     estimation = make_estimation_samples(train_cycles, stride=train_stride)
     prediction = make_prediction_samples(train_cycles, horizon_s=train_horizon_s, stride=train_stride)
     test_samples = {
         h: make_prediction_samples(test_cycles, horizon_s=h, stride=test_stride)
         for h in test_horizons_s
     }
-    scores: dict[str, dict[float, list[float]]] = {}
-    for name, physics in variants.items():
-        per_h: dict[float, list[float]] = {h: [] for h in test_horizons_s}
-        if physics == PHYSICS_ONLY:
-            # The paper's Physics-Only keeps the trained Branch 1 and
-            # replaces only the predictive branch with Eq. 1, so it is
-            # trained (Branch 1 only) and evaluated per seed like the rest.
-            capacity = float(np.median(prediction.capacity_ah))
-            baseline = PhysicsOnlyModel(capacity)
-            b1_only = dataclasses.replace(
-                train_config if train_config is not None else TrainConfig(), epochs_branch2=0
-            )
-            for seed in seeds:
-                model, _ = train_two_branch(
-                    estimation,
-                    prediction,
-                    model_config=model_config,
-                    train_config=b1_only,
-                    physics=None,
-                    seed=seed,
-                )
+    physics_only = PhysicsOnlyModel(float(np.median(prediction.capacity_ah)))
+    scores = {name: {h: [] for h in test_horizons_s} for name in variants}
+    for seed in seeds:
+        config = dataclasses.replace(train_config if train_config is not None else TrainConfig(), seed=seed)
+        shared, _ = train_two_branch(
+            estimation,
+            prediction,
+            model_config=model_config,
+            train_config=dataclasses.replace(config, epochs_branch2=0),
+        )
+        for name, physics in variants.items():
+            if physics == PHYSICS_ONLY:
+                # the paper's Physics-Only keeps the trained Branch 1 and
+                # replaces only the predictive branch with Eq. 1
                 for h, samples in test_samples.items():
-                    soc_hat = model.estimate_soc(samples.v_t, samples.i_t, samples.temp_t)
-                    per_h[h].append(mae(baseline.predict_samples(samples, soc_now=soc_hat), samples.soc_target))
-        else:
-            for seed in seeds:
-                model, _ = train_two_branch(
-                    estimation,
-                    prediction,
-                    model_config=model_config,
-                    train_config=train_config,
-                    physics=physics,
-                    seed=seed,
-                )
-                for h, samples in test_samples.items():
-                    per_h[h].append(mae(model.predict_samples(samples), samples.soc_target))
-                if keep_models:
-                    models_out.setdefault(name, []).append(model)
-        scores[name] = per_h
+                    soc_hat = shared.estimate_soc(samples.v_t, samples.i_t, samples.temp_t)
+                    predicted = physics_only.predict_samples(samples, soc_now=soc_hat)
+                    scores[name][h].append(mae(predicted, samples.soc_target))
+                continue
+            model = copy.deepcopy(shared)
+            SplitTrainer(model, config, physics).train_branch2(prediction)
+            for h, samples in test_samples.items():
+                scores[name][h].append(mae(model.predict_samples(samples), samples.soc_target))
+            if keep_models:
+                models_out.setdefault(name, []).append(model)
     return scores
 
 
@@ -170,8 +165,8 @@ def evaluate_variants(
     train_stride, test_stride:
         Sample thinning for dense campaigns.
     keep_models:
-        Retain every trained model per variant, one per seed (used by
-        the Fig. 5 rollout driver to average rollouts over seeds).
+        Retain every trained model per variant, one per seed and group
+        (Fig. 5 rolls them out, Table I scores them per temperature).
     group_by_tag:
         Train one model per distinct cycle tag value (e.g.
         ``"chemistry"`` on Sandia: Eq. 1 carries a single ``Crated``,

@@ -18,8 +18,9 @@ the workers), and lets two kinds of peers dial in:
   other client's.  Every request gets one reply through
   :meth:`Transport.reply <repro.serve.transport.Transport.reply>`: an
   unknown op or a failing call is an ``err`` reply and the connection
-  stays usable; a body that does not decode drops that connection
-  only;
+  stays usable (an estimate or predict for an unregistered cell fails
+  with ``KeyError``, as it does in process); a body that does not
+  decode drops that connection only;
 - **workers** (``repro-soc worker --connect``): a ``worker_hello``
   frame flips the connection's roles — the daemon wraps the transport
   in a :class:`~repro.serve.workers.ShardWorker` and the dialer
@@ -48,6 +49,7 @@ import threading
 from ..monitor.autopilot import ControlLoop
 from . import wire
 from .gateway import SocGateway
+from .scheduler import _unknown
 from .sharding import ShardedFleet
 from .transport import Transport, TransportError, TransportListener, TransportTimeout
 from .workers import ShardWorker, _build_model
@@ -353,15 +355,9 @@ class SocDaemon:
         if op == "ping":
             return "pong"
         if op == "estimate":
-            completion = self._await(gateway.estimate(*args, **kwargs))
-            if completion.error is not None:
-                raise RuntimeError(completion.error)
-            return float(completion.value)
+            return _served_value(self._await(gateway.estimate(*args, **kwargs)))
         if op == "predict":
-            completion = self._await(gateway.predict(*args, **kwargs))
-            if completion.error is not None:
-                raise RuntimeError(completion.error)
-            return float(completion.value)
+            return _served_value(self._await(gateway.predict(*args, **kwargs)))
         if op == "stats":
             return gateway.stats_dict()
         if op == "metrics":
@@ -458,6 +454,16 @@ class SocDaemon:
         if controller is not None and controller.active:
             return int(getattr(controller, op)())
         return int(getattr(self._registry(), op)(name))
+
+
+def _served_value(completion) -> float:
+    """A completion's value; a failed one raises what an in-process fleet
+    would (``KeyError`` for an unknown cell, ``RuntimeError`` otherwise)."""
+    if completion.error is None:
+        return float(completion.value)
+    if completion.error == _unknown(completion.cell_id):
+        raise KeyError(completion.error)
+    raise RuntimeError(completion.error)
 
 
 def run_daemon(daemon: SocDaemon, announce=print) -> int:

@@ -328,7 +328,11 @@ class SocGateway:
         identical numbers in the mergeable format.
         """
         elapsed = max(self.clock() - self._started_s, 1e-9)
-        report: dict = {"elapsed_s": elapsed, "retries": int(self._retries.value)}
+        report: dict = {
+            "elapsed_s": elapsed,
+            "retries": int(self._retries.value),
+            "batch_fallbacks": self.batcher.stats.fallbacks,
+        }
         for name, ep in self.stats.items():
             completed = int(ep.completed.value)
             errors = int(ep.errors.value)

@@ -99,6 +99,10 @@ class BatchStats:
     forced_flushes: int = 0
     total_wait_s: float = 0.0
     max_wait_s: float = 0.0
+    #: flushes whose batched call failed and were served one request at
+    #: a time, with the last failure as ``"Type: message"``
+    fallbacks: int = 0
+    last_fallback: str | None = None
 
     def mean_wait_s(self) -> float:
         """Mean queueing latency per request."""
@@ -313,7 +317,8 @@ class MicroBatcher:
         ``on_worker_crash`` hook; if it reports a successful
         restart/rebalance the batch is retried **once** against the
         healed fleet.  Any other failure — or a retry that fails again —
-        falls back to per-request isolation, where every request is
+        falls back to per-request isolation (counted in
+        :attr:`BatchStats.fallbacks`), where every request is
         individually wrapped so this method can never raise: a flush
         that threw would kill the gateway's deadline timer and strand
         every queued caller.  (Cells on surviving shards are served
@@ -324,7 +329,8 @@ class MicroBatcher:
 
         try:
             return self._attempt_batch(kind, cells, cols, now)
-        except WorkerCrashError:
+        except WorkerCrashError as exc:
+            failure: Exception = exc
             # the hook itself touches the fleet (respawn + init), so a
             # persistently-crashing worker can raise right here — treat
             # that as "not recovered", never let it escape the flush
@@ -335,10 +341,12 @@ class MicroBatcher:
             if recovered:
                 try:
                     return self._attempt_batch(kind, cells, cols, now)
-                except Exception:
-                    pass
-        except Exception:
-            pass
+                except Exception as retry_exc:
+                    failure = retry_exc
+        except Exception as exc:
+            failure = exc
+        self.stats.fallbacks += 1
+        self.stats.last_fallback = f"{type(failure).__name__}: {failure}"
         # one poisoned request must not sink the batch: retry each
         # request alone and report failures on their own errors
         values = [_NAN] * len(cells)

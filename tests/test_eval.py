@@ -1,9 +1,13 @@
 """Tests for metrics, reporting, the experiment harness, and drivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import PhysicsConfig, TrainConfig
+from repro.baselines import PhysicsOnlyModel
+from repro.core import PhysicsConfig, SplitTrainer, TrainConfig, train_two_branch
+from repro.datasets import make_estimation_samples, make_prediction_samples
 from repro.eval import (
     PHYSICS_ONLY,
     ExperimentResult,
@@ -218,3 +222,78 @@ class TestEvaluateVariants:
         )
         # one chemistry in the small fixture -> one score per seed
         assert len(result.variants["No-PINN"].mae_by_horizon[120.0]) == 1
+
+
+class TestSharedBranch1:
+    """A sweep trains Branch 1 once per (group, seed), and what it keeps
+    and scores equals training every variant alone, array for array."""
+
+    SEEDS = (0, 1)
+    CONFIG = TrainConfig(epochs_branch1=2, epochs_branch2=2)
+
+    @pytest.mark.parametrize(
+        "campaign, horizons, group_by_tag",
+        [("small_lg", (30.0, 50.0), None), ("small_sandia", (120.0, 240.0), "chemistry")],
+    )
+    def test_sweep_equals_solo_training(self, request, monkeypatch, campaign, horizons, group_by_tag):
+        data = request.getfixturevalue(campaign)
+        trained = {"No-PINN": None, "PINN": PhysicsConfig(horizons_s=horizons, n_collocation=64)}
+        variants = {"No-PINN": None, "Physics-Only": PHYSICS_ONLY, "PINN": trained["PINN"]}
+        branch1_seeds = []
+        train_branch1 = SplitTrainer.train_branch1
+
+        def counted(trainer, samples):
+            branch1_seeds.append(trainer.config.seed)
+            return train_branch1(trainer, samples)
+
+        monkeypatch.setattr(SplitTrainer, "train_branch1", counted)
+        result = evaluate_variants(
+            data.train(),
+            data.test(),
+            horizons[0],
+            horizons,
+            variants,
+            seeds=self.SEEDS,
+            train_config=self.CONFIG,
+            keep_models=True,
+            group_by_tag=group_by_tag,
+        )
+        monkeypatch.undo()
+
+        if group_by_tag is None:
+            groups = [(data.train(), data.test())]
+        else:
+            tags = sorted({c.tags[group_by_tag] for c in data.train()})
+            groups = [(data.train().by_tag(group_by_tag, v), data.test().by_tag(group_by_tag, v))
+                      for v in tags]
+        assert branch1_seeds == [seed for _ in groups for seed in self.SEEDS]
+
+        solo = {name: [] for name in trained}
+        physics_only = {h: [] for h in horizons}
+        for train, test in groups:
+            est = make_estimation_samples(train)
+            pred = make_prediction_samples(train, horizon_s=horizons[0])
+            baseline = PhysicsOnlyModel(float(np.median(pred.capacity_ah)))
+            b1_only = dataclasses.replace(self.CONFIG, epochs_branch2=0)
+            for seed in self.SEEDS:
+                model, _ = train_two_branch(est, pred, train_config=b1_only, seed=seed)
+                for h in horizons:
+                    samples = make_prediction_samples(test, horizon_s=h)
+                    soc_hat = model.estimate_soc(samples.v_t, samples.i_t, samples.temp_t)
+                    predicted = baseline.predict_samples(samples, soc_now=soc_hat)
+                    physics_only[h].append(mae(predicted, samples.soc_target))
+                for name, physics in trained.items():
+                    solo[name].append(
+                        train_two_branch(est, pred, train_config=self.CONFIG, physics=physics, seed=seed)[0]
+                    )
+
+        assert result.variants["Physics-Only"].mae_by_horizon == physics_only
+        assert set(result.models) == set(trained)
+        for name, models in solo.items():
+            assert len(result.models[name]) == len(models)
+            for kept, alone in zip(result.models[name], models):
+                want = alone.state_dict()
+                got = kept.state_dict()
+                assert got.keys() == want.keys()
+                for key in want:
+                    np.testing.assert_array_equal(got[key], want[key], err_msg=f"{name}: {key}")

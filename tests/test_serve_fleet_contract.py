@@ -196,9 +196,7 @@ def test_errors_match_the_oracle(backend, oracle):
             f.reroute_cell("a", model_name="no-such-model")
         with pytest.raises(ValueError, match="contains NUL"):
             f.register_cell("bad\x00id")
-        # the gateway reports a request's miss as its error text
-        miss = RuntimeError if isinstance(f, ClientFleet) else KeyError
-        with pytest.raises(miss, match="unknown cell 'ghost'"):
+        with pytest.raises(KeyError, match="unknown cell 'ghost'"):
             f.estimate(["ghost"], 3.7, 1.0, 25.0, now_s=1.0)
     _assert_same_cells(backend, oracle)
     assert backend.deregister_cell("a") == oracle.deregister_cell("a")

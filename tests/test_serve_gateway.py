@@ -95,6 +95,26 @@ class TestMicroBatcherConcurrency:
         assert batcher.pending == 0
 
 
+class OneRowOnly:
+    """Engine wrapper whose multi-row estimates raise, as a broken batch path would."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def estimate(self, cell_ids, voltage, current, temp_c, now_s=None):
+        self.calls += 1
+        if len(cell_ids) > 1:
+            raise TypeError("batched estimate is broken")
+        return self._inner.estimate(cell_ids, voltage, current, temp_c, now_s=now_s)
+
+    def __contains__(self, cell_id):
+        return cell_id in self._inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 # ----------------------------------------------------------------------
 class TestSocGateway:
     def test_rejects_bad_config(self, model):
@@ -119,6 +139,29 @@ class TestSocGateway:
             assert completion.value == pytest.approx(expected, abs=1e-12)
         stats = gateway.stats_dict()["estimate"]
         assert stats["completed"] == 8 and stats["errors"] == 0 and stats["shed"] == 0
+        assert gateway.stats_dict()["batch_fallbacks"] == 0
+
+    def test_failed_batch_is_served_per_request_and_counted(self, model):
+        engine = OneRowOnly(make_engine(model))
+        gateway = SocGateway(engine, max_batch=8, max_delay_s=10.0, max_in_flight=64)
+
+        async def drive():
+            async with gateway:
+                return await asyncio.gather(
+                    *(gateway.estimate(f"c{k}", 3.5 + 0.05 * k, 1.0, 25.0) for k in range(8))
+                )
+
+        completions = asyncio.run(drive())
+        for k, completion in enumerate(completions):
+            assert completion.ok
+            expected = float(model.estimate_soc(3.5 + 0.05 * k, 1.0, 25.0)[0])
+            assert completion.value == pytest.approx(expected, abs=1e-12)
+        bstats = gateway.batcher.stats
+        assert bstats.flushes == 1 and bstats.fallbacks == 1
+        assert bstats.last_fallback == "TypeError: batched estimate is broken"
+        assert engine.calls == 1 + 8  # the failed batch, then one call per request
+        assert gateway.stats_dict()["batch_fallbacks"] == 1
+        assert gateway.stats_dict()["estimate"]["errors"] == 0
 
     def test_lone_request_completes_via_deadline_flusher(self, model):
         gateway = SocGateway(make_engine(model), max_batch=1000, max_delay_s=0.01)
