@@ -96,9 +96,9 @@ def bench_batched(model, kernel, batch: int, reps: int) -> dict:
 def bench_fused(batch: int, reps: int, seed: int, n_models: int = 8) -> dict:
     """A mixed-model batch: per-model dispatch loop vs one fused chain.
 
-    Measured in the dispatch-bound regime the engine fuses in (at most
-    ~16 rows per model group) — larger groups are GEMM-bound and the
-    engine keeps the per-model loop for those.
+    Measured in the dispatch-bound regime (at most ~16 rows per model
+    group), where fusion pays most; larger groups are GEMM-bound.  The
+    fleet engine runs fused chains only in its rollouts (as lanes).
     """
     batch = min(batch, 16 * n_models)
     models = [TwoBranchSoCNet(rng=np.random.default_rng(seed + 10 + k)) for k in range(n_models)]

@@ -20,8 +20,8 @@ buying:
   the kernel allocate, re-slice buffers, or fall off the GEMM chain
   shows up as a speedup drop.
 - ``fused_speedup`` (same record): one cross-model fused GEMM chain
-  over the per-model dispatch loop on a mixed-model batch in the
-  dispatch-bound regime the engine fuses in.
+  over the per-model dispatch loop on a dispatch-bound mixed-model
+  batch (at most ~16 rows per model group).
 - ``shm_payload_ratio`` (from the fleet record): a bulk array
   round-trip copied inline through a pipe over the same payload riding
   the shared-memory ring.  A change that breaks ring placement (so

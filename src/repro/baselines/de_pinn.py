@@ -23,6 +23,7 @@ import dataclasses
 import numpy as np
 
 from .. import nn
+from ..battery import coulomb
 from ..datasets.base import CycleRecord, CycleSet
 from ..datasets.preprocessing import branch1_scaler
 from ..utils.logging import RunLogger
@@ -172,7 +173,7 @@ def train_de_estimator(pairs: DEPairs, config: DEConfig | None = None) -> tuple[
     x_now = model.scaler.transform(pairs.x_now)
     x_next = model.scaler.transform(pairs.x_next)
     soc = pairs.soc_now.reshape(-1, 1)
-    delta_phys = (-pairs.x_now[:, 1] * pairs.dt_s / (3600.0 * pairs.capacity_ah)).reshape(-1, 1)
+    delta_phys = coulomb.delta_soc(pairs.x_now[:, 1], pairs.dt_s, pairs.capacity_ah).reshape(-1, 1)
 
     n = len(soc)
     if config.max_train_rows and n > config.max_train_rows:

@@ -17,6 +17,7 @@ import dataclasses
 
 import numpy as np
 
+from ..battery import coulomb
 from ..battery.cell import CellSpec
 
 __all__ = ["EKFConfig", "EKFSoCEstimator"]
@@ -84,7 +85,7 @@ class EKFSoCEstimator:
     def _predict(self, current_a: float, dt_s: float) -> None:
         tau = self.r1 * self.c1
         decay = np.exp(-dt_s / tau) if tau > 0 else 0.0
-        self.x[0] -= current_a * dt_s / (3600.0 * self.spec.capacity_ah)
+        self.x[0] += coulomb.delta_soc(current_a, dt_s, self.spec.capacity_ah)
         self.x[1] = self.x[1] * decay + self.r1 * current_a * (1.0 - decay)
         f = np.array([[1.0, 0.0], [0.0, decay]])
         q = np.diag([self.config.q_soc, self.config.q_v1])

@@ -59,13 +59,7 @@ class PhysicsOnlyModel:
         soc0 = samples.soc_t if soc_now is None else np.asarray(soc_now, dtype=np.float64)
         if len(soc0) != len(samples):
             raise ValueError("soc_now must have one entry per sample row")
-        out = np.empty(len(samples))
-        for cap in np.unique(samples.capacity_ah):
-            mask = samples.capacity_ah == cap
-            out[mask] = coulomb.predict_soc(
-                soc0[mask], samples.i_avg[mask], samples.horizon_s[mask], float(cap)
-            )
-        return out
+        return coulomb.predict_soc(soc0, samples.i_avg, samples.horizon_s, samples.capacity_ah)
 
     def rollout_step(self, soc: float, i_avg: float, temp_avg: float, horizon_s: float) -> float:
         """Autoregressive step for :func:`repro.core.rollout.rollout_cycle`."""

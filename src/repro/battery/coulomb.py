@@ -28,7 +28,7 @@ __all__ = [
 SECONDS_PER_HOUR = 3600.0
 
 
-def delta_soc(current_a, horizon_s, capacity_ah: float):
+def delta_soc(current_a, horizon_s, capacity_ah):
     """SoC change caused by drawing ``current_a`` for ``horizon_s`` seconds.
 
     Parameters
@@ -38,7 +38,8 @@ def delta_soc(current_a, horizon_s, capacity_ah: float):
     horizon_s:
         Elapsed time in seconds (the paper's ``N`` / ``Np``).
     capacity_ah:
-        Rated capacity :math:`C_{rated}` in ampere-hours.
+        Rated capacity :math:`C_{rated}` in ampere-hours: one value, or
+        one per row (mixed-chemistry batches).
 
     Returns
     -------
@@ -46,14 +47,15 @@ def delta_soc(current_a, horizon_s, capacity_ah: float):
         Negative for discharge, positive for charge.  Broadcasts over
         array inputs.
     """
-    if capacity_ah <= 0:
+    capacity_ah = np.asarray(capacity_ah, dtype=np.float64)
+    if np.any(capacity_ah <= 0):
         raise ValueError("capacity must be positive")
     return -np.asarray(current_a, dtype=np.float64) * np.asarray(horizon_s, dtype=np.float64) / (
         capacity_ah * SECONDS_PER_HOUR
     )
 
 
-def predict_soc(soc_now, current_a, horizon_s, capacity_ah: float, clip: bool = False):
+def predict_soc(soc_now, current_a, horizon_s, capacity_ah, clip: bool = False):
     """Coulomb-counting SoC prediction (Eq. 1 of the paper).
 
     Parameters

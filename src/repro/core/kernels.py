@@ -39,9 +39,10 @@ After mutating the model (training, ``load_state_dict``), call
 object and serves every ``estimate``/``predict``/``rollout_fleet``
 through it.
 
-**Fused-stack layout.**  A mixed-model batch (different registry
-versions, canary cohorts) would otherwise pay one GEMM-chain dispatch
-per model group.  :class:`FusedTwoBranchKernel` stacks *M* same-
+**Fused-stack layout.**  A fleet rollout over several models
+(different registry versions, canary cohorts) would otherwise pay one
+GEMM-chain dispatch per model group and window.
+:class:`FusedTwoBranchKernel` stacks *M* same-
 architecture members' exported stage-``k`` blocks into one
 ``(M, q, p)`` tensor and runs the whole chain as **batched GEMMs**:
 rows are scattered by their ``member`` index into a zero-padded
@@ -451,11 +452,13 @@ class FusedTwoBranchKernel:
     """Several models' compiled kernels fused into one batched GEMM chain.
 
     Built from *already compiled* :class:`CompiledTwoBranchKernel`
-    members (same architecture; weights differ), this serves a
-    mixed-model batch with one GEMM chain per branch instead of one per
-    model — :class:`repro.serve.FleetEngine` routes multi-model
-    ``estimate``/``predict`` batches here and keeps :attr:`members` so it
-    can detect staleness by member-kernel identity.
+    members (same architecture; weights differ), this runs a
+    mixed-model batch as one GEMM chain per branch instead of one per
+    model.  :class:`repro.serve.FleetEngine` rolls each architecture's
+    fleet rows out through :meth:`lanes` and keeps :attr:`members` so it
+    can detect staleness by member-kernel identity; its estimate and
+    predict batches run the per-model chains, not
+    :meth:`estimate_soc`/:meth:`predict_soc`.
 
     Raises ``ValueError`` when the members' exported chains cannot be
     stacked (different layer shapes or activations).

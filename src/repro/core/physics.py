@@ -92,9 +92,6 @@ class CollocationSampler:
         capacity = self._capacities[rows]
         horizons = np.asarray(self.config.horizons_s)
         horizon = horizons[self._rng.integers(0, len(horizons), size=n)]
-        targets = np.empty(n)
-        for cap in np.unique(capacity):
-            mask = capacity == cap
-            targets[mask] = coulomb.predict_soc(soc0[mask], current[mask], horizon[mask], float(cap))
+        targets = coulomb.predict_soc(soc0, current, horizon, capacity)
         features = np.column_stack([soc0, current, temp, horizon])
         return CollocationBatch(features=features, targets=targets)

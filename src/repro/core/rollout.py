@@ -90,7 +90,23 @@ class RolloutResult:
 
     def final_error(self) -> float:
         """Absolute error at the last step (the paper's end-of-discharge check)."""
-        return float(abs(self.soc_pred[-1] - self.soc_true[-1]))
+        return abs(self.signed_final_error())
+
+    def signed_final_error(self) -> float:
+        """Predicted minus true SoC at the last step; positive when the
+        rollout drained too little."""
+        return float(self.soc_pred[-1] - self.soc_true[-1])
+
+    def drain_ratio(self) -> float:
+        """Predicted SoC drop over the true drop, first to last step.
+
+        Below 1 the rollout drains too slowly; NaN when the true SoC
+        does not move.
+        """
+        true_drop = self.soc_true[0] - self.soc_true[-1]
+        if true_drop == 0:
+            return float("nan")
+        return float((self.soc_pred[0] - self.soc_pred[-1]) / true_drop)
 
 
 @dataclasses.dataclass(frozen=True)

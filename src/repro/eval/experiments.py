@@ -353,8 +353,10 @@ def run_fig5(
     Every variant rolls each test cycle autoregressively with its best
     single-step horizon (No-PINN and Physics-Only use the native 30 s,
     as in the paper).  Returns
-    ``{cycle: {config: {"mae", "final_error", "steps"}}}`` and reports
-    the average end-of-discharge error.
+    ``{cycle: {config: {"mae", "final_error", "signed_final_error",
+    "drain_ratio", "steps"}}}``, each averaged over seeds, and reports
+    the average end-of-discharge error, signed error and drain ratio
+    (``fig5_summary.csv`` holds them per cycle and config).
     """
     budget = budget if budget is not None else fast_budget()
     if fig4_result is None:
@@ -391,6 +393,8 @@ def run_fig5(
             per_config[name] = {
                 "mae": float(np.mean([r.mae() for r in rollouts])),
                 "final_error": float(np.mean([r.final_error() for r in rollouts])),
+                "signed_final_error": float(np.mean([r.signed_final_error() for r in rollouts])),
+                "drain_ratio": float(np.mean([r.drain_ratio() for r in rollouts])),
                 "steps": float(len(rollouts[0]) - 1),
             }
             rollout = rollouts[0]  # representative series for the CSV
@@ -403,10 +407,13 @@ def run_fig5(
     table_rows = [
         [cycle_name] + [results[cycle_name][c]["final_error"] for c in configs] for cycle_name in results
     ]
-    avg_row = ["AVG final |err|"] + [
-        float(np.mean([results[cy][c]["final_error"] for cy in results])) for c in configs
-    ]
-    table_rows.append(avg_row)
+    for label, key in (
+        ("AVG final |err|", "final_error"),
+        ("AVG signed err", "signed_final_error"),
+        ("AVG drain ratio", "drain_ratio"),
+    ):
+        averages = [float(np.mean([results[cy][c][key] for cy in results])) for c in configs]
+        table_rows.append([label] + averages)
     if not quiet:
         print(f"\n== Fig. 5 (LG rollouts at 25 C, {budget.name} budget) ==")
         print("single-step horizons: " + ", ".join(f"{k}={v:g}s" for k, v in step_choice.items()))
@@ -416,6 +423,16 @@ def run_fig5(
             Path(out_dir) / "fig5_rollouts.csv",
             ["cycle", "config", "time_s", "soc_pred", "soc_true"],
             series_rows,
+        )
+        summary_keys = ("final_error", "signed_final_error", "drain_ratio")
+        save_csv(
+            Path(out_dir) / "fig5_summary.csv",
+            ["cycle", "config", "step_s", *summary_keys],
+            [
+                [cy, c, step_choice[c], *(results[cy][c][key] for key in summary_keys)]
+                for cy in results
+                for c in configs
+            ],
         )
     return results
 

@@ -31,6 +31,7 @@ import dataclasses
 
 import numpy as np
 
+from ..battery import coulomb
 from ..core.config import PhysicsConfig, TrainConfig
 from ..core.model import TwoBranchSoCNet
 from ..core.trainer import SplitTrainer
@@ -127,5 +128,5 @@ def fine_tune(
 
 def relabel_with_physics(samples: PredictionSamples) -> PredictionSamples:
     """Replace the targets with the Coulomb-counting SoC (paper Eq. 1)."""
-    target = samples.soc_t - samples.i_avg * samples.horizon_s / (3600.0 * samples.capacity_ah)
+    target = coulomb.predict_soc(samples.soc_t, samples.i_avg, samples.horizon_s, samples.capacity_ah)
     return dataclasses.replace(samples, soc_target=target)

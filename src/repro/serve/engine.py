@@ -47,13 +47,6 @@ __all__ = ["CellState", "Fleet", "FleetEngine"]
 
 _DEFAULT_MODEL_KEY = "__default__"
 
-# Cross-model fusion crossover, calibrated on bench_kernel_latency.py:
-# the fused batched-GEMM path wins when per-group Python dispatch
-# dominates (many groups, few rows each) and loses once the per-group
-# GEMMs are large enough to amortise dispatch on their own.
-_FUSE_MIN_GROUPS = 4
-_FUSE_MAX_ROWS_PER_GROUP = 64
-
 # A rollout lane costs one more GEMM per stage: on a 2-vCPU x86 host
 # one Branch 2 chain over 1024 rows took the same ~86 us cut into 1 to
 # 32 lanes and ~240 us cut into 256, about 0.6 us per lane against
@@ -305,13 +298,10 @@ class FleetEngine:
     a model's weights at first use and are recompiled automatically
     when a model *object* is replaced (e.g. a registry promote);
     mutating weights in place on a live engine requires a new engine.
-    Mixed-model estimate/predict batches that are dispatch-bound (at
-    least four model groups, at most ~64 rows per group on average) are
-    served through one batched
-    :class:`~repro.core.kernels.FusedTwoBranchKernel` GEMM chain; every
-    other batch, and any model set whose architectures cannot be
-    stacked, keeps the per-model loop.  A fleet rollout always stacks:
-    each window is one batched chain per architecture.
+    An estimate or predict batch runs one chain per model group in it.
+    A fleet rollout stacks: each window is one batched
+    :class:`~repro.core.kernels.FusedTwoBranchKernel` chain per
+    architecture.
     """
 
     def __init__(
@@ -339,12 +329,10 @@ class FleetEngine:
         # promote, out-of-process channels rewrite) clears it
         self._checked: set[str] = set()
         self._generation: int | None = None
-        # fused cross-model kernels per sorted model-key set; each entry
+        # stacked rollout kernels per sorted model-key set; each entry
         # remembers the member kernels it was built from so a recompile
-        # of any member (registry promote) invalidates it, and caches
-        # None for architecture-incompatible sets so the per-model
-        # fallback isn't re-attempted every batch
-        self._fused: dict[tuple[str, ...], tuple[tuple, FusedTwoBranchKernel | None]] = {}
+        # of any member (registry promote) invalidates it
+        self._fused: dict[tuple[str, ...], tuple[tuple, FusedTwoBranchKernel]] = {}
         # instrument objects cached per (op, model key): the registry's
         # get-or-create builds a label-string key per call, which is too
         # much work for the per-batch hot path
@@ -493,21 +481,12 @@ class FleetEngine:
         t = np.broadcast_to(np.asarray(temp_c, dtype=np.float64), (len(cell_ids),))
         self._follow_registry()
         states, groups = self._states_by_model(cell_ids)
-        fused = self._fused_for(groups, len(cell_ids))
-        if fused is not None:
-            member = self._member_vector(groups, len(cell_ids))
-            with trace_stage("engine.estimate", model="*fused*", rows=len(cell_ids)):
-                out = fused.estimate_soc(v, i, t, member)
+        out = np.empty(len(cell_ids))
+        for key, idx in groups.items():
+            with trace_stage("engine.estimate", model=key, rows=len(idx)):
+                out[idx] = self._infer(key).estimate_soc(v[idx], i[idx], t[idx])
             if self.metrics is not None:
-                for key, idx in groups.items():
-                    self._op_counter("estimate", key).inc(len(idx))
-        else:
-            out = np.empty(len(cell_ids))
-            for key, idx in groups.items():
-                with trace_stage("engine.estimate", model=key, rows=len(idx)):
-                    out[idx] = self._infer(key).estimate_soc(v[idx], i[idx], t[idx])
-                if self.metrics is not None:
-                    self._op_counter("estimate", key).inc(len(idx))
+                self._op_counter("estimate", key).inc(len(idx))
         # physics-bounds guard, folded into the state-update loop below:
         # two float compares per cell ride the pass that already
         # materializes each SoC, so the clean path pays ~nothing and the
@@ -565,23 +544,12 @@ class FleetEngine:
         t_avg = np.broadcast_to(np.asarray(temp_avg_c, dtype=np.float64), (len(cell_ids),))
         horizon = np.broadcast_to(np.asarray(horizon_s, dtype=np.float64), (len(cell_ids),))
         self._follow_registry()
-        fused = self._fused_for(groups, len(cell_ids))
-        if fused is not None:
-            member = self._member_vector(groups, len(cell_ids))
-            with trace_stage("engine.predict", model="*fused*", rows=len(cell_ids)):
-                out = fused.predict_soc(soc, i_avg, t_avg, horizon, member)
+        out = np.empty(len(cell_ids))
+        for key, idx in groups.items():
+            with trace_stage("engine.predict", model=key, rows=len(idx)):
+                out[idx] = self._infer(key).predict_soc(soc[idx], i_avg[idx], t_avg[idx], horizon[idx])
             if self.metrics is not None:
-                for key, idx in groups.items():
-                    self._op_counter("predict", key).inc(len(idx))
-        else:
-            out = np.empty(len(cell_ids))
-            for key, idx in groups.items():
-                with trace_stage("engine.predict", model=key, rows=len(idx)):
-                    out[idx] = self._infer(key).predict_soc(
-                        soc[idx], i_avg[idx], t_avg[idx], horizon[idx]
-                    )
-                if self.metrics is not None:
-                    self._op_counter("predict", key).inc(len(idx))
+                self._op_counter("predict", key).inc(len(idx))
         if self.drift is not None:
             self.drift.observe_soc(cell_ids, out, delta=out - soc, horizon_s=horizon)
         for state, value in zip(states, out.tolist()):
@@ -1042,40 +1010,20 @@ class FleetEngine:
         self._checked.add(key)
         return kernel
 
-    def _fused_for(self, groups: dict[str, np.ndarray], n: int) -> FusedTwoBranchKernel | None:
-        """Fused cross-model kernel for a mixed batch (``None`` → per-model loop).
+    def _fused_kernel(self, keys: Iterable[str]) -> FusedTwoBranchKernel:
+        """The stacked kernel of one rollout stack, members in sorted key order.
 
-        Fusion pays only on *dispatch-bound* batches — many model
-        groups with few rows each, where per-group Python dispatch
-        dominates the tiny GEMMs.  Large groups are GEMM-bound and the
-        fused scatter/pad overhead loses, so those batches keep the
-        per-model loop (measured crossover on the kernel bench: at
-        least ``_FUSE_MIN_GROUPS`` groups and at most
-        ``_FUSE_MAX_ROWS_PER_GROUP`` rows per group on average).  Sets
-        whose exported chains cannot be stacked keep the loop too.
-        """
-        if len(groups) < _FUSE_MIN_GROUPS or n > _FUSE_MAX_ROWS_PER_GROUP * len(groups):
-            return None
-        return self._fused_kernel(groups)
-
-    def _fused_kernel(self, keys: Iterable[str]) -> FusedTwoBranchKernel | None:
-        """The fused kernel of a model-key set, members in sorted key order.
-
-        The cache key is the *sorted* key set so batch-order
+        ``keys`` is one of :meth:`_stack_keys`' stacks, so its chains
+        always stack.  The cache key is the *sorted* key set so order
         permutations share one fused kernel; staleness is detected by
-        member-kernel identity against ``_infer``'s current compiles,
-        and sets whose exported chains cannot be stacked are cached as
-        ``None``.
+        member-kernel identity against ``_infer``'s current compiles.
         """
         keys = tuple(sorted(keys))
         kernels = tuple(self._infer(key) for key in keys)
         cached = self._fused.get(keys)
         if cached is not None and all(a is b for a, b in zip(cached[0], kernels)):
             return cached[1]
-        try:
-            fused = FusedTwoBranchKernel(kernels)
-        except ValueError:
-            fused = None  # incompatible architectures: fall back per model
+        fused = FusedTwoBranchKernel(kernels)
         self._fused[keys] = (kernels, fused)
         return fused
 
@@ -1093,14 +1041,6 @@ class FleetEngine:
             signature = (kernel.branch1.chain_signature, kernel.branch2.chain_signature)
             stacks.setdefault(signature, []).append(key)
         return list(stacks.values())
-
-    @staticmethod
-    def _member_vector(groups: dict[str, np.ndarray], n: int) -> np.ndarray:
-        """Per-row member indices matching ``_fused_for``'s sorted key order."""
-        member = np.empty(n, dtype=np.intp)
-        for u, key in enumerate(sorted(groups)):
-            member[groups[key]] = u
-        return member
 
     def _states_by_model(self, cell_ids: Sequence[str]) -> tuple[list[CellState], dict[str, np.ndarray]]:
         """Every row's state record, and the rows of each model key, in one pass."""

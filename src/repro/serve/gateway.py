@@ -27,16 +27,20 @@ pass and moves that endpoint's completed/error counters once per flush.
 A cancelled caller's future is simply skipped.
 
 One *deadline timer* task releases due batches, so a lone request is
-never stranded waiting for batchmates: it sleeps until the oldest
-queued request's deadline and, with nothing queued, waits for the next
-enqueue to wake it — an idle gateway costs no CPU.  Heavy ``rollout``
-calls run on the thread-pool executor holding the batcher's lock; the
-event loop only ever takes that lock *non-blocking* — when it is free
-(normal traffic) submissions and flushes run inline at full speed, and
-when a rollout holds it they fall back to the executor, so a
-multi-second rollout can never freeze the loop: it keeps accepting and
-shedding throughout, and queued batches flush as soon as the engine
-frees up.
+never stranded waiting for batchmates: a queue becomes due at
+``max_delay_s``, and the timer releases it on the event loop's next
+wake.  asyncio's selector rounds every timeout up to a whole
+millisecond, so that wake comes up to ~1 ms after the queue is due.
+With nothing queued the timer waits for the next enqueue to wake it —
+an idle gateway costs no CPU.
+
+Heavy ``rollout`` calls run on the thread-pool executor holding the
+batcher's lock; the event loop only ever takes that lock
+*non-blocking* — when it is free (normal traffic) submissions and
+flushes run inline at full speed, and when a rollout holds it they
+fall back to the executor, so a multi-second rollout can never freeze
+the loop: it keeps accepting and shedding throughout, and queued
+batches flush as soon as the engine frees up.
 
 Per-endpoint accounting (:meth:`SocGateway.stats_dict`) reports
 request/ok/error/shed counts, latency percentiles, and sustained

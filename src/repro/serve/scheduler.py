@@ -4,9 +4,11 @@ Requests from different cells arrive at different times; running each
 one alone squanders the engine's batched forward path.  The
 :class:`MicroBatcher` coalesces ``estimate`` and ``predict`` requests
 into per-kind queues and releases a queue as one engine call when it
-either fills up (**size trigger**, ``max_batch``) or its oldest request
-has waited long enough (**deadline trigger**, ``max_delay_s``) — the
-classic latency/throughput knob of serving systems.
+either fills up (**size trigger**, ``max_batch``) or is due and its
+owner polls (**deadline trigger**): a queue becomes due once its oldest
+request has waited ``max_delay_s`` — the classic latency/throughput
+knob of serving systems.  ``max_delay_s`` is not a bound on the wait;
+a due queue waits for the next poll.
 
 A queued request is one plain tuple row carrying the submitter's
 opaque ``token``; everything else is per-flush work.  A flush
@@ -124,8 +126,9 @@ class MicroBatcher:
     max_batch:
         Queue size that releases a batch immediately.
     max_delay_s:
-        Longest any request may wait; :meth:`poll` releases queues
-        whose oldest entry has exceeded it.
+        Age of its oldest request at which a queue becomes due;
+        :meth:`poll` releases due queues, so a request waits this long
+        plus however late the next poll comes.
     clock:
         Monotonic time source (injectable for deterministic tests).
     """

@@ -243,10 +243,8 @@ class TestFusedKernels:
 
 
 class TestEngineFusion:
-    """FleetEngine's mixed-model batches, fused or looped, == the Tensor model."""
+    """FleetEngine's mixed-model batches and stacked rollouts == the Tensor model."""
 
-    # four models: fusion only engages on dispatch-bound batches
-    # (>= 4 model groups, small per-group row counts)
     MODELS = ("nmc-model", "lfp-model", "lto-model", "nca-model")
 
     @pytest.fixture()
@@ -263,8 +261,9 @@ class TestEngineFusion:
     @pytest.mark.parametrize("n_models", [4, 2], ids=["fused", "loop"])
     def test_served_path_matches_tensor_model(self, tmp_path, n_models):
         """Estimate, predict and rollout of a mixed-model fleet match each
-        cell's own Tensor model and ``model_rollout`` to 1e-9, whether the
-        batch takes the fused chain (4 models) or the per-model loop (2)."""
+        cell's own Tensor model and ``model_rollout`` to 1e-9, with four
+        models or two.  Estimate and predict run the per-model chains;
+        the rollout stacks every model in one fused chain."""
         registry = ModelRegistry(tmp_path / "registry")
         models = {}
         for seed, name in enumerate(self.MODELS[:n_models], start=1):
@@ -279,7 +278,7 @@ class TestEngineFusion:
         x = _inputs(len(ids), seed=50)
         est = engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
         pred = engine.predict(ids, x["current"], x["temp_c"], x["horizon_s"], soc_now=x["soc"])
-        assert bool(engine._fused) == (n_models >= 4)
+        assert not engine._fused
         for name, model in models.items():
             idx = np.array([k for k, routed in enumerate(route) if routed == name])
             ref_est = model.estimate_soc(x["voltage"][idx], x["current"][idx], x["temp_c"][idx])
@@ -289,6 +288,8 @@ class TestEngineFusion:
             )
             np.testing.assert_allclose(pred[idx], ref_pred, atol=1e-9, rtol=0)
         rolled = engine.rollout_fleet(assignments, step_s=120.0)
+        [(_, fused)] = engine._fused.values()
+        assert fused.n_members == n_models
         for (cid, cycle), name in zip(assignments, route):
             ref = model_rollout(models[name], cycle, 120.0)
             np.testing.assert_allclose(rolled[cid].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
@@ -296,25 +297,30 @@ class TestEngineFusion:
 
     def test_fused_kernel_is_cached_and_reused(self, routed_engine):
         engine, ids = routed_engine
-        x = _inputs(len(ids), seed=51)
-        engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
-        (_, fused_a) = next(iter(engine._fused.values()))
-        engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
-        (_, fused_b) = next(iter(engine._fused.values()))
-        assert fused_a is fused_b and fused_a is not None
+        cycles = [cycle for _, cycle in generate_fleet(len(ids), seed=4, **FAST_FLEET).assignments()]
+        assignments = list(zip(ids, cycles))
+        engine.rollout_fleet(assignments, step_s=120.0)
+        [(_, fused_a)] = engine._fused.values()
+        engine.rollout_fleet(assignments, step_s=120.0)
+        [(_, fused_b)] = engine._fused.values()
+        assert fused_a is fused_b
 
-    def test_gemm_bound_batches_keep_the_per_model_loop(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "registry")
-        for seed, name in enumerate(("a-model", "b-model"), start=1):
-            registry.publish(name, TwoBranchSoCNet(rng=np.random.default_rng(seed)))
-        engine = FleetEngine(registry=registry)
-        ids = [f"c{k}" for k in range(32)]
-        for k, cid in enumerate(ids):
-            engine.register_cell(cid, model_name="a-model" if k % 2 else "b-model")
+    def test_small_mixed_batches_run_the_per_model_chains(self, routed_engine):
+        """An 8-row batch over four models builds no fused kernel and
+        matches each cell's Tensor model to 1e-9."""
+        engine, ids = routed_engine
+        ids = ids[:8]
         x = _inputs(len(ids), seed=52)
-        # two model groups is below the fusion crossover: dispatch wins
-        engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
+        est = engine.estimate(ids, x["voltage"], x["current"], x["temp_c"])
+        pred = engine.predict(ids, x["current"], x["temp_c"], x["horizon_s"], soc_now=x["soc"])
         assert not engine._fused
+        for k, cid in enumerate(ids):
+            model = engine.registry.load(engine.cell(cid).model_key)
+            row = {name: col[k : k + 1] for name, col in x.items()}
+            ref_est = model.estimate_soc(row["voltage"], row["current"], row["temp_c"])
+            ref_pred = model.predict_soc(row["soc"], row["current"], row["temp_c"], row["horizon_s"])
+            np.testing.assert_allclose(est[k : k + 1], ref_est, atol=1e-9, rtol=0)
+            np.testing.assert_allclose(pred[k : k + 1], ref_pred, atol=1e-9, rtol=0)
 
 
 class TestEngineIntegration:

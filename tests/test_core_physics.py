@@ -82,6 +82,28 @@ class TestCollocationSampler:
         match = np.isclose(batch.targets, e1) | np.isclose(batch.targets, e2)
         assert np.all(match)
 
+    def test_three_capacity_pool_matches_a_per_capacity_loop(self):
+        caps = (1.1, 2.5, 3.2)
+        pool = PredictionSamples.concatenate([_pool(20, capacity=c, seed=k) for k, c in enumerate(caps)])
+        config = PhysicsConfig(horizons_s=(30.0, 50.0, 70.0))
+        batch = CollocationSampler(pool, config, np.random.default_rng(7)).sample(500)
+        # the sampler's first draw picks the pool rows, hence the capacities
+        capacity = pool.capacity_ah[np.random.default_rng(7).integers(0, len(pool), size=500)]
+        soc0, current, _, horizon = batch.features.T
+        expected = np.empty(500)
+        for cap in caps:
+            mask = capacity == cap
+            expected[mask] = coulomb.predict_soc(soc0[mask], current[mask], horizon[mask], cap)
+        np.testing.assert_array_equal(batch.targets, expected)
+
+    def test_zero_capacity_raises(self):
+        pool = PredictionSamples.concatenate([_pool(20, capacity=3.0), _pool(20, capacity=0.0)])
+        sampler = CollocationSampler(pool, PhysicsConfig(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            sampler.sample(200)
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            coulomb.delta_soc(1.0, 60.0, np.array([3.0, 0.0]))
+
     def test_horizons_only_from_configured_set(self):
         sampler = CollocationSampler(
             _pool(), PhysicsConfig(horizons_s=(30.0, 50.0, 70.0)), np.random.default_rng(0)

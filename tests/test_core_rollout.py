@@ -112,6 +112,33 @@ class TestRolloutCycle:
         assert result.rmse() >= result.mae()
         assert result.tail_s == 0.0
 
+    @staticmethod
+    def _result(soc_pred, soc_true):
+        n = len(soc_pred)
+        return RolloutResult(
+            time_s=np.arange(n, dtype=float),
+            soc_pred=np.asarray(soc_pred, dtype=float),
+            soc_true=np.asarray(soc_true, dtype=float),
+            initial_soc=float(soc_pred[0]),
+            step_s=1.0,
+        )
+
+    def test_signed_final_error_keeps_the_sign(self):
+        slow = self._result([1.0, 0.8, 0.6], [1.0, 0.7, 0.4])
+        fast = self._result([1.0, 0.6, 0.3], [1.0, 0.7, 0.4])
+        assert slow.signed_final_error() == pytest.approx(0.2)
+        assert fast.signed_final_error() == pytest.approx(-0.1)
+        assert fast.final_error() == abs(fast.signed_final_error())
+
+    def test_drain_ratio_is_predicted_drop_over_true_drop(self):
+        # predicted 0.9 -> 0.6 (0.3) against true 1.0 -> 0.4 (0.6)
+        result = self._result([0.9, 0.75, 0.6], [1.0, 0.7, 0.4])
+        assert result.drain_ratio() == pytest.approx(0.5)
+        assert self._result([1.0, 0.4], [1.0, 0.4]).drain_ratio() == 1.0
+
+    def test_drain_ratio_is_nan_without_a_true_drop(self):
+        assert np.isnan(self._result([0.5, 0.4], [0.5, 0.5]).drain_ratio())
+
 
 class TestPartialTail:
     """The trailing remainder of a cycle is scored with a shorter step."""
